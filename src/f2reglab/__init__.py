@@ -34,11 +34,8 @@ from .gf2 import (
     DimensionMismatchError,
     F2Vector,
     Subspace,
-    coset_representatives,
     echelonize,
     enumerate_all_subspaces,
-    intersect,
-    orthogonal_complement,
 )
 from .instance import (
     Instance,

@@ -4,14 +4,13 @@ Exit codes: 0 on success (claims verified where applicable), 1 when a
 verified inequality fails (a certificate or error report is emitted),
 2 on usage errors and guard refusals.  All randomness flows from the
 single --seed through per-module counter-based substreams, so reports
-are byte-identical across runs and thread counts.
+are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -38,8 +37,6 @@ from .rng import Stream
 from .rounding import deviation_report, round_to_binary, sample_pairs
 from .tableio import TableFormatError, read_table, write_table
 from .witness import ClaimViolationError, exhaustive_lowerbound_check
-
-THREADS_ENV = "F2REGLAB_THREADS"
 
 
 def parse_epsilon(text: str) -> Fraction:
@@ -68,15 +65,6 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return
-    if not raw.isdigit() or int(raw) < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    # kernels are vectorized and deterministic; the cap needs no action
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -355,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _check_threads_env()
     return args.func(args)
 
 

@@ -42,14 +42,20 @@ def energy(f: FunctionTable, h: Subspace, dense_limit: int = DEFAULT_DENSE_LIMIT
     return float(np.square(means).mean())
 
 
-def _witness_characters(report: RegularityReport, single: bool) -> tuple[int, ...]:
-    """Deduplicated witness characters, or just the globally worst one."""
+def _refine(
+    h: Subspace, report: RegularityReport, single: bool
+) -> tuple[Subspace, tuple[int, ...]]:
+    """Intersect H with the annihilator of the report's witness
+    characters: all of them deduplicated, or just the globally worst."""
     if report.witness_etas.size == 0:
-        return ()
-    if single:
+        added: tuple[int, ...] = ()
+    elif single:
         k = int(np.argmax(np.abs(report.witness_values)))
-        return (int(report.witness_etas[k]),)
-    return tuple(sorted({int(e) for e in report.witness_etas}))
+        added = (int(report.witness_etas[k]),)
+    else:
+        added = tuple(sorted({int(e) for e in report.witness_etas}))
+    span = Subspace.from_vectors(h.n, added)
+    return h.intersect(span.orthogonal_complement()), added
 
 
 def refine_step(
@@ -67,9 +73,8 @@ def refine_step(
     report = check_subspace_regularity(f, h, epsilon, dense_limit)
     if report.is_regular:
         raise ValueError("refine_step requires an irregular subspace")
-    added = _witness_characters(report, single_witness)
-    span = Subspace.from_vectors(h.n, added)
-    return h.intersect(span.orthogonal_complement()), frozenset(added)
+    refined, added = _refine(h, report, single_witness)
+    return refined, frozenset(added)
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,7 @@ def find_regular_subspace(
         if len(records) >= iteration_guard:
             status = "iteration-guard"
             break
-        added = _witness_characters(report, single_witness)
-        refined = h.intersect(Subspace.from_vectors(h.n, added).orthogonal_complement())
+        refined, added = _refine(h, report, single_witness)
         if refined.n - refined.dim > max_index_log2:
             status = "index-guard"
             break

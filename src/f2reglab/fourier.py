@@ -7,13 +7,14 @@ signed coset mean); the nontrivial spectrum of a coset is indexed by the
 classes of F2^n modulo H-perp, and each class is represented canonically
 by its member with all H-perp pivot coordinates zero.
 
-A restriction to a coset of dimension d is parameterized by the basis of
-H, which turns the restricted spectrum into a single size-2^d transform;
-scanning all cosets of a subspace at once is one batched transform over
-a (index x 2^d) pullback matrix.  A coset restriction is regular at
-level eps when every nontrivial class coefficient has absolute value at
-most eps; a subspace is regular when at least a (1 - eps) fraction of
-its cosets are.
+One private kernel computes every coset coefficient: it pulls f back
+through the basis parameterization of H over the requested cosets and
+runs one batched size-2^dim transform.  Count tables transform their
+integer numerators, so their coefficients are exact ratios and their
+regularity verdicts compare integers; other tables transform their float
+values.  A coset restriction is regular at level eps when every
+nontrivial class coefficient has absolute value at most eps; a subspace
+is regular when at least a (1 - eps) fraction of its cosets are.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -42,10 +42,6 @@ def as_fraction(value: "float | int | str | Fraction") -> Fraction:
     Strings like "1/48" parse exactly; floats convert to their exact
     binary value, which keeps comparisons deterministic.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
     return Fraction(value)
 
 
@@ -55,8 +51,8 @@ class FunctionTable:
 
     values[k] is f at the point with integer encoding k.  When the
     function is a ratio of small integers, `counts` holds the exact
-    numerators (values == counts / denominator), which downstream
-    certificate checks use for exact arithmetic.
+    numerators (values == counts / denominator), which the coset
+    transform uses for exact coefficients, verdicts and certificates.
     """
 
     n: int
@@ -210,12 +206,23 @@ def restricted_coefficient(f: FunctionTable, a: AffineSubspace, eta: F2Vector) -
     return float((f.values[points] * signs).mean())
 
 
+def _buckets(h: Subspace, etas: np.ndarray) -> np.ndarray:
+    """Transform bucket of each character: bit i is <basis_i, eta>.
+
+    Two characters share a bucket exactly when they differ by an element
+    of H-perp, so bucket 0 holds the characters trivial on H.
+    """
+    z = np.zeros(etas.shape, dtype=np.int64)
+    for i, row in enumerate(h.basis):
+        z |= parity64(etas & np.int64(row)) << np.int64(i)
+    return z
+
+
 def _class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """Canonical class representatives of F2^n mod H-perp, and the map
     from each representative to its transform bucket.
 
-    Bucket z of eta has bit i equal to <basis_i, eta>; the pairing is a
-    bijection between classes and buckets.
+    The pairing is a bijection between classes and buckets.
     """
     if h.dim <= 12:
         return _cached_class_maps(h)
@@ -224,10 +231,7 @@ def _class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
 
 def _build_class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
     etas = h.orthogonal_complement().coset_representative_array(dense_limit=h.n)
-    z = np.zeros(etas.shape, dtype=np.int64)
-    for i, row in enumerate(h.basis):
-        z |= parity64(etas & np.int64(row)) << np.int64(i)
-    return etas, z
+    return etas, _buckets(h, etas)
 
 
 @lru_cache(maxsize=512)
@@ -236,6 +240,73 @@ def _cached_class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
     etas.setflags(write=False)
     z.setflags(write=False)
     return etas, z
+
+
+def _coset_transform(
+    f: FunctionTable, h: Subspace, reps: np.ndarray, dense_limit: int
+) -> tuple[np.ndarray, int]:
+    """Unnormalized transforms of f over the cosets reps[r] + H.
+
+    This is the one kernel behind every coset coefficient: the
+    coefficient over the coset of reps[r] at eta is
+    (-1)^<reps[r], eta> * T[r, bucket(eta)] / den.  Count tables
+    transform their integer numerators, so T is exact and
+    den = denominator * 2^dim; other tables transform their float values
+    and den = 2^dim.
+    """
+    index = reps[:, None] ^ h.span_array(dense_limit)[None, :]
+    if f.counts is None:
+        table, den = f.values[index], 1 << h.dim
+    else:
+        table, den = f.counts[index].astype(np.int64), f.denominator << h.dim
+    _fwht(table)
+    return table, den
+
+
+def _signed(values: np.ndarray, reps: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Multiply values by (-1)^<rep, eta> in place (reps and etas broadcast)."""
+    odd = (np.bitwise_count(reps & etas) & 1).astype(bool)
+    return np.negative(values, out=values, where=odd)
+
+
+def _class_spectra(
+    f: FunctionTable, h: Subspace, reps: np.ndarray, dense_limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Class representatives and the float coefficient matrix of the
+    cosets of reps; count tables give the correctly rounded exact ratio."""
+    table, den = _coset_transform(f, h, reps, dense_limit)
+    etas, z = _class_maps(h)
+    values = table[:, z].astype(np.float64, copy=False)
+    values /= den
+    return etas, _signed(values, reps[:, None], etas[None, :])
+
+
+def _worst_classes(
+    h: Subspace, eps: Fraction, reps: np.ndarray, table: np.ndarray, den: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Worst nontrivial class of each coset from its transform row.
+
+    Returns (etas, worst, values, irregular): etas[worst[r]] has the
+    largest coefficient magnitude on row r (ties go to the smallest
+    representative), values[r] is its signed coefficient and irregular[r]
+    says whether that magnitude exceeds eps.  The verdict compares |T|
+    with eps scaled by den: floor(eps * den) for integer tables, which is
+    exact, and eps * den for float tables, a power-of-two scaling of the
+    float comparison.  Requires a nonzero subspace.
+    """
+    etas, z = _class_maps(h)
+    magnitudes = table[:, z[1:]]
+    np.abs(magnitudes, out=magnitudes)
+    rows = np.arange(reps.shape[0])
+    worst = np.argmax(magnitudes, axis=1)
+    worst_abs = magnitudes[rows, worst]
+    worst += 1
+    if table.dtype.kind == "f":
+        threshold = float(eps) * den
+    else:
+        threshold = eps.numerator * den // eps.denominator
+    values = _signed(table[rows, z[worst]] / den, reps, etas[worst])
+    return etas, worst, values, worst_abs > threshold
 
 
 def restricted_spectrum(
@@ -247,15 +318,10 @@ def restricted_spectrum(
     runs one size-2^dim transform.
     """
     _check_table_coset(f, a)
-    h = a.subspace
-    check_dense(h.dim, dense_limit, "spectrum entries")
-    rep = np.int64(a.representative.bits)
-    table = f.values[h.span_array(dense_limit) ^ rep]
-    _fwht(table)
-    table /= float(a.size)
-    etas, z = _class_maps(h)
-    signs = 1.0 - 2.0 * parity64(etas & rep)
-    return CosetSpectrum(coset=a, class_reps=etas, coefficients=signs * table[z])
+    check_dense(a.subspace.dim, dense_limit, "spectrum entries")
+    reps = np.array([a.representative.bits], dtype=np.int64)
+    etas, values = _class_spectra(f, a.subspace, reps, dense_limit)
+    return CosetSpectrum(coset=a, class_reps=etas, coefficients=values[0])
 
 
 def check_coset_regularity(
@@ -268,18 +334,26 @@ def check_coset_regularity(
 
     Returns the verdict and the worst nontrivial class (ties broken by
     the smallest canonical representative encoding); None when the coset
-    has no nontrivial classes (single-point subspace direction).
+    has no nontrivial classes (single-point subspace direction).  The
+    verdict is exact on count tables.
     """
-    spectrum = restricted_spectrum(f, a, dense_limit)
-    if spectrum.class_reps.shape[0] == 1:
+    _check_table_coset(f, a)
+    h = a.subspace
+    check_dense(h.dim, dense_limit, "spectrum entries")
+    if h.dim == 0:
         return True, None
-    magnitudes = np.abs(spectrum.coefficients[1:])
-    k = int(np.argmax(magnitudes)) + 1
-    worst = (
-        F2Vector(f.n, int(spectrum.class_reps[k])),
-        float(spectrum.coefficients[k]),
-    )
-    return bool(magnitudes[k - 1] <= float(as_fraction(epsilon))), worst
+    reps = np.array([a.representative.bits], dtype=np.int64)
+    table, den = _coset_transform(f, h, reps, dense_limit)
+    etas, worst, values, irregular = _worst_classes(h, as_fraction(epsilon), reps, table, den)
+    return not irregular[0], (F2Vector(f.n, int(etas[worst[0]])), float(values[0]))
+
+
+def _pullback_reps(f: FunctionTable, h: Subspace, dense_limit: int) -> np.ndarray:
+    """Coset representatives of h after the guards on a full pullback."""
+    if f.n != h.n:
+        raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
+    check_dense(f.n, dense_limit, "pullback entries")
+    return h.coset_representative_array(dense_limit)
 
 
 def coset_spectra_matrix(
@@ -291,19 +365,33 @@ def coset_spectra_matrix(
     coset of reps[r] at the canonical class representative etas[k]; both
     index arrays ascend.  Memory is one 2^n float matrix.
     """
-    if f.n != h.n:
-        raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
-    check_dense(f.n, dense_limit, "pullback entries")
-    reps = h.coset_representative_array(dense_limit)
-    span = h.span_array(dense_limit)
-    pulled = f.values[reps[:, None] ^ span[None, :]]
-    _fwht(pulled)
-    pulled /= float(span.shape[0])
-    etas, z = _class_maps(h)
-    values = pulled[:, z]
-    signs = 1.0 - 2.0 * parity64(reps[:, None] & etas[None, :])
-    values *= signs
+    reps = _pullback_reps(f, h, dense_limit)
+    etas, values = _class_spectra(f, h, reps, dense_limit)
     return reps, etas, values
+
+
+def _regularity_report(
+    h: Subspace, eps: Fraction, reps: np.ndarray, table: np.ndarray, den: int
+) -> tuple[RegularityReport, np.ndarray]:
+    """Regularity report of h from the transform rows of all its cosets,
+    with the per-coset irregular mask."""
+    total = reps.shape[0]
+    if h.dim == 0:
+        irregular = np.zeros(total, dtype=bool)
+        witness_etas, witness_values = np.empty(0, dtype=np.int64), np.empty(0)
+    else:
+        etas, worst, values, irregular = _worst_classes(h, eps, reps, table, den)
+        witness_etas, witness_values = etas[worst[irregular]], values[irregular]
+    report = RegularityReport(
+        subspace=h,
+        epsilon=eps,
+        total_cosets=total,
+        regular_cosets=int(total - irregular.sum()),
+        witness_reps=reps[irregular],
+        witness_etas=witness_etas,
+        witness_values=witness_values,
+    )
+    return report, irregular
 
 
 def check_subspace_regularity(
@@ -312,40 +400,11 @@ def check_subspace_regularity(
     epsilon: "float | str | Fraction",
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> RegularityReport:
-    """Scan every coset of h and report the regularity verdict at eps."""
+    """Scan every coset of h and report the regularity verdict at eps.
+
+    Verdicts on count tables compare integer numerators and are exact.
+    """
     eps = as_fraction(epsilon)
-    reps, etas, values = coset_spectra_matrix(f, h, dense_limit)
-    total = reps.shape[0]
-    if etas.shape[0] == 1:
-        return RegularityReport(
-            subspace=h,
-            epsilon=eps,
-            total_cosets=total,
-            regular_cosets=total,
-            witness_reps=np.empty(0, dtype=np.int64),
-            witness_etas=np.empty(0, dtype=np.int64),
-            witness_values=np.empty(0, dtype=np.float64),
-        )
-    magnitudes = np.abs(values[:, 1:])
-    worst_k = np.argmax(magnitudes, axis=1) + 1
-    rows = np.arange(total)
-    worst_abs = magnitudes[rows, worst_k - 1]
-    irregular = worst_abs > float(eps)
-    return RegularityReport(
-        subspace=h,
-        epsilon=eps,
-        total_cosets=total,
-        regular_cosets=int(total - irregular.sum()),
-        witness_reps=reps[irregular],
-        witness_etas=etas[worst_k[irregular]],
-        witness_values=values[rows[irregular], worst_k[irregular]],
-    )
-
-
-def average_tables(tables: Sequence[FunctionTable]) -> FunctionTable:
-    """Pointwise average of tables over a common domain."""
-    ns = {t.n for t in tables}
-    if len(ns) != 1:
-        raise DimensionMismatchError(f"mixed table dimensions: {sorted(ns)}")
-    stacked = np.stack([t.values for t in tables])
-    return FunctionTable(ns.pop(), stacked.mean(axis=0))
+    reps = _pullback_reps(f, h, dense_limit)
+    table, den = _coset_transform(f, h, reps, dense_limit)
+    return _regularity_report(h, eps, reps, table, den)[0]

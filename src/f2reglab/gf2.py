@@ -352,24 +352,6 @@ def echelonize(vectors: Sequence[F2Vector], n: int | None = None) -> Subspace:
     return Subspace.from_vectors(n, vectors)
 
 
-def contains(subspace: Subspace, v: F2Vector) -> bool:
-    return subspace.contains(v)
-
-
-def orthogonal_complement(subspace: Subspace) -> Subspace:
-    return subspace.orthogonal_complement()
-
-
-def intersect(h1: Subspace, h2: Subspace) -> Subspace:
-    return h1.intersect(h2)
-
-
-def coset_representatives(
-    subspace: Subspace, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> list[F2Vector]:
-    return subspace.coset_representatives(dense_limit)
-
-
 def subspaces_of_dim(n: int, d: int) -> Iterator[Subspace]:
     """Every d-dimensional subspace of F2^n exactly once.
 

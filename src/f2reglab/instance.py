@@ -422,6 +422,15 @@ def eval_pointwise(params: TowerParams, xi: XiFamily, x: "F2Vector | int") -> fl
     return eval_count(xi, x) / params.s
 
 
+def _block_hits(blocks: BlockStructure, xi: XiFamily, i: int, points: np.ndarray) -> np.ndarray:
+    """Whether <x^i, xi_i(prefix of x)> = 0, for each point x."""
+    lo = blocks.offsets[i - 1]
+    prefix = points & np.int64((1 << lo) - 1)
+    family = np.asarray(xi.families[i - 1], dtype=np.int64)
+    block_bits = (points >> np.int64(lo)) & np.int64((1 << blocks.dims[i - 1]) - 1)
+    return (np.bitwise_count(block_bits & family[prefix]) & 1) == 0
+
+
 def build_function_table(
     params: TowerParams,
     xi: XiFamily,
@@ -433,15 +442,8 @@ def build_function_table(
     check_dense(n, dense_limit, "table entries")
     points = np.arange(1 << n, dtype=np.int64)
     counts = np.zeros(1 << n, dtype=np.uint8)
-    offsets = blocks.offsets
     for i in range(1, params.s + 1):
-        lo = offsets[i - 1]
-        d = blocks.dims[i - 1]
-        prefix = points & np.int64((1 << lo) - 1)
-        family = np.asarray(xi.families[i - 1], dtype=np.int64)
-        block_bits = (points >> np.int64(lo)) & np.int64((1 << d) - 1)
-        hit = (np.bitwise_count(block_bits & family[prefix]) & 1) == 0
-        counts += hit.astype(np.uint8)
+        counts += _block_hits(blocks, xi, i, points).astype(np.uint8)
     return FunctionTable.from_counts(n, counts, params.s)
 
 
@@ -456,12 +458,7 @@ def term_indicator_table(
     n = blocks.n
     check_dense(n, dense_limit, "table entries")
     points = np.arange(1 << n, dtype=np.int64)
-    lo = blocks.offsets[j - 1]
-    d = blocks.dims[j - 1]
-    prefix = points & np.int64((1 << lo) - 1)
-    family = np.asarray(xi.families[j - 1], dtype=np.int64)
-    block_bits = (points >> np.int64(lo)) & np.int64((1 << d) - 1)
-    hit = ((np.bitwise_count(block_bits & family[prefix]) & 1) == 0).astype(np.uint8)
+    hit = _block_hits(blocks, xi, j, points).astype(np.uint8)
     return FunctionTable.from_counts(n, hit, 1)
 
 

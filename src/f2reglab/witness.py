@@ -12,8 +12,9 @@ which rules out eps-regularity of H.
 Instance tables carry exact integer numerators, so every comparison in
 a certificate is exact rational arithmetic: a coefficient over a coset
 of dimension d is (sum of signed counts) / (s * 2^d), and thresholds
-arrive as fractions.  Floating point appears only in the cross-check
-against the transform-based regularity report.
+arrive as fractions.  The numerators are read from the same exact coset
+transform that the regularity report is built from; floating point
+appears only in the spot checks against the defining mean.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ import numpy as np
 from .fourier import (
     FunctionTable,
     RegularityReport,
+    _buckets,
+    _coset_transform,
+    _pullback_reps,
+    _regularity_report,
+    _signed,
     as_fraction,
     check_subspace_regularity,
     restricted_coefficient,
@@ -39,7 +45,6 @@ from .gf2 import (
     Subspace,
     check_dense,
     enumerate_all_subspaces,
-    parity64,
     reduce_array,
     subspaces_of_dim,
 )
@@ -112,41 +117,6 @@ def bad_fraction(
     return fraction
 
 
-def _gamma_table(f: FunctionTable, xi: XiFamily, i: int, prefix: int) -> np.ndarray:
-    """Signed count table k(x) * (-1)^<x, gamma> for one gamma, int16."""
-    gamma_bits = xi.entry(i, prefix) << xi.blocks.offsets[i - 1]
-    points = np.arange(f.size, dtype=np.int64)
-    signs = 1 - 2 * parity64(points & np.int64(gamma_bits))
-    return (f.counts.astype(np.int16)) * signs.astype(np.int16)
-
-
-def _coset_numerators(
-    f: FunctionTable,
-    h: Subspace,
-    i: int,
-    xi: XiFamily,
-    reps: np.ndarray,
-    gamma_cache: dict | None,
-) -> np.ndarray:
-    """Exact numerators sum_{x in coset} k(x) * (-1)^<x, gamma_coset>."""
-    blocks = xi.blocks
-    span = h.span_array()
-    index = reps[:, None] ^ span[None, :]
-    prefixes = reps & np.int64((1 << blocks.offsets[i - 1]) - 1)
-    numerators = np.zeros(reps.shape[0], dtype=np.int64)
-    for p in np.unique(prefixes):
-        key = (i, int(p))
-        if gamma_cache is not None and key in gamma_cache:
-            table = gamma_cache[key]
-        else:
-            table = _gamma_table(f, xi, i, int(p))
-            if gamma_cache is not None:
-                gamma_cache[key] = table
-        rows = prefixes == p
-        numerators[rows] = table[index[rows]].sum(axis=1, dtype=np.int64)
-    return numerators
-
-
 @dataclass(frozen=True, eq=False)
 class WitnessCertificate:
     """Per-coset witness record certifying that H is not eps-regular.
@@ -209,9 +179,13 @@ def witness_scan(
 
     Raises ClaimViolationError when the certified fraction fails to
     exceed eps (which would contradict the lower-bound construction for
-    eps up to 1/(16 s)).  The cross-check recomputes sampled certified
-    coefficients through the transform path and requires every certified
-    coset to be irregular in the regularity report.
+    eps up to 1/(16 s)).  The numerator of each coset is the entry of
+    its exact coset transform at the bucket of its gamma, and gamma is
+    nontrivial exactly when that bucket is nonzero.  The cross-check
+    builds the regularity report from the same transform, requires every
+    certified coset to be irregular there, and spot-checks certified
+    coefficients against the defining mean.  _gamma_cache is accepted
+    for callers that still pass it and is ignored.
     """
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
@@ -220,29 +194,23 @@ def witness_scan(
     i, v = minimal_active_block(h, blocks)
     prefix_mask = (1 << blocks.offsets[i - 1]) - 1
     assert all(row & prefix_mask == 0 for row in h.basis), "prefix not constant on cosets"
-    check_dense(h.n - h.dim, dense_limit, "cosets")
-    reps = h.coset_representative_array(dense_limit)
+    reps = _pullback_reps(f, h, dense_limit)
 
-    lo = blocks.offsets[i - 1]
-    prefixes = reps & np.int64(prefix_mask)
     family = np.asarray(xi.families[i - 1], dtype=np.int64)
-    gammas = family[prefixes] << np.int64(lo)
-
-    dual = h.orthogonal_complement()
-    nontrivial_by_prefix = {
-        int(p): not dual.contains(int(family[p]) << lo) for p in np.unique(prefixes)
-    }
-    nontrivial = np.array([nontrivial_by_prefix[int(p)] for p in prefixes], dtype=bool)
-
-    numerators = _coset_numerators(f, h, i, xi, reps, _gamma_cache)
-    denominator = f.denominator * (1 << h.dim)
+    gammas = family[reps & np.int64(prefix_mask)] << np.int64(blocks.offsets[i - 1])
+    transform, denominator = _coset_transform(f, h, reps, dense_limit)
+    buckets = _buckets(h, gammas)
+    numerators = _signed(transform[np.arange(reps.shape[0]), buckets], reps, gammas)
+    nontrivial = buckets != 0
     # coefficient > eps  <=>  numerator * eps.den > eps.num * denominator
     above = numerators * eps.denominator > eps.numerator * denominator
     certified = nontrivial & above
 
     bad = Fraction(int((~nontrivial).sum()), reps.shape[0])
 
-    report = check_subspace_regularity(f, h, eps, dense_limit) if cross_check else None
+    report = irregular = None
+    if cross_check:
+        report, irregular = _regularity_report(h, eps, reps, transform, denominator)
     cert = WitnessCertificate(
         subspace=h,
         epsilon=eps,
@@ -258,7 +226,7 @@ def witness_scan(
         regularity_report=report,
     )
     if cross_check:
-        _cross_check(f, h, cert)
+        _cross_check(f, h, cert, irregular)
     if not cert.ok:
         raise ClaimViolationError(
             f"witness fraction {cert.irregular_fraction} is not above {eps} "
@@ -267,26 +235,24 @@ def witness_scan(
     return cert
 
 
-def _cross_check(f: FunctionTable, h: Subspace, cert: WitnessCertificate) -> None:
-    """Validate the exact certificate against the transform path."""
-    report = cert.regularity_report
-    certified_reps = cert.reps[cert.certified]
-    if certified_reps.size:
-        missing = ~np.isin(certified_reps, report.witness_reps)
-        if missing.any():
-            raise ClaimViolationError(
-                "certified coset not irregular in the regularity report"
-            )
-    if report.is_regular and cert.ok:
+def _cross_check(
+    f: FunctionTable, h: Subspace, cert: WitnessCertificate, irregular: np.ndarray
+) -> None:
+    """Check the certificate against its regularity report (irregular is
+    the report's per-coset mask) and against the defining mean."""
+    if (cert.certified & ~irregular).any():
+        raise ClaimViolationError(
+            "certified coset not irregular in the regularity report"
+        )
+    if cert.regularity_report.is_regular and cert.ok:
         raise ClaimViolationError("certificate contradicts the regularity report")
     # spot-check the exact coefficients against the defining mean
-    picks = certified_reps[:: max(1, certified_reps.size // 4)][:4]
-    for rep in picks:
-        row = int(np.searchsorted(cert.reps, rep))
-        coset = AffineSubspace(h, F2Vector(h.n, int(rep)))
+    rows = np.flatnonzero(cert.certified)
+    for row in rows[:: max(1, rows.size // 4)][:4]:
+        coset = AffineSubspace(h, F2Vector(h.n, int(cert.reps[row])))
         value = restricted_coefficient(f, coset, F2Vector(h.n, int(cert.gammas[row])))
         if abs(value - float(cert.coefficient(row))) > 1e-9:
-            raise ClaimViolationError("transform and exact coefficients disagree")
+            raise ClaimViolationError("defining mean and exact coefficient disagree")
 
 
 def _w_class_fractions(
@@ -301,21 +267,16 @@ def _w_class_fractions(
     span, plus the average (each distinct coset counted once)."""
     if f.counts is None:
         raise ValueError("exact coefficient scans need count tables")
-    blocks = xi.blocks
-    gamma = gamma_character(g, i, xi)
-    if h.orthogonal_complement().contains(gamma):
+    gamma = np.int64(gamma_character(g, i, xi).bits)
+    bucket = int(_buckets(h, np.array([gamma]))[0])
+    if bucket == 0:
         raise ValueError("witness character is trivial on H (gamma in H-perp)")
-    tail = w_subspace(blocks, i)
+    tail = w_subspace(xi.blocks, i)
     g_bits = g.bits if isinstance(g, F2Vector) else int(g)
     check_dense(tail.dim, dense_limit, "tail translates")
     reps = np.unique(reduce_array(tail.span_array(dense_limit) ^ np.int64(g_bits), h))
-    span = h.span_array(dense_limit)
-    index = reps[:, None] ^ span[None, :]
-    points = np.arange(f.size, dtype=np.int64)
-    signs = 1 - 2 * parity64(points & np.int64(gamma.bits))
-    table = f.counts.astype(np.int16) * signs.astype(np.int16)
-    numerators = table[index].sum(axis=1, dtype=np.int64)
-    denominator = f.denominator * (1 << h.dim)
+    transform, denominator = _coset_transform(f, h, reps, dense_limit)
+    numerators = _signed(transform[:, bucket], reps, gamma)
     values = [Fraction(int(m), denominator) for m in numerators]
     average = Fraction(sum(values), len(values))
     return values, average
@@ -449,7 +410,6 @@ def exhaustive_lowerbound_check(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    gamma_cache: dict = {}
     checked = 0
     certified = 0
     zero_regular = True
@@ -470,8 +430,7 @@ def exhaustive_lowerbound_check(
         checked += 1
         try:
             cert = witness_scan(
-                f, h, eps, xi=inst.xi, cross_check=True,
-                dense_limit=dense_limit, _gamma_cache=gamma_cache,
+                f, h, eps, xi=inst.xi, cross_check=True, dense_limit=dense_limit
             )
             if cert.regularity_report.is_regular:
                 raise ClaimViolationError(

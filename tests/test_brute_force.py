@@ -97,29 +97,47 @@ class TestAgainstDefinitions:
                     expected = brute_coefficient(counts, 2, coset_set, eta)
                     assert value == pytest.approx(float(expected), abs=1e-12)
 
-    def test_witness_certificates_against_definitions_s2(self, inst2):
-        counts = inst2.table.counts.tolist()
-        eps = Fraction(1, 32)
-        blocks = inst2.params.blocks
-        for h in fl.enumerate_all_subspaces(3):
+    def test_witness_certificates_against_definitions_s2(self, inst2, inst3):
+        # every subspace of the s = 2 instance, and sampled subspaces of
+        # dimension >= 8 of the s = 3 instance (at most 8 cosets each)
+        rng = random.Random(99)
+        sampled = []
+        while len(sampled) < 4:
+            rows = [rng.getrandbits(11) for _ in range(rng.randint(8, 11))]
+            h = fl.Subspace.from_vectors(11, rows)
+            if h.dim >= 8:
+                sampled.append(h)
+        cases = [(inst2, Fraction(1, 32), h) for h in fl.enumerate_all_subspaces(3)]
+        cases += [(inst3, Fraction(1, 48), h) for h in sampled]
+        for inst, eps, h in cases:
             if h.dim == 0:
                 continue
+            n, s = inst.n, inst.s
+            counts = inst.table.counts.tolist()
+            blocks = inst.params.blocks
             # the active block and gamma, from the definitions
-            h_set = span_set(h.basis, 3)
-            i = 1 if any(v & 1 for v in h_set) else 2
-            cert = fl.witness_scan(inst2.table, h, eps, inst2.xi)
+            h_set = span_set(h.basis, n)
+            i = next(
+                j for j in range(1, s + 1)
+                if any(v >> blocks.offsets[j - 1] & ((1 << blocks.dims[j - 1]) - 1)
+                       for v in h_set)
+            )
+            cert = fl.witness_scan(inst.table, h, eps, inst.xi)
             assert cert.block_index == i
             certified = 0
-            for coset_set in cosets_of(h.basis, 3):
+            for coset_set in cosets_of(h.basis, n):
                 g = min(coset_set)
                 prefix = g & ((1 << blocks.offsets[i - 1]) - 1)
-                gamma = inst2.xi.entry(i, prefix) << blocks.offsets[i - 1]
+                gamma = inst.xi.entry(i, prefix) << blocks.offsets[i - 1]
                 trivial = all(parity(v & gamma) == 0 for v in h_set)
-                coefficient = brute_coefficient(counts, 2, coset_set, gamma)
+                coefficient = brute_coefficient(counts, s, coset_set, gamma)
+                (r,) = [k for k, rep in enumerate(cert.reps.tolist()) if rep in coset_set]
+                assert int(cert.gammas[r]) == gamma
+                assert cert.coefficient(r) == coefficient
                 if not trivial and coefficient > eps:
                     certified += 1
             assert cert.certified_cosets == certified
-            assert cert.irregular_fraction == Fraction(certified, 1 << (3 - h.dim))
+            assert cert.irregular_fraction == Fraction(certified, 1 << (n - h.dim))
 
     def test_bad_fractions_against_definitions_s2(self, inst2):
         blocks = inst2.params.blocks

@@ -269,14 +269,12 @@ class TestSpanningRound:
 
 
 class TestDeterminism:
-    def test_identical_outputs_across_runs_and_thread_env(self, tmp_path, capsys, monkeypatch):
+    def test_identical_outputs_across_runs_and_thread_env(self, tmp_path, capsys):
         args = [
             "verify-lowerbound", "--s", "3", "--eps", "1/48",
             "--mode", "sampled", "--random-per-dim", "3", "--seed", "11",
         ]
-        monkeypatch.setenv("F2REGLAB_THREADS", "1")
         _, first, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("F2REGLAB_THREADS", "8")
         _, second, _ = run_cli(capsys, *args)
         assert first.encode() == second.encode()
 
@@ -285,11 +283,6 @@ class TestDeterminism:
         run_cli(capsys, "gen", "--s", "3", "--seed", "9", "--out", str(a))
         run_cli(capsys, "gen", "--s", "3", "--seed", "9", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
-
-    def test_invalid_thread_env_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("F2REGLAB_THREADS", "zero")
-        code, _, err = run_cli(capsys, "eval", "--s", "2", "--x", "0")
-        assert code == 2 and "F2REGLAB_THREADS" in err
 
 
 class TestGuards:

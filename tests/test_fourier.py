@@ -16,6 +16,7 @@ from f2reglab import (
     DenseLimitError,
     F2Vector,
     FunctionTable,
+    Instance,
     Subspace,
     check_coset_regularity,
     check_subspace_regularity,
@@ -31,6 +32,11 @@ S2_SPECTRUM = [0.5, 0.25, 0.125, 0.125, 0.125, -0.125, 0.0, 0.0]
 @pytest.fixture
 def s2_table():
     return FunctionTable(3, np.array(S2_VALUES))
+
+
+@pytest.fixture(scope="module")
+def s3_table():
+    return Instance.generate(3, seed=1).table
 
 
 def naive_spectrum(f: FunctionTable) -> np.ndarray:
@@ -214,6 +220,13 @@ class TestCosetRegularity:
         )
         assert not ok and worst[0].bits == 1 and worst[1] == 0.25
 
+    def test_count_table_coefficient_at_eps_is_regular(self, s3_table):
+        # over this coset the worst coefficients of the s = 3 instance are
+        # exactly 1/6, which the float transform rounds above 1/6
+        coset = AffineSubspace(Subspace.from_vectors(11, [793, 78]), F2Vector(11, 16))
+        ok, worst = check_coset_regularity(s3_table, coset, "1/6")
+        assert ok and abs(worst[1]) == 1 / 6
+
 
 class TestSubspaceRegularity:
     def test_zero_subspace_vacuously_regular(self, s2_table):
@@ -252,7 +265,7 @@ class TestSubspaceRegularity:
             assert abs(value) > float(report.epsilon)
             assert not perp.contains(eta)
 
-    def test_verdict_boundaries_are_exact(self, s2_table):
+    def test_verdict_boundaries_are_exact(self, s2_table, s3_table):
         # coset coefficients at e1 are (1/4, 1/2, 0, 1/4).  At eps = 1/4
         # exactly, both non-strict boundaries fire: the two 1/4-cosets
         # are regular (<=), and 1 irregular coset of 4 meets the allowed
@@ -262,3 +275,10 @@ class TestSubspaceRegularity:
         assert at_quarter.irregular_cosets == 1 and at_quarter.is_regular
         below = check_subspace_regularity(s2_table, h, "2499/10000")
         assert below.irregular_cosets == 3 and not below.is_regular
+        # on the s = 3 instance, 80 of the 336 cosets whose worst
+        # coefficient is above 1/6 in floating point sit exactly at 1/6
+        report = check_subspace_regularity(
+            s3_table, Subspace.from_vectors(11, [793, 78]), "1/6"
+        )
+        assert report.irregular_cosets == 256
+        assert np.all(np.abs(report.witness_values) > 1 / 6)
