@@ -210,15 +210,19 @@ def cmd_round(args: argparse.Namespace) -> int:
 
 def cmd_bench_wht(args: argparse.Namespace) -> int:
     results = []
+    max_parseval = 0.0
     for n in range(args.min_n, args.max_n + 1):
         stream = Stream(args.seed, f"bench/{n}")
         table = FunctionTable(n, stream.uniform_block(1 << n))
         best = float("inf")
-        for _ in range(args.reps):
+        for _ in range(max(1, args.reps)):
             start = time.perf_counter()
-            wht_full(table, dense_limit=max(n, args.dense_limit))
+            spectrum = wht_full(table, dense_limit=max(n, args.dense_limit))
             best = min(best, time.perf_counter() - start)
         results.append({"n": n, "seconds": best})
+        # Parseval: the spectrum's sum of squares is the mean of f^2
+        power = float(np.square(table.values).mean())
+        max_parseval = max(max_parseval, abs(float(np.square(spectrum).sum()) - power) / power)
     verify_n = min(args.verify_n, args.max_n)
     stream = Stream(args.seed, f"bench/{verify_n}")
     table = FunctionTable(verify_n, stream.uniform_block(1 << verify_n))
@@ -233,9 +237,10 @@ def cmd_bench_wht(args: argparse.Namespace) -> int:
         "timings": results,
         "verify_n": verify_n,
         "max_error_vs_defining_sum": max_error,
+        "max_parseval_error": max_parseval,
     }
     sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
-    return 0 if max_error <= 1e-12 else 1
+    return 0 if max_error <= 1e-12 and max_parseval <= 1e-12 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_round)
 
-    p = sub.add_parser("bench-wht", help="time the transform and check it at small n")
+    p = sub.add_parser(
+        "bench-wht",
+        help="time the transform; check Parseval at every n and the defining sum at small n",
+    )
     p.add_argument("--min-n", type=int, default=8)
     p.add_argument("--max-n", type=int, default=20)
     p.add_argument("--verify-n", type=int, default=10)

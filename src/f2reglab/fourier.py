@@ -31,6 +31,7 @@ from .gf2 import (
     DimensionMismatchError,
     F2Vector,
     Subspace,
+    _span_of_rows,
     check_dense,
     parity64,
 )
@@ -164,25 +165,106 @@ class RegularityReport:
         ]
 
 
+# Elements of one cache block of the transform (256 KiB of 8-byte entries).
+_CHUNK = 1 << 15
+# Stages of stride below this run on a transposed copy of each block.
+_LOW = 16
+
+
+def _butterflies(a: np.ndarray, h: int, stop: int, width: int = 1) -> None:
+    """Radix-2 stages of stride h, 2h, ... < stop, two per pass (radix 4).
+
+    Entries are rows of `width` consecutive elements of a, and the stages
+    pair rows h apart.  Within a pass the four rows x0..x3 at offsets 0,
+    h, 2h and 3h become (x0 + x1) + (x2 + x3), (x0 - x1) + (x2 - x3),
+    (x0 + x1) - (x2 + x3) and (x0 - x1) - (x2 - x3): the same two adds or
+    subtracts per element, in the same order, as two radix-2 stages.  The
+    reshape to (-1, 4, h, width) must be a view: a is C-contiguous, or a
+    column slab whose leading axis is the only one split.
+    """
+    while 4 * h <= stop:
+        q = a.reshape(-1, 4, h, width)
+        x0, x1, x2, x3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+        s01, d01, s23, d23 = x0 + x1, x0 - x1, x2 + x3, x2 - x3
+        np.add(s01, s23, x0)
+        np.subtract(s01, s23, x2)
+        np.add(d01, d23, x1)
+        np.subtract(d01, d23, x3)
+        h *= 4
+    if 2 * h <= stop:
+        q = a.reshape(-1, 2, h, width)
+        x0, x1 = q[:, 0], q[:, 1]
+        s01 = x0 + x1
+        np.subtract(x0, x1, x1)
+        x0[...] = s01
+
+
+def _block(block: np.ndarray, length: int, buf: np.ndarray) -> None:
+    """Every stage of a contiguous block of whole runs of the given length.
+
+    Stages of stride below _LOW pair elements a few places apart, which
+    numpy iterates slowly, so they run on a transposed copy in buf whose
+    rows are contiguous; the later stages run in place.
+    """
+    low = min(length, _LOW)
+    if low <= 4:
+        _butterflies(block, 1, length)
+        return
+    runs = block.reshape(-1, low)
+    t = buf[: runs.size].reshape(low, -1)
+    np.copyto(t, runs.T)
+    _butterflies(t, 1, low, t.shape[1])
+    np.copyto(runs, t.T)
+    _butterflies(block, low, length)
+
+
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized in-place Walsh-Hadamard butterfly along the last axis."""
+    """Unnormalized in-place Walsh-Hadamard transform along the last axis.
+
+    The output is bit-identical to the textbook radix-2 butterfly (stages
+    of stride 1, 2, 4, ... over the whole array): every element gets the
+    same adds and subtracts in the same order, and only the schedule is
+    blocked for the cache:
+
+    * an array of at most _CHUNK elements runs the radix-4 passes of
+      `_butterflies` directly;
+    * a larger one is cut into contiguous blocks of _CHUNK elements made
+      of whole runs of length min(size, _CHUNK), and each block runs all
+      its stages while it stays in the cache (`_block`); short transform
+      axes with many rows get contiguous operands from the transpose;
+    * a transform axis longer than _CHUNK then runs its remaining stages,
+      which pair the blocks of one row, on column slabs of about _CHUNK
+      elements of the row viewed as (size / _CHUNK, _CHUNK).
+
+    A Hadamard matmul would sum in another order and change float bits.
+    """
     if not a.flags.c_contiguous:
         raise ValueError("in-place transform requires a C-contiguous array")
     size = a.shape[-1]
-    h = 1
-    while h < size:
-        b = a.reshape(a.shape[:-1] + (-1, 2, h))
-        top = b[..., 0, :].copy()
-        b[..., 0, :] = top + b[..., 1, :]
-        b[..., 1, :] = top - b[..., 1, :]
-        h *= 2
+    if size < 2:
+        return a
+    if a.size <= _CHUNK:
+        _butterflies(a, 1, size)
+        return a
+    length = min(size, _CHUNK)
+    runs = a.reshape(-1, length)
+    step = _CHUNK // length
+    buf = np.empty(_CHUNK, dtype=a.dtype)
+    for i in range(0, runs.shape[0], step):
+        _block(runs[i : i + step], length, buf)
+    if size > _CHUNK:
+        blocks = size // _CHUNK
+        width = max(1, _CHUNK // blocks)
+        for row in a.reshape(-1, blocks, _CHUNK):
+            for j in range(0, _CHUNK, width):
+                _butterflies(row[:, j : j + width], 1, blocks, width)
     return a
 
 
 def wht_full(f: FunctionTable, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Full spectrum: entry at index(eta) is E_x[f(x) * (-1)^<x, eta>].
 
-    Runs in O(n 2^n) with the in-place butterfly.
+    Runs in O(n 2^n) with the cache-blocked in-place transform `_fwht`.
     """
     check_dense(f.n, dense_limit, "spectrum entries")
     out = f.values.copy()
@@ -230,8 +312,22 @@ def _class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    etas = h.orthogonal_complement().coset_representative_array(dense_limit=h.n)
-    return etas, _buckets(h, etas)
+    """Build both maps in O(2^dim).
+
+    The canonical representatives are the subset sums of the unit vectors
+    at the free positions of H-perp, with entry k summing those selected
+    by the bits of k.  The bucket map is linear (bit i of bucket(eta) is
+    <basis_i, eta>), so bucket(etas[k]) is the same subset sum of the
+    generators' buckets: the span of those buckets in the same counting
+    order, which equals `_buckets(h, etas)`.
+    """
+    perp = h.orthogonal_complement()
+    etas = perp.coset_representative_array(dense_limit=h.n)
+    generators = [
+        sum(((row >> p) & 1) << i for i, row in enumerate(h.basis))
+        for p in perp.free_positions
+    ]
+    return etas, _span_of_rows(generators)
 
 
 @lru_cache(maxsize=512)

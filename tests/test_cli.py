@@ -261,11 +261,13 @@ class TestSpanningRound:
 
     def test_bench_smoke(self, capsys):
         code, out, _ = run_cli(
-            capsys, "bench-wht", "--min-n", "4", "--max-n", "6", "--verify-n", "6",
+            capsys, "bench-wht", "--min-n", "4", "--max-n", "16", "--verify-n", "6",
             "--reps", "1",
         )
         assert code == 0
-        assert json.loads(out)["max_error_vs_defining_sum"] <= 1e-12
+        record = json.loads(out)
+        assert record["max_error_vs_defining_sum"] <= 1e-12
+        assert 0.0 <= record["max_parseval_error"] <= 1e-12
 
 
 class TestDeterminism:

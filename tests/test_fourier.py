@@ -24,6 +24,7 @@ from f2reglab import (
     restricted_spectrum,
     wht_full,
 )
+from f2reglab import fourier
 
 S2_VALUES = [1.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.0]
 S2_SPECTRUM = [0.5, 0.25, 0.125, 0.125, 0.125, -0.125, 0.0, 0.0]
@@ -102,6 +103,87 @@ class TestWhtFull:
     def test_memory_guard(self):
         with pytest.raises(DenseLimitError):
             wht_full(FunctionTable.constant(8, 0.5), dense_limit=6)
+
+
+def radix2_butterfly(a: np.ndarray) -> np.ndarray:
+    """Oracle: the textbook in-place radix-2 butterfly, one stage at a time
+    over the whole array, in the summation order `_fwht` must keep."""
+    size = a.shape[-1]
+    h = 1
+    while h < size:
+        b = a.reshape(a.shape[:-1] + (-1, 2, h))
+        top = b[..., 0, :].copy()
+        b[..., 0, :] = top + b[..., 1, :]
+        b[..., 1, :] = top - b[..., 1, :]
+        h *= 2
+    return a
+
+
+CHUNK = fourier._CHUNK
+# the dispatch paths of _fwht: arrays of at most one block (1-D, and many
+# rows of length 8); many rows of length <= 4 (no transpose) and of length
+# 16 and 64 (transposed low stages), with a partial last block; the square
+# n = 22 batch; a few rows longer than a block and a 1-D axis longer than a
+# block (column slabs)
+KERNEL_SHAPES = [
+    (2,),
+    (4,),
+    (256,),
+    (CHUNK // 8, 8),
+    (2 * CHUNK, 2),
+    (CHUNK + 3, 4),
+    (3 * CHUNK // 16 + 5, 16),
+    (CHUNK // 8 + 1, 64),
+    (1 << 11, 1 << 11),
+    (3, 4 * CHUNK),
+    (16 * CHUNK,),
+]
+
+
+class TestFwhtKernel:
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_float_bits_match_radix2(self, shape):
+        x = np.random.default_rng(sum(shape)).random(shape)
+        expected = radix2_butterfly(x.copy())
+        got = fourier._fwht(x.copy())
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_int64_matches_radix2(self, shape):
+        x = np.random.default_rng(sum(shape)).integers(-7, 8, size=shape)
+        assert np.array_equal(fourier._fwht(x.copy()), radix2_butterfly(x.copy()))
+
+    def test_non_contiguous_input_rejected(self):
+        with pytest.raises(ValueError):
+            fourier._fwht(np.zeros((4, 16))[:, ::2])
+        with pytest.raises(ValueError):
+            fourier._fwht(np.zeros((2 * CHUNK, 8)).T)
+
+
+class TestClassMaps:
+    @pytest.mark.parametrize("n", [5, 11, 16])
+    def test_linear_buckets_equal_parity_definition(self, n):
+        rng = random.Random(n)
+        subspaces = [Subspace.full(n)]
+        for dim in range(n + 1):
+            for _ in range(3):
+                while True:
+                    h = Subspace.from_vectors(n, [rng.getrandbits(n) for _ in range(dim)])
+                    if h.dim == dim:
+                        break
+                subspaces.append(h)
+        for h in subspaces:
+            etas, z = fourier._build_class_maps(h)
+            expected = h.orthogonal_complement().coset_representative_array(dense_limit=n)
+            assert np.array_equal(etas, expected)
+            assert np.array_equal(z, fourier._buckets(h, etas))
+
+    def test_cached_maps_are_read_only(self):
+        h = Subspace.from_vectors(11, [793, 78, 1024])
+        etas, z = fourier._cached_class_maps(h)
+        assert not etas.flags.writeable and not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0] = 1
 
 
 class TestRestrictedCoefficient:
