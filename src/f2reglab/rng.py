@@ -47,7 +47,14 @@ def derive_key(seed: int, tag: str) -> int:
 
 
 class Stream:
-    """Counter-based uint64 stream; value(i) = mix64(key + (i+1)*golden)."""
+    """Counter-based uint64 stream; value(i) = mix64(key + (i+1)*golden).
+
+    Every draw consumes the next counter positions, so the sequence of
+    draws alone fixes every value.  The block methods are vectorized
+    forms of the scalar ones: u64_block(k) equals k u64() calls and
+    nonzero_bits_block(nbits, k) equals k nonzero_bits(nbits) calls, both
+    in values and in where they leave the counter.
+    """
 
     __slots__ = ("key", "_counter")
 
@@ -78,10 +85,35 @@ class Stream:
 
     def nonzero_bits(self, nbits: int) -> int:
         """Uniform integer in [1, 2**nbits), by rejection of zero."""
+        if nbits < 1:
+            raise ValueError(f"nonzero draws need nbits >= 1, got {nbits}")
         while True:
             value = self.bits(nbits)
             if value:
                 return value
+
+    def nonzero_bits_block(self, nbits: int, count: int) -> np.ndarray:
+        """Next `count` nonzero_bits(nbits) draws as a (count, words) uint64
+        array, least significant word first.
+
+        Row k equals the k-th of `count` successive nonzero_bits calls, and
+        the counter ends where those calls would leave it: each round draws
+        exactly as many rows as are still needed, so the last row drawn is
+        always kept.
+        """
+        if nbits < 1:
+            raise ValueError(f"nonzero draws need nbits >= 1, got {nbits}")
+        words = -(-nbits // 64)
+        top = np.uint64((1 << (nbits - 64 * (words - 1))) - 1)
+        parts = [np.zeros((0, words), dtype=np.uint64)]
+        need = count
+        while need > 0:
+            rows = self.u64_block(need * words).reshape(need, words)
+            rows[:, -1] &= top
+            rows = rows[rows.any(axis=1)]
+            parts.append(rows)
+            need -= len(rows)
+        return np.concatenate(parts)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection."""

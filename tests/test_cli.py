@@ -1,5 +1,6 @@
 """CLI driver: subcommands, file format, exit codes, determinism."""
 
+import hashlib
 import json
 import struct
 
@@ -244,6 +245,25 @@ class TestSpanningRound:
         assert record["check"]["ok"] is True
         assert record["check"]["incidence"] <= 48
         assert len(record["vectors"]) == 64
+
+    def test_spanning_sampled_pinned(self, capsys):
+        # d above the dense limit takes the sampled check; stdout recorded
+        # with the per-sample loop (incidence 183, worst 762340431735)
+        code, out, _ = run_cli(
+            capsys, "spanning", "--d", "40", "--dense-limit", "20", "--samples", "300",
+            "--seed", "5",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6387c004a41a55c561315ab69e4b09bf41720594de126ce5da71ab1d98abb66a"
+        )
+
+    def test_spanning_zero_samples_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "spanning", "--d", "40", "--dense-limit", "20", "--samples", "0",
+            "--seed", "5",
+        )
+        assert code == 2 and out == "" and "samples" in err
 
     def test_round_report_and_table(self, tmp_path, capsys):
         table_path = tmp_path / "f.f2fn"

@@ -22,9 +22,42 @@ from f2reglab import (
     verify_spanning_family,
     verify_spanning_family_sampled,
 )
-from f2reglab.instance import eval_count, manifest_json
+from f2reglab.instance import _SAMPLE_CHUNK, SpanningCheck, eval_count, manifest_json
+from f2reglab.rng import Stream
 
 S2_VALUES = [1.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.0]
+
+
+def sampled_check_loop(bits, rho, d, samples, seed):
+    """Reference sampled check: one nonzero_bits draw and one fold of
+    bigint columns per sample, the loop the table-driven kernel replaces."""
+    rho = Fraction(rho)
+    count = len(bits)
+    columns = [0] * d
+    for j, v in enumerate(bits):
+        for b in range(d):
+            if v >> b & 1:
+                columns[b] |= 1 << j
+    stream = Stream(seed, "spanning/sampled")
+    worst, incidence = 0, -1
+    for _ in range(samples):
+        eta = stream.nonzero_bits(d)
+        fold = 0
+        for b in range(d):
+            if eta >> b & 1:
+                fold ^= columns[b]
+        inside = count - fold.bit_count()
+        if inside > incidence:
+            incidence, worst = inside, eta
+    return SpanningCheck(
+        ok=incidence * rho.denominator <= rho.numerator * count,
+        count=count,
+        rho=rho,
+        incidence=incidence,
+        worst=F2Vector(d, worst),
+        certified=False,
+        samples=samples,
+    )
 
 
 class TestTowerValue:
@@ -150,6 +183,50 @@ class TestVerifySpanningFamily:
         assert sampled.incidence <= exact.incidence
         # 4000 draws over 63 hyperplanes: the max is found
         assert sampled.incidence == exact.incidence
+
+
+class TestSampledKernel:
+    """The table-driven sampled check against the per-sample loop."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 63, 64, 65, 130, 256])
+    def test_bit_identical_to_loop(self, d):
+        rng = random.Random(d)
+        # counts off multiples of 64, and a family of repeated vectors
+        for count in (1, 5, 8 * d + 3, 131):
+            family = [rng.randint(1, (1 << d) - 1) for _ in range(count)]
+            family[count // 2 :] = family[: count - count // 2]
+            # tiny d rejects many zero etas; 2 * chunk + 5 spans three chunks
+            for samples in (1, 7, 2 * _SAMPLE_CHUNK + 5):
+                for seed in (0, 11):
+                    expected = sampled_check_loop(family, "3/4", d, samples, seed)
+                    got = verify_spanning_family_sampled(family, "3/4", d, samples, seed)
+                    assert got == expected, (count, samples, seed)
+
+    def test_empty_family(self):
+        got = verify_spanning_family_sampled([], "3/4", d=70, samples=9, seed=4)
+        assert got == sampled_check_loop([], "3/4", 70, 9, 4)
+        assert got.incidence == 0 and got.ok
+
+    def test_samples_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            verify_spanning_family_sampled([1, 2, 3], "3/4", d=2, samples=0, seed=0)
+
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            verify_spanning_family_sampled([], "3/4", d=0, samples=10, seed=0)
+
+    def test_family_draw_matches_scalar_draws(self):
+        family = generate_spanning_family(
+            40, 320, "3/4", seed=5, sampled_samples=300, dense_limit=20
+        )
+        stream = Stream(5, "spanning/0")
+        assert [v.bits for v in family] == [stream.nonzero_bits(40) for _ in range(320)]
+
+    def test_s4_check_pinned(self):
+        # recorded with the per-sample loop
+        check = build_xi(block_dims(4), seed=3, sampled_samples=2000).checks[3]
+        assert check.incidence == 1094
+        assert check.worst.bits == 0x69EC3236FE798E472202997B65E8F902704E3AD6CE04B09C119B81664E91AF39
 
 
 class TestGenerateSpanningFamily:

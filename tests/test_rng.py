@@ -1,6 +1,7 @@
 """Counter-based stream: determinism, random access, substreams."""
 
 import numpy as np
+import pytest
 
 from f2reglab.rng import Stream, derive_key, keyed_uniforms, mix64, mix64_array
 
@@ -64,6 +65,28 @@ class TestStream:
                 assert 0 <= v < (1 << nbits)
         for _ in range(50):
             assert s.nonzero_bits(3) in range(1, 8)
+
+    @pytest.mark.parametrize("nbits", [1, 2, 64, 65, 256])
+    def test_nonzero_bits_block_matches_scalars(self, nbits):
+        s1, s2 = Stream(8, "nz"), Stream(8, "nz")
+        block = s1.nonzero_bits_block(nbits, 300)
+        assert block.shape == (300, -(-nbits // 64)) and block.dtype == np.uint64
+        rows = [sum(int(w) << (64 * k) for k, w in enumerate(row)) for row in block]
+        assert rows == [s2.nonzero_bits(nbits) for _ in range(300)]
+        # the counter ends where the scalar draws leave it
+        assert s1.u64() == s2.u64()
+
+    def test_nonzero_bits_block_of_zero_rows_draws_nothing(self):
+        s1, s2 = Stream(8, "nz"), Stream(8, "nz")
+        assert s1.nonzero_bits_block(70, 0).shape == (0, 2)
+        assert s1.u64() == s2.u64()
+
+    def test_nonzero_bits_rejects_empty_width(self):
+        s = Stream(1)
+        with pytest.raises(ValueError):
+            s.nonzero_bits(0)
+        with pytest.raises(ValueError):
+            s.nonzero_bits_block(0, 4)
 
     def test_below_is_uniformish(self):
         s = Stream(9, "below")
