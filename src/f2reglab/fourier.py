@@ -288,14 +288,16 @@ def restricted_coefficient(f: FunctionTable, a: AffineSubspace, eta: F2Vector) -
     return float((f.values[points] * signs).mean())
 
 
-def _buckets(h: Subspace, etas: np.ndarray) -> np.ndarray:
+def _buckets(basis: "tuple[int, ...] | np.ndarray", etas: np.ndarray) -> np.ndarray:
     """Transform bucket of each character: bit i is <basis_i, eta>.
 
     Two characters share a bucket exactly when they differ by an element
-    of H-perp, so bucket 0 holds the characters trivial on H.
+    of H-perp, so bucket 0 holds the characters trivial on H.  The basis
+    rows are ints, or arrays that broadcast against etas (one row per
+    subspace of a stack).
     """
     z = np.zeros(etas.shape, dtype=np.int64)
-    for i, row in enumerate(h.basis):
+    for i, row in enumerate(basis):
         z |= parity64(etas & np.int64(row)) << np.int64(i)
     return z
 
@@ -319,7 +321,7 @@ def _build_class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
     by the bits of k.  The bucket map is linear (bit i of bucket(eta) is
     <basis_i, eta>), so bucket(etas[k]) is the same subset sum of the
     generators' buckets: the span of those buckets in the same counting
-    order, which equals `_buckets(h, etas)`.
+    order, which equals `_buckets(h.basis, etas)`.
     """
     perp = h.orthogonal_complement()
     etas = perp.coset_representative_array(dense_limit=h.n)
@@ -339,22 +341,25 @@ def _cached_class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coset_transform(
-    f: FunctionTable, h: Subspace, reps: np.ndarray, dense_limit: int
+    f: FunctionTable, span: np.ndarray, reps: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Unnormalized transforms of f over the cosets reps[r] + H.
+    """Unnormalized transforms of f over the cosets reps[r] + H, where
+    span lists H in basis-coefficient counting order (`span_array`).
 
     This is the one kernel behind every coset coefficient: the
     coefficient over the coset of reps[r] at eta is
     (-1)^<reps[r], eta> * T[r, bucket(eta)] / den.  Count tables
     transform their integer numerators, so T is exact and
     den = denominator * 2^dim; other tables transform their float values
-    and den = 2^dim.
+    and den = 2^dim.  A stack of equal-dimension subspaces passes spans
+    (B, 2^dim) and reps (B, R) and gets T of shape (B, R, 2^dim).
     """
-    index = reps[:, None] ^ h.span_array(dense_limit)[None, :]
+    index = reps[..., :, None] ^ span[..., None, :]
+    dim = span.shape[-1].bit_length() - 1
     if f.counts is None:
-        table, den = f.values[index], 1 << h.dim
+        table, den = f.values[index], 1 << dim
     else:
-        table, den = f.counts[index].astype(np.int64), f.denominator << h.dim
+        table, den = f.counts[index].astype(np.int64), f.denominator << dim
     _fwht(table)
     return table, den
 
@@ -370,7 +375,7 @@ def _class_spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class representatives and the float coefficient matrix of the
     cosets of reps; count tables give the correctly rounded exact ratio."""
-    table, den = _coset_transform(f, h, reps, dense_limit)
+    table, den = _coset_transform(f, h.span_array(dense_limit), reps)
     etas, z = _class_maps(h)
     values = table[:, z].astype(np.float64, copy=False)
     values /= den
@@ -439,7 +444,7 @@ def check_coset_regularity(
     if h.dim == 0:
         return True, None
     reps = np.array([a.representative.bits], dtype=np.int64)
-    table, den = _coset_transform(f, h, reps, dense_limit)
+    table, den = _coset_transform(f, h.span_array(dense_limit), reps)
     etas, worst, values, irregular = _worst_classes(h, as_fraction(epsilon), reps, table, den)
     return not irregular[0], (F2Vector(f.n, int(etas[worst[0]])), float(values[0]))
 
@@ -502,5 +507,5 @@ def check_subspace_regularity(
     """
     eps = as_fraction(epsilon)
     reps = _pullback_reps(f, h, dense_limit)
-    table, den = _coset_transform(f, h, reps, dense_limit)
+    table, den = _coset_transform(f, h.span_array(dense_limit), reps)
     return _regularity_report(h, eps, reps, table, den)[0]

@@ -81,9 +81,6 @@ class F2Vector:
         """Coordinate j in 0-based bit indexing."""
         return (self.bits >> j) & 1
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def __xor__(self, other: "F2Vector") -> "F2Vector":
         if self.n != other.n:
             raise DimensionMismatchError(f"n mismatch: {self.n} vs {other.n}")
@@ -134,8 +131,23 @@ class Subspace:
         canonical = _echelon_rows(self.basis)
         if canonical != self.basis:
             raise ValueError("basis is not in canonical echelon form; use from_vectors")
+        self._check_range()
+
+    def _check_range(self) -> None:
         if self.basis and self.basis[-1] >= (1 << self.n):
             raise ValueError("basis row out of range for ambient dimension")
+
+    @classmethod
+    def _from_echelon(cls, n: int, basis: tuple[int, ...]) -> "Subspace":
+        """Wrap a basis already in canonical echelon form without the
+        re-echelonization of __post_init__ (the range checks stay)."""
+        if n <= 0:
+            raise ValueError(f"ambient dimension must be positive, got {n}")
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "basis", basis)
+        h._check_range()
+        return h
 
     @classmethod
     def from_vectors(cls, n: int, vectors: Iterable["F2Vector | int"]) -> "Subspace":
@@ -144,7 +156,7 @@ class Subspace:
             if isinstance(v, F2Vector) and v.n != n:
                 raise DimensionMismatchError(f"vector n={v.n} in ambient n={n}")
             rows.append(_as_bits(v))
-        return cls(n, _echelon_rows(rows))
+        return cls._from_echelon(n, _echelon_rows(rows))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -152,7 +164,7 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, tuple(1 << j for j in range(n)))
+        return cls._from_echelon(n, tuple(1 << j for j in range(n)))
 
     @property
     def dim(self) -> int:
@@ -203,17 +215,17 @@ class Subspace:
                 if (r >> f) & 1:
                     w |= 1 << p
             rows.append(w)
-        return Subspace(self.n, _echelon_rows(rows))
+        return Subspace._from_echelon(self.n, _echelon_rows(rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection via duals: (H1^perp + H2^perp)^perp."""
         self._check_ambient(other)
         joined = self.orthogonal_complement().basis + other.orthogonal_complement().basis
-        return Subspace(self.n, _echelon_rows(joined)).orthogonal_complement()
+        return Subspace._from_echelon(self.n, _echelon_rows(joined)).orthogonal_complement()
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.n, _echelon_rows(self.basis + other.basis))
+        return Subspace._from_echelon(self.n, _echelon_rows(self.basis + other.basis))
 
     def coset_representatives(
         self, dense_limit: int = DEFAULT_DENSE_LIMIT
@@ -247,9 +259,6 @@ class Subspace:
         if self.dim <= 12:
             return _cached_span(self.basis)
         return _span_of_rows(self.basis)
-
-    def basis_vectors(self) -> list[F2Vector]:
-        return [F2Vector(self.n, r) for r in self.basis]
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.n}, dim={self.dim}, basis={[bin(r) for r in self.basis]})"
@@ -374,7 +383,7 @@ def subspaces_of_dim(n: int, d: int) -> Iterator[Subspace]:
             for c, (i, j) in enumerate(free_cells):
                 if (mask >> c) & 1:
                     rows[i] |= 1 << j
-            yield Subspace(n, tuple(rows))
+            yield Subspace._from_echelon(n, tuple(rows))
 
 
 def enumerate_all_subspaces(n: int) -> Iterator[Subspace]:

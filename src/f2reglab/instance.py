@@ -414,10 +414,6 @@ class XiFamily:
         """xi_i evaluated at the prefix of a full vector x."""
         return self.entry(i, self.blocks.prefix(x, i))
 
-    def family_vectors(self, i: int) -> list[F2Vector]:
-        d = self.blocks.dims[i - 1]
-        return [F2Vector(d, v) for v in self.families[i - 1]]
-
 
 def build_xi(
     params: TowerParams,

@@ -71,10 +71,6 @@ class Stream:
         self._counter += 1
         return value
 
-    def uniform(self) -> float:
-        """Uniform float64 in [0, 1)."""
-        return (self.u64() >> 11) * 2.0**-53
-
     def bits(self, nbits: int) -> int:
         """Uniform integer with nbits random bits (nbits >= 1)."""
         words = -(-nbits // 64)
@@ -116,7 +112,9 @@ class Stream:
         return np.concatenate(parts)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), by rejection."""
+        """Uniform integer in [0, bound), by rejection (bound >= 1)."""
+        if bound < 1:
+            raise ValueError(f"below needs bound >= 1, got {bound}")
         nbits = (bound - 1).bit_length() if bound > 1 else 1
         while True:
             value = self.bits(nbits)

@@ -15,13 +15,20 @@ of dimension d is (sum of signed counts) / (s * 2^d), and thresholds
 arrive as fractions.  The numerators are read from the same exact coset
 transform that the regularity report is built from; floating point
 appears only in the spot checks against the defining mean.
+
+`witness_scan` certifies one subspace.  The lower-bound walk certifies
+runs of equal-dimension subspaces in stacks: one exact transform per
+stack yields the same certificates, verdicts and checks for every
+subspace at once, and any subspace that fails a check is scanned again
+on its own, so reports and exceptions match the one-at-a-time walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,6 +52,7 @@ from .gf2 import (
     Subspace,
     check_dense,
     enumerate_all_subspaces,
+    parity64,
     reduce_array,
     subspaces_of_dim,
 )
@@ -198,8 +206,8 @@ def witness_scan(
 
     family = np.asarray(xi.families[i - 1], dtype=np.int64)
     gammas = family[reps & np.int64(prefix_mask)] << np.int64(blocks.offsets[i - 1])
-    transform, denominator = _coset_transform(f, h, reps, dense_limit)
-    buckets = _buckets(h, gammas)
+    transform, denominator = _coset_transform(f, h.span_array(dense_limit), reps)
+    buckets = _buckets(h.basis, gammas)
     numerators = _signed(transform[np.arange(reps.shape[0]), buckets], reps, gammas)
     nontrivial = buckets != 0
     # coefficient > eps  <=>  numerator * eps.den > eps.num * denominator
@@ -268,14 +276,14 @@ def _w_class_fractions(
     if f.counts is None:
         raise ValueError("exact coefficient scans need count tables")
     gamma = np.int64(gamma_character(g, i, xi).bits)
-    bucket = int(_buckets(h, np.array([gamma]))[0])
+    bucket = int(_buckets(h.basis, np.array([gamma]))[0])
     if bucket == 0:
         raise ValueError("witness character is trivial on H (gamma in H-perp)")
     tail = w_subspace(xi.blocks, i)
     g_bits = g.bits if isinstance(g, F2Vector) else int(g)
     check_dense(tail.dim, dense_limit, "tail translates")
     reps = np.unique(reduce_array(tail.span_array(dense_limit) ^ np.int64(g_bits), h))
-    transform, denominator = _coset_transform(f, h, reps, dense_limit)
+    transform, denominator = _coset_transform(f, h.span_array(dense_limit), reps)
     numerators = _signed(transform[:, bucket], reps, gamma)
     values = [Fraction(int(m), denominator) for m in numerators]
     average = Fraction(sum(values), len(values))
@@ -352,6 +360,102 @@ class LowerBoundReport:
         return self.ok
 
 
+# Table entries per stack (64 subspaces at n = 11); larger stacks raised
+# the walk's peak memory without making it faster.
+_STACK_ENTRIES = 1 << 17
+
+
+def _stacks(subspaces: Iterable[Subspace], n: int) -> Iterator[list[Subspace]]:
+    """Runs of consecutive equal-dimension subspaces, in order, cut so
+    that each stack's tables (2^n entries per subspace) stay within
+    _STACK_ENTRIES; above n = 17 every stack is a single subspace."""
+    cap = max(1, _STACK_ENTRIES >> n)
+    stack: list[Subspace] = []
+    for h in subspaces:
+        if stack and (h.dim != stack[0].dim or len(stack) == cap):
+            yield stack
+            stack = []
+        stack.append(h)
+    if stack:
+        yield stack
+
+
+def _certify_stack(
+    f: FunctionTable,
+    stack: list[Subspace],
+    eps: Fraction,
+    xi: XiFamily,
+    dense_limit: int = DEFAULT_DENSE_LIMIT,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """witness_scan and the walk's checks on B nonzero subspaces of one
+    dimension d, from one exact transform of shape (B, 2^(n-d), 2^d).
+
+    Returns per subspace the certified and the irregular coset counts and
+    whether every check passed: the certificate is ok, certified cosets
+    are irregular, the report is not regular (which also rules out a
+    regular report beside an ok certificate), and up to 4 certified
+    coefficients per subspace, strided as in `_cross_check`, equal the
+    defining mean.
+    """
+    if f.counts is None:
+        raise ValueError("witness scans need exact count tables (instance functions)")
+    check_dense(f.n, dense_limit, "pullback entries")
+    blocks = xi.blocks
+    rows = np.array([h.basis for h in stack], dtype=np.int64)
+    spans = np.zeros((len(stack), 1), dtype=np.int64)
+    for row in rows.T:
+        spans = np.concatenate([spans, spans ^ row[:, None]], axis=1)
+    # canonical coset representatives: the points with every pivot bit clear
+    points = np.arange(1 << f.n, dtype=np.int64)
+    free = (points & np.bitwise_or.reduce(rows & -rows, axis=1)[:, None]) == 0
+    reps = np.broadcast_to(points, free.shape)[free].reshape(len(stack), -1)
+
+    # the active block holds the lowest pivot, the low bit of the first row
+    lowest = np.bitwise_count((rows[:, 0] & -rows[:, 0]) - 1)
+    active = np.searchsorted(blocks.offsets, lowest, side="right")
+    gammas = np.empty_like(reps)
+    for i in np.unique(active).tolist():
+        lo = blocks.offsets[i - 1]
+        prefix = np.int64((1 << lo) - 1)
+        sel = active == i
+        assert not (rows[sel] & prefix).any(), "prefix not constant on cosets"
+        family = np.asarray(xi.families[i - 1], dtype=np.int64)
+        gammas[sel] = family[reps[sel] & prefix] << np.int64(lo)
+
+    transform, denominator = _coset_transform(f, spans, reps)
+    buckets = _buckets(rows.T[:, :, None], gammas)
+    numerators = np.take_along_axis(transform, buckets[..., None], axis=2)[..., 0]
+    _signed(numerators, reps, gammas)
+    above = numerators * eps.denominator > eps.numerator * denominator
+    certified = (buckets != 0) & above
+    magnitude = np.abs(transform[..., 1:]).max(axis=2)
+    irregular = magnitude > eps.numerator * denominator // eps.denominator
+
+    # a count c of the 2^(n-d) cosets exceeds eps * 2^(n-d) iff c > limit
+    limit = eps.numerator * reps.shape[1] // eps.denominator
+    certified_count = certified.sum(axis=1)
+    irregular_count = irregular.sum(axis=1)
+    passed = (
+        (certified_count > limit)
+        & (irregular_count > limit)
+        & ~(certified & ~irregular).any(axis=1)
+    )
+
+    # spot checks: the certified rows r[::step][:4] of each subspace
+    step = np.maximum(1, certified_count // 4)
+    offsets = np.arange(4) * step[:, None]
+    take = offsets < certified_count[:, None]
+    sub, row = np.nonzero(certified)
+    pick = ((np.cumsum(certified_count) - certified_count)[:, None] + offsets)[take]
+    sub, row = sub[pick], row[pick]
+    coset = spans[sub] ^ reps[sub, row][:, None]
+    signs = 1.0 - 2.0 * parity64(coset & gammas[sub, row][:, None])
+    value = (f.values[coset] * signs).mean(axis=1)
+    wrong = np.abs(value - numerators[sub, row] / denominator) > 1e-9
+    passed[sub[wrong]] = False
+    return certified_count, irregular_count, passed
+
+
 def _random_subspace(n: int, dim: int, stream: Stream) -> Subspace:
     """Uniform-ish subspace of exact dimension: random rows, echelonized,
     rejecting dimension misses."""
@@ -380,6 +484,12 @@ def exhaustive_lowerbound_check(
     fail the regularity check and carry a valid witness certificate.
     With strict=True any failure raises; otherwise failures and regular
     subspaces are collected in the report (informational large-eps runs).
+
+    The walk certifies consecutive subspaces of one dimension in stacks
+    (`_certify_stack`, at most _STACK_ENTRIES table entries each); a
+    subspace that fails any check there is scanned again by
+    `witness_scan`, in walk order, which raises or records the failure
+    exactly as a one-at-a-time walk would.
     """
     if inst.table is None:
         raise ValueError("lower-bound scans need a dense instance table")
@@ -418,36 +528,38 @@ def exhaustive_lowerbound_check(
     per_dim = [0] * (n + 1)
     zero_seen = False
 
-    for h in subspaces:
-        per_dim[h.dim] += 1
-        if h.dim == 0:
+    for stack in _stacks(subspaces, n):
+        per_dim[stack[0].dim] += len(stack)
+        if stack[0].dim == 0:
             zero_seen = True
-            report = check_subspace_regularity(f, h, eps, dense_limit)
+            report = check_subspace_regularity(f, stack[0], eps, dense_limit)
             zero_regular = report.is_regular
             if strict and not zero_regular:
                 raise ClaimViolationError("the zero subspace failed its regularity check")
             continue
-        checked += 1
-        try:
-            cert = witness_scan(
-                f, h, eps, xi=inst.xi, cross_check=True, dense_limit=dense_limit
-            )
-            if cert.regularity_report.is_regular:
-                raise ClaimViolationError(
-                    f"subspace with basis {h.basis} is eps-regular"
+        checked += len(stack)
+        passed = _certify_stack(f, stack, eps, inst.xi, dense_limit)[2]
+        certified += int(passed.sum())
+        for h in compress(stack, ~passed):
+            try:
+                cert = witness_scan(
+                    f, h, eps, xi=inst.xi, cross_check=True, dense_limit=dense_limit
                 )
-            certified += 1
-            del cert
-        except ClaimViolationError as exc:
-            if strict:
-                raise
-            report = check_subspace_regularity(f, h, eps, dense_limit)
-            if report.is_regular:
-                regular_nonzero.append(tuple(h.basis))
-            else:
-                failures.append(
-                    {"basis": list(h.basis), "dim": h.dim, "reason": str(exc)}
-                )
+                if cert.regularity_report.is_regular:
+                    raise ClaimViolationError(
+                        f"subspace with basis {h.basis} is eps-regular"
+                    )
+                certified += 1
+            except ClaimViolationError as exc:
+                if strict:
+                    raise
+                report = check_subspace_regularity(f, h, eps, dense_limit)
+                if report.is_regular:
+                    regular_nonzero.append(tuple(h.basis))
+                else:
+                    failures.append(
+                        {"basis": list(h.basis), "dim": h.dim, "reason": str(exc)}
+                    )
 
     if mode == "exhaustive" and not zero_seen:
         raise AssertionError("exhaustive enumeration must include the zero subspace")

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's correctness gate (bench/run.py)."""
+"""Smoke tests of the benchmark's correctness gate (bench/run.py)."""
 
 import json
 import subprocess
@@ -8,10 +8,10 @@ from pathlib import Path
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-def test_spanning_s4_gate_is_correct():
-    # a one-second run still checks the golden manifest and eval digests
+def gate(workload):
+    # a one-second run still checks the workload's oracles and golden digests
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "spanning-s4", "--seed", "3",
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "3",
          "--seconds", "1", "--trace", "0"],
         capture_output=True, text=True, timeout=300,
     )
@@ -19,3 +19,11 @@ def test_spanning_s4_gate_is_correct():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_spanning_s4_gate_is_correct():
+    gate("spanning-s4")
+
+
+def test_lowerbound_s3_gate_is_correct():
+    gate("lowerbound-s3")

@@ -279,6 +279,17 @@ class TestSpanningRound:
         report = json.loads(out)
         assert report["ok"] is True and report["tested_pairs"] == 20
 
+    def test_round_negative_max_codim_exit_2(self, tmp_path, capsys):
+        table_path = tmp_path / "f.f2fn"
+        run_cli(capsys, "gen", "--s", "2", "--seed", "1", "--out", str(table_path))
+        out_path = tmp_path / "s.f2fn"
+        code, out, err = run_cli(
+            capsys, "round", "--in", str(table_path), "--tau", "0.5",
+            "--seed", "5", "--out", str(out_path), "--max-codim", "-1",
+        )
+        assert code == 2 and out == "" and "bound" in err
+        assert not out_path.exists()
+
     def test_bench_smoke(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench-wht", "--min-n", "4", "--max-n", "16", "--verify-n", "6",

@@ -176,7 +176,7 @@ class TestClassMaps:
             etas, z = fourier._build_class_maps(h)
             expected = h.orthogonal_complement().coset_representative_array(dense_limit=n)
             assert np.array_equal(etas, expected)
-            assert np.array_equal(z, fourier._buckets(h, etas))
+            assert np.array_equal(z, fourier._buckets(h.basis, etas))
 
     def test_cached_maps_are_read_only(self):
         h = Subspace.from_vectors(11, [793, 78, 1024])

@@ -94,6 +94,14 @@ class TestStream:
         assert set(draws) == set(range(6))
         assert max(draws.count(k) for k in range(6)) < 1300
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_below_rejects_empty_range(self, bound):
+        s1, s2 = Stream(1), Stream(1)
+        with pytest.raises(ValueError):
+            s1.below(bound)
+        # nothing was drawn
+        assert s1.u64() == s2.u64()
+
 
 class TestKeyedUniforms:
     def test_counter_keyed_random_access(self):

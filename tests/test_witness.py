@@ -1,6 +1,8 @@
 """Witness certificates: active blocks, gamma characters, exact
 coefficient identities, and whole-instance lower-bound scans."""
 
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -25,8 +27,10 @@ from f2reglab import (
     w_subspace,
     witness_scan,
 )
+from f2reglab import witness
+from f2reglab.cli import main as cli_main
 from f2reglab.rng import Stream
-from f2reglab.witness import _random_subspace
+from f2reglab.witness import _STACK_ENTRIES, _certify_stack, _random_subspace, _stacks
 
 
 @pytest.fixture(scope="module")
@@ -360,3 +364,129 @@ class TestCrossCheckAgainstRegularityReport:
         cert = witness_scan(inst3.table, h, "1/48", inst3.xi)
         report = check_subspace_regularity(inst3.table, h, "1/48")
         assert report.irregular_cosets >= cert.certified_cosets
+
+
+def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
+    """The lower-bound walk with every stack failed, so each subspace goes
+    through the one-at-a-time witness_scan body: the oracle of the stack."""
+    def fail_all(f, stack, *args):
+        return None, None, np.zeros(len(stack), dtype=bool)
+
+    with monkeypatch.context() as m:
+        m.setattr(witness, "_certify_stack", fail_all)
+        return exhaustive_lowerbound_check(inst, eps, **kwargs)
+
+
+def stacked_and_oracle(monkeypatch, inst, eps, **kwargs):
+    stacked = exhaustive_lowerbound_check(inst, eps, **kwargs)
+    return dataclasses.asdict(stacked), dataclasses.asdict(
+        per_subspace_walk(monkeypatch, inst, eps, **kwargs)
+    )
+
+
+class TestStackedWalk:
+    def test_stacks_are_maximal_runs_within_the_cap(self):
+        n = 11
+        cap = _STACK_ENTRIES >> n
+        stream = Stream(4, "stacks")
+        dims = [3] * (2 * cap + 2) + [4] * 5 + [3] * cap + [5]
+        family = [_random_subspace(n, d, stream) for d in dims]
+        stacks = list(_stacks(family, n))
+        assert [len(st) for st in stacks] == [cap, cap, 2, 5, cap, 1]
+        assert [h for st in stacks for h in st] == family
+        for st in stacks:
+            assert len({h.dim for h in st}) == 1
+            assert len(st) << n <= _STACK_ENTRIES
+
+    @pytest.mark.parametrize("eps", ["1/48", "1/16", "1/6"])
+    def test_stack_matches_witness_scan_and_report(self, inst3, eps):
+        f, n = inst3.table, inst3.n
+        cap = _STACK_ENTRIES >> n
+        stream = Stream(8, f"stack-oracle/{eps}")
+        for dim in range(1, n + 1):
+            size = cap if dim % 2 else 9  # full stacks and short ones
+            stack = [_random_subspace(n, dim, stream) for _ in range(size)]
+            certified, irregular, passed = _certify_stack(
+                f, stack, Fraction(eps), inst3.xi
+            )
+            for k, h in enumerate(stack):
+                report = check_subspace_regularity(f, h, eps)
+                assert irregular[k] == report.irregular_cosets
+                try:
+                    cert = witness_scan(f, h, eps, inst3.xi)
+                except ClaimViolationError:
+                    assert not passed[k]
+                    continue
+                assert certified[k] == cert.certified_cosets
+                assert passed[k] == (not report.is_regular)
+
+    def test_spot_checks_use_the_strided_rows(self, inst3):
+        # corrupt the defining mean on the last spot-checked coset only
+        f = inst3.table
+        h = Subspace.from_vectors(11, [0b10000000100, 0b01000100000, 0b00110000000])
+        cert = witness_scan(f, h, "1/48", inst3.xi)
+        rows = np.flatnonzero(cert.certified)
+        picked = rows[:: max(1, rows.size // 4)][:4]
+        assert rows.size > 8 and picked[-1] not in rows[:4]
+        coset = AffineSubspace(h, F2Vector(11, int(cert.reps[picked[-1]]))).element_array()
+        values = f.values.copy()
+        values[coset] = 1.0 - values[coset]
+        bad = dataclasses.replace(f, values=values)
+        with pytest.raises(ClaimViolationError, match="defining mean"):
+            witness_scan(bad, h, "1/48", inst3.xi)
+        assert not _certify_stack(bad, [h], Fraction(1, 48), inst3.xi)[2][0]
+        assert _certify_stack(f, [h], Fraction(1, 48), inst3.xi)[2][0]
+
+    def test_s3_structured_walk_matches_oracle(self, inst3, monkeypatch):
+        # 70 per dimension: one full stack and a short one for every dim
+        stacked, oracle = stacked_and_oracle(
+            monkeypatch, inst3, Fraction(1, 48), mode="structured",
+            random_per_dim=70, seed=2,
+        )
+        assert stacked == oracle and stacked["certified"] == 1 + 2047 + 700
+
+    def test_s2_exhaustive_matches_oracle(self, inst2, monkeypatch):
+        stacked, oracle = stacked_and_oracle(monkeypatch, inst2, Fraction(1, 32))
+        assert stacked == oracle and stacked["checked"] == 15
+
+    def test_deeper_codim_matches_oracle(self, monkeypatch):
+        from f2reglab import custom_params
+
+        inst = Instance.from_params(custom_params((1, 3)), seed=1)
+        stacked, oracle = stacked_and_oracle(
+            monkeypatch, inst, Fraction(1, 32), mode="structured",
+            random_per_dim=3, seed=0, max_enumerated_codim=2,
+        )
+        assert stacked == oracle and stacked["checked"] == 1 + 15 + 35 + 9
+
+    def test_non_strict_regular_subspaces_in_walk_order(self, inst2, monkeypatch):
+        stacked, oracle = stacked_and_oracle(
+            monkeypatch, inst2, Fraction(1, 2), strict=False
+        )
+        assert stacked["regular_nonzero"] == oracle["regular_nonzero"]
+        assert len(stacked["regular_nonzero"]) == 15 and stacked == oracle
+
+    def test_strict_failures_raise_the_same_message(self, inst2, inst3, monkeypatch):
+        values = inst3.table.values.copy()
+        values[5] = 1.0 - values[5]
+        corrupted = dataclasses.replace(
+            inst3, table=dataclasses.replace(inst3.table, values=values)
+        )
+        for inst, eps in ((inst2, Fraction(1, 2)), (corrupted, Fraction(1, 48))):
+            kwargs = dict(mode="structured", random_per_dim=2, seed=0)
+            with pytest.raises(ClaimViolationError) as stacked:
+                exhaustive_lowerbound_check(inst, eps, **kwargs)
+            with pytest.raises(ClaimViolationError) as oracle:
+                per_subspace_walk(monkeypatch, inst, eps, **kwargs)
+            assert str(stacked.value) == str(oracle.value)
+
+    def test_structured_report_bytes_pinned(self, capsys):
+        code = cli_main([
+            "verify-lowerbound", "--s", "3", "--mode", "structured",
+            "--random-per-dim", "200", "--seed", "0",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "61db4a804372eccc3f6b8b645c3df849b8517259da5ebed063b8820b8d957778"
+        )
