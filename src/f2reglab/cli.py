@@ -197,14 +197,14 @@ def cmd_spanning(args: argparse.Namespace) -> int:
 
 def cmd_round(args: argparse.Namespace) -> int:
     table = read_table(args.in_path, dense_limit=args.dense_limit)
-    # draw the pairs first: a bad --max-codim must fail before --out is written
     pairs = sample_pairs(table.n, args.pairs, args.seed, args.max_codim)
     rounded = round_to_binary(table, args.seed)
-    if args.out is not None:
-        write_table(args.out, rounded)
+    # report first: a bad --max-codim or --tau must fail before --out is written
     report = deviation_report(
         table, rounded, args.tau, pairs, seed=args.seed, dense_limit=args.dense_limit
     )
+    if args.out is not None:
+        write_table(args.out, rounded)
     _write(emit_report(report), args.report)
     return 0
 

@@ -370,6 +370,27 @@ def _signed(values: np.ndarray, reps: np.ndarray, etas: np.ndarray) -> np.ndarra
     return np.negative(values, out=values, where=odd)
 
 
+def _poisson_numerators(
+    spectrum: np.ndarray, dual: Subspace, reps: np.ndarray, etas: np.ndarray
+) -> np.ndarray:
+    """Coset numerators of a count table read from its full transform.
+
+    spectrum is the int64 `_fwht` of the counts over all of F2^n, and
+    dual is D = H-perp with |D| = 2^c.  By Poisson summation over D, the
+    numerator of the coset reps[k] + H at etas[k] (the sum over the coset
+    of counts(x) (-1)^<x, eta>) is
+    2^-c * sum over u in D of (-1)^<reps[k], u> spectrum[etas[k] ^ u].
+    The division is exact, so this equals the signed `_coset_transform`
+    entry (-1)^<r, eta> T[r, bucket(eta)], at 2^c lookups per entry.
+    reps and etas broadcast against each other.
+    """
+    d = dual.span_array()
+    reps, etas = np.broadcast_arrays(reps, etas)
+    terms = spectrum[etas[..., None] ^ d]
+    _signed(terms, reps[..., None], d)
+    return terms.sum(axis=-1) >> dual.dim
+
+
 def _class_spectra(
     f: FunctionTable, h: Subspace, reps: np.ndarray, dense_limit: int
 ) -> tuple[np.ndarray, np.ndarray]:

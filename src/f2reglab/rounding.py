@@ -7,25 +7,38 @@ independent of evaluation order.  Hoeffding's inequality makes restricted
 coefficients of S track those of f within tau on every coset of size at
 least 4 n^2 / tau^2 except with probability 2 exp(-tau^2 |A| / 2) per
 (coset, character) pair, which at the sizes scanned here is negligible.
+
+Deviation reports read the coefficients of a rounded table exactly: one
+full integer transform of its 0/1 counts serves every pair, each by a
+Poisson-sum lookup of 2^codim entries.  A float source table keeps the
+defining mean over the coset's gathered values, in the same summation
+order as a one-array mean, so report bytes do not depend on the path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FunctionTable, coset_spectra_matrix
+from .fourier import FunctionTable, _fwht, _poisson_numerators, coset_spectra_matrix
 from .gf2 import (
     DEFAULT_DENSE_LIMIT,
     AffineSubspace,
+    DimensionMismatchError,
     F2Vector,
     Subspace,
+    _cached_span,
+    _span_of_rows,
+    check_dense,
     parity64,
 )
 from .rng import Stream, keyed_uniforms
 
 _ROUNDING_TAG = "rounding"
+# Basis rows in the inner, contiguous factor of a gathered coset.
+_SPLIT = 12
 
 
 def round_to_binary(f: FunctionTable, seed: int) -> FunctionTable:
@@ -96,6 +109,70 @@ def size_threshold(n: int, tau: float) -> float:
     return 4.0 * n * n / (tau * tau)
 
 
+def _pair_bits(coset: AffineSubspace, eta: "F2Vector | int", n: int) -> int:
+    """The character's encoding, after checking the pair lives in F2^n."""
+    if coset.n != n:
+        raise DimensionMismatchError(f"coset n={coset.n} vs table n={n}")
+    if isinstance(eta, F2Vector):
+        if eta.n != n:
+            raise DimensionMismatchError(f"character n={eta.n} vs table n={n}")
+        return eta.bits
+    bits = int(eta)
+    if not 0 <= bits < (1 << n):
+        raise ValueError(f"character {bits} out of range for n={n}")
+    return bits
+
+
+def _lookup_coefficients(
+    t: FunctionTable, kept: "list[tuple[AffineSubspace, int]]"
+) -> list[float]:
+    """Coefficients of a 0/1 count table, each an exact Poisson-sum lookup
+    in one full transform of its counts."""
+    spectrum = _fwht(t.counts.astype(np.int64))
+    return [
+        float(_poisson_numerators(
+            spectrum,
+            coset.subspace.orthogonal_complement(),
+            np.int64(coset.representative.bits),
+            np.int64(eta),
+        )) / coset.size
+        for coset, eta in kept
+    ]
+
+
+def _signs(points: np.ndarray, eta: int) -> np.ndarray:
+    return 1.0 - 2.0 * parity64(points & np.int64(eta))
+
+
+def _gathered_coefficients(
+    tables: "list[FunctionTable]", kept: "list[tuple[AffineSubspace, int]]"
+) -> np.ndarray:
+    """Defining means of the tables over the kept pairs, shape (pairs, tables).
+
+    A coset's points, in `element_array` order, are the outer xor of the
+    span of its basis rows from _SPLIT on (plus the representative) with
+    the span of its first _SPLIT rows, and their signs are the outer
+    product of the two halves' signs; both are exact, so every product
+    and every mean has the bits of the one-array computation.
+    """
+    largest = max(coset.size for coset, _ in kept)
+    points = np.empty(largest, dtype=np.int64)
+    signs, gathered = np.empty(largest), np.empty(largest)
+    out = np.empty((len(kept), len(tables)))
+    for k, (coset, eta) in enumerate(kept):
+        basis = coset.subspace.basis
+        high = _span_of_rows(basis[_SPLIT:]) ^ np.int64(coset.representative.bits)
+        low = _cached_span(basis[:_SPLIT])
+        p, sg, g = points[: coset.size], signs[: coset.size], gathered[: coset.size]
+        np.bitwise_xor.outer(high, low, out=p.reshape(high.size, low.size))
+        np.multiply.outer(_signs(high, eta), _signs(low, eta), out=sg.reshape(high.size, low.size))
+        for j, t in enumerate(tables):
+            np.take(t.values, p, out=g)
+            g *= sg
+            out[k, j] = g.mean()
+    return out
+
+
 def deviation_report(
     f: FunctionTable,
     s: FunctionTable,
@@ -104,35 +181,67 @@ def deviation_report(
     seed: int | None = None,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> RoundingReport:
-    """Compare restricted coefficients of f and s over explicit pairs."""
+    """Compare restricted coefficients of f and s over explicit pairs.
+
+    Each coefficient is the float mean of f(x) (-1)^<x, eta> over the
+    coset, with the bits of the defining mean, along one of two paths:
+
+    * a 0/1 count table (denominator 1, as `round_to_binary` returns)
+      is transformed once, and each pair's integer numerator is read
+      from that transform by Poisson summation (`_poisson_numerators`).
+      The mean of 0/+-1 products is an exactly summed integer over the
+      coset size, so numerator / size is the same float (and never
+      -0.0, as the mean is not);
+    * any other table gathers each coset's values into buffers sized to
+      the largest kept coset, multiplies by the signs and takes the
+      mean, over the same products in the same order as the one-array
+      mean.
+
+    Pairs must live in F2^n with characters below 2^n, and tau must be
+    finite and positive; every pair is checked before any work.
+    """
     if f.n != s.n:
-        raise ValueError(f"table dimensions differ: {f.n} vs {s.n}")
+        raise DimensionMismatchError(f"table dimensions differ: {f.n} vs {s.n}")
+    tau = float(tau)
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     threshold = size_threshold(f.n, tau)
-    records: list[PairRecord] = []
+    kept: list[tuple[AffineSubspace, int]] = []
     skipped = 0
     for coset, eta in pairs:
+        eta_bits = _pair_bits(coset, eta, f.n)
         if coset.size < threshold:
             skipped += 1
             continue
-        eta_bits = eta.bits if isinstance(eta, F2Vector) else int(eta)
-        points = coset.element_array(dense_limit)
-        signs = 1.0 - 2.0 * parity64(points & np.int64(eta_bits))
-        records.append(
-            PairRecord(
-                basis=coset.subspace.basis,
-                representative=coset.representative.bits,
-                eta=eta_bits,
-                size=coset.size,
-                f_value=float((f.values[points] * signs).mean()),
-                s_value=float((s.values[points] * signs).mean()),
-            )
+        check_dense(coset.subspace.dim, dense_limit, "subspace elements")
+        kept.append((coset, eta_bits))
+
+    tables = (f, s)
+    lookup = [j for j, t in enumerate(tables) if t.denominator == 1]
+    gather = [j for j, t in enumerate(tables) if t.denominator != 1]
+    values = np.empty((len(kept), 2))
+    if kept:
+        for j in lookup:
+            values[:, j] = _lookup_coefficients(tables[j], kept)
+        if gather:
+            values[:, gather] = _gathered_coefficients([tables[j] for j in gather], kept)
+    records = tuple(
+        PairRecord(
+            basis=coset.subspace.basis,
+            representative=coset.representative.bits,
+            eta=eta,
+            size=coset.size,
+            f_value=float(f_value),
+            s_value=float(s_value),
         )
+        for (coset, eta), (f_value, s_value) in zip(kept, values)
+    )
     return RoundingReport(
         n=f.n,
-        tau=float(tau),
+        tau=tau,
         seed=seed,
         threshold_size=threshold,
-        records=tuple(records),
+        records=records,
         skipped_small=skipped,
     )
 

@@ -210,8 +210,8 @@ def witness_scan(
     buckets = _buckets(h.basis, gammas)
     numerators = _signed(transform[np.arange(reps.shape[0]), buckets], reps, gammas)
     nontrivial = buckets != 0
-    # coefficient > eps  <=>  numerator * eps.den > eps.num * denominator
-    above = numerators * eps.denominator > eps.numerator * denominator
+    # coefficient > eps  <=>  numerator > floor(eps * denominator), as integers
+    above = numerators > eps.numerator * denominator // eps.denominator
     certified = nontrivial & above
 
     bad = Fraction(int((~nontrivial).sum()), reps.shape[0])
@@ -426,10 +426,9 @@ def _certify_stack(
     buckets = _buckets(rows.T[:, :, None], gammas)
     numerators = np.take_along_axis(transform, buckets[..., None], axis=2)[..., 0]
     _signed(numerators, reps, gammas)
-    above = numerators * eps.denominator > eps.numerator * denominator
-    certified = (buckets != 0) & above
-    magnitude = np.abs(transform[..., 1:]).max(axis=2)
-    irregular = magnitude > eps.numerator * denominator // eps.denominator
+    threshold = eps.numerator * denominator // eps.denominator
+    certified = (buckets != 0) & (numerators > threshold)
+    irregular = np.abs(transform[..., 1:]).max(axis=2) > threshold
 
     # a count c of the 2^(n-d) cosets exceeds eps * 2^(n-d) iff c > limit
     limit = eps.numerator * reps.shape[1] // eps.denominator

@@ -27,3 +27,7 @@ def test_spanning_s4_gate_is_correct():
 
 def test_lowerbound_s3_gate_is_correct():
     gate("lowerbound-s3")
+
+
+def test_rounding_n20_gate_is_correct():
+    gate("rounding-n20")

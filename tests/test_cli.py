@@ -290,6 +290,33 @@ class TestSpanningRound:
         assert code == 2 and out == "" and "bound" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("tau", ["0", "-1", "nan"])
+    def test_round_bad_tau_exit_2(self, tmp_path, capsys, tau):
+        table_path = tmp_path / "f.f2fn"
+        run_cli(capsys, "gen", "--s", "2", "--seed", "1", "--out", str(table_path))
+        out_path = tmp_path / "s.f2fn"
+        code, out, err = run_cli(
+            capsys, "round", "--in", str(table_path), "--tau", tau,
+            "--seed", "5", "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and "tau" in err
+        assert not out_path.exists()
+
+    def test_round_report_bytes_pinned(self, tmp_path, capsys):
+        # sha256 of the report printed by the per-pair defining-mean loop
+        table_path = tmp_path / "f.f2fn"
+        write_table(table_path, FunctionTable(16, np.random.default_rng(16).random(1 << 16)))
+        code, out, _ = run_cli(
+            capsys, "round", "--in", str(table_path), "--tau", "0.3", "--seed", "3",
+            "--pairs", "50", "--max-codim", "4",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["tested_pairs"] == 28 and report["skipped_small"] == 22
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c672abc96ac7c64f76ef503a66b4bef771b879ea6a416bc52a39585a2e07923d"
+        )
+
     def test_bench_smoke(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench-wht", "--min-n", "4", "--max-n", "16", "--verify-n", "6",

@@ -22,9 +22,11 @@ from f2reglab import (
     check_subspace_regularity,
     restricted_coefficient,
     restricted_spectrum,
+    round_to_binary,
     wht_full,
 )
 from f2reglab import fourier
+from f2reglab.gf2 import subspaces_of_dim
 
 S2_VALUES = [1.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.0]
 S2_SPECTRUM = [0.5, 0.25, 0.125, 0.125, 0.125, -0.125, 0.0, 0.0]
@@ -364,3 +366,68 @@ class TestSubspaceRegularity:
         )
         assert report.irregular_cosets == 256
         assert np.all(np.abs(report.witness_values) > 1 / 6)
+
+
+def transform_numerators(f, h, reps, etas):
+    """Signed `_coset_transform` numerators: entry [k, j] is the sum over
+    the coset reps[k] + H of counts(x) (-1)^<x, etas[j]>."""
+    table, _ = fourier._coset_transform(f, h.span_array(), reps)
+    buckets = fourier._buckets(h.basis, etas)
+    return fourier._signed(table[:, buckets], reps[:, None], etas[None, :])
+
+
+def poisson_numerators(f, h, reps, etas):
+    spectrum = fourier._fwht(f.counts.astype(np.int64))
+    return fourier._poisson_numerators(
+        spectrum, h.orthogonal_complement(), reps[:, None], etas[None, :]
+    )
+
+
+def random_subspace_of_codim(n, codim, rng):
+    while True:
+        dual = Subspace.from_vectors(n, [rng.getrandbits(n) for _ in range(codim)])
+        if dual.dim == codim:
+            return dual.orthogonal_complement()
+
+
+class TestPoissonNumerators:
+    """The Poisson-sum lookup equals the coset transform, exactly."""
+
+    def assert_equal_on_every_coset(self, f, h, etas):
+        reps = h.coset_representative_array()
+        expected = transform_numerators(f, h, reps, etas)
+        got = poisson_numerators(f, h, reps, etas)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_every_hyperplane_of_s2(self):
+        f = Instance.generate(2, seed=1).table
+        hyperplanes = list(subspaces_of_dim(3, 2))
+        assert len(hyperplanes) == 7
+        for h in hyperplanes:
+            self.assert_equal_on_every_coset(f, h, np.arange(8))
+
+    def test_sampled_low_codim_of_s3(self, s3_table):
+        rng = random.Random(23)
+        for codim in (2, 3, 4):
+            for _ in range(6):
+                h = random_subspace_of_codim(11, codim, rng)
+                self.assert_equal_on_every_coset(s3_table, h, np.arange(1 << 11))
+
+    def test_rounded_n14_table(self):
+        f = round_to_binary(FunctionTable(14, np.random.default_rng(14).random(1 << 14)), 3)
+        rng = random.Random(24)
+        etas = np.concatenate([[0], np.random.default_rng(25).integers(1, 1 << 14, 511)])
+        for codim in range(5):
+            h = random_subspace_of_codim(14, codim, rng)
+            self.assert_equal_on_every_coset(f, h, etas)
+
+    def test_broadcasts_pairs(self, s3_table):
+        # one (rep, eta) per entry, as deviation reports read them
+        h = random_subspace_of_codim(11, 3, random.Random(26))
+        reps = h.coset_representative_array()
+        etas = np.arange(reps.size, dtype=np.int64) * 37 % (1 << 11)
+        spectrum = fourier._fwht(s3_table.counts.astype(np.int64))
+        got = fourier._poisson_numerators(spectrum, h.orthogonal_complement(), reps, etas)
+        full = transform_numerators(s3_table, h, reps, etas)
+        assert np.array_equal(got, np.diagonal(full))

@@ -1,5 +1,6 @@
 """Randomized rounding: reproducibility, unbiasedness, deviations."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 
 from f2reglab import (
     AffineSubspace,
+    DenseLimitError,
+    DimensionMismatchError,
     F2Vector,
     FunctionTable,
     Instance,
@@ -19,6 +22,7 @@ from f2reglab import (
     sample_pairs,
     spectrum_deviations,
 )
+from f2reglab.gf2 import parity64
 from f2reglab.rounding import round_point, size_threshold
 
 # frozen: rounding the two-block instance table with this seed keeps
@@ -122,6 +126,138 @@ class TestDeviationReport:
         b = sample_pairs(12, 30, seed=2, max_codim=3)
         assert [(p[0], p[1].bits) for p in a] == [(p[0], p[1].bits) for p in b]
         assert all(p[0].size >= 1 << 9 for p in a)
+
+
+def defining_mean_values(f, s, tau, pairs):
+    """Oracle: the per-pair loop deviation_report replaced, with a fresh
+    point array, float sign vector, product and mean per pair and table.
+    Returns the (f_value, s_value) rows of the kept pairs."""
+    threshold = size_threshold(f.n, tau)
+    rows = []
+    for coset, eta in pairs:
+        if coset.size < threshold:
+            continue
+        eta_bits = eta.bits if isinstance(eta, F2Vector) else int(eta)
+        points = coset.element_array()
+        signs = 1.0 - 2.0 * parity64(points & np.int64(eta_bits))
+        rows.append(
+            (float((f.values[points] * signs).mean()), float((s.values[points] * signs).mean()))
+        )
+    return np.array(rows).reshape(-1, 2)
+
+
+def assert_bit_equal_to_oracle(f, s, tau, pairs):
+    report = deviation_report(f, s, tau=tau, pairs=pairs)
+    got = np.array([(r.f_value, r.s_value) for r in report.records]).reshape(-1, 2)
+    expected = defining_mean_values(f, s, tau, pairs)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    return report
+
+
+def float_table(n, seed):
+    return FunctionTable(n, np.random.default_rng(seed).random(1 << n))
+
+
+def pairs_of_every_dim(n, seed):
+    """One random (coset, character) pair of each dimension 0..n."""
+    rng = random.Random(seed)
+    pairs = []
+    for dim in range(n + 1):
+        while True:
+            h = Subspace.from_vectors(n, [rng.getrandbits(n) for _ in range(dim)])
+            if h.dim == dim:
+                break
+        rep, eta = F2Vector(n, rng.getrandbits(n)), rng.getrandbits(n)
+        pairs.append((AffineSubspace(h, rep), eta))
+    return pairs
+
+
+class TestDeviationValuesBitEqual:
+    """deviation_report against the defining-mean loop, bit for bit."""
+
+    def test_float_f_binary_s(self):
+        f = float_table(16, 1)
+        pairs = sample_pairs(16, 40, seed=3, max_codim=4)
+        report = assert_bit_equal_to_oracle(f, round_to_binary(f, 2), 1.9, pairs)
+        assert len(report.records) == 40
+
+    def test_binary_f_binary_s(self):
+        g = float_table(14, 4)
+        f, s = round_to_binary(g, 1), round_to_binary(g, 2)
+        assert f.denominator == s.denominator == 1
+        assert_bit_equal_to_oracle(f, s, 1.9, sample_pairs(14, 40, seed=5, max_codim=4))
+
+    def test_count_tables_above_denominator_one_gather(self):
+        inst = Instance.generate(3, seed=1).table  # denominator 3
+        counts = np.random.default_rng(6).integers(0, 7, 1 << 11).astype(np.uint8)
+        sixths = FunctionTable.from_counts(11, counts, 6)
+        pairs = pairs_of_every_dim(11, 7)
+        assert_bit_equal_to_oracle(inst, round_to_binary(inst, 8), 64.0, pairs)
+        assert_bit_equal_to_oracle(sixths, round_to_binary(sixths, 9), 64.0, pairs)
+        assert_bit_equal_to_oracle(sixths, inst, 64.0, pairs)
+
+    def test_coset_dims_across_the_split(self):
+        # tau = 64 makes the size threshold vacuous, so dims 0..14 are kept
+        f, g = float_table(14, 10), float_table(14, 11)
+        pairs = pairs_of_every_dim(14, 12)
+        report = assert_bit_equal_to_oracle(f, round_to_binary(f, 13), 64.0, pairs)
+        assert [r.size for r in report.records] == [1 << d for d in range(15)]
+        assert_bit_equal_to_oracle(f, g, 64.0, pairs)
+        assert_bit_equal_to_oracle(round_to_binary(g, 1), f, 64.0, pairs[::-1])
+
+    def test_zero_table_under_negative_sign_is_positive_zero(self):
+        # eta = e1 lies in H-perp of H = span{e2..e8}, and <e1, eta> = 1, so
+        # every point of the coset e1 + H has sign -1 and product -0.0
+        h = Subspace.from_vectors(8, [1 << j for j in range(1, 8)])
+        pairs = [(AffineSubspace(h, F2Vector(8, 1)), 1)]
+        zeros = FunctionTable.from_counts(8, np.zeros(256, dtype=np.uint8), 1)
+        report = assert_bit_equal_to_oracle(FunctionTable.constant(8, 0.0), zeros, 64.0, pairs)
+        record = report.records[0]
+        assert record.f_value == record.s_value == 0.0
+        assert not math.copysign(1.0, record.f_value) < 0
+        assert not math.copysign(1.0, record.s_value) < 0
+
+
+class TestDeviationReportGuards:
+    def test_coset_of_another_dimension(self):
+        f = float_table(12, 1)
+        s = round_to_binary(f, 1)
+        with pytest.raises(DimensionMismatchError):
+            deviation_report(f, s, 0.5, [(AffineSubspace(Subspace.full(10)), 0)])
+        with pytest.raises(DimensionMismatchError):
+            deviation_report(f, s, 0.5, [(AffineSubspace(Subspace.full(12)), F2Vector(10, 1))])
+
+    @pytest.mark.parametrize("eta", [4099, 1 << 12, -1])
+    def test_character_out_of_range(self, eta):
+        f = float_table(12, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            deviation_report(f, round_to_binary(f, 1), 0.5, [(AffineSubspace(Subspace.full(12)), eta)])
+
+    def test_bad_pair_after_good_ones_still_raises(self):
+        f = float_table(12, 1)
+        good = (AffineSubspace(Subspace.full(12)), 3)
+        small = (AffineSubspace(Subspace.zero(12)), 3)
+        bad = (AffineSubspace(Subspace.zero(11)), 3)
+        with pytest.raises(DimensionMismatchError):
+            deviation_report(f, round_to_binary(f, 1), 0.5, [good, small, bad])
+
+    @pytest.mark.parametrize("tau", [0, 0.0, -1, -0.5, math.nan, math.inf])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        f = float_table(6, 1)
+        with pytest.raises(ValueError, match="tau"):
+            deviation_report(f, round_to_binary(f, 1), tau, [])
+
+    @pytest.mark.parametrize("binary_f", [False, True])
+    def test_dense_limit_on_both_paths(self, binary_f):
+        f = float_table(12, 1)
+        if binary_f:
+            f = round_to_binary(f, 3)
+        pairs = [(AffineSubspace(Subspace.full(12)), 5)]
+        with pytest.raises(DenseLimitError, match="2\\^12 subspace elements"):
+            deviation_report(f, round_to_binary(f, 2), 0.5, pairs, dense_limit=11)
+        report = deviation_report(f, round_to_binary(f, 2), 0.5, pairs, dense_limit=12)
+        assert len(report.records) == 1
 
 
 class TestRegularityPreservedSpotCheck:

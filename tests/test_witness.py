@@ -288,6 +288,16 @@ class TestWitnessScan:
         with pytest.raises(ValueError):
             witness_scan(plain, Subspace.from_vectors(3, [1]), "1/32", inst2.xi)
 
+    def test_float_eps_with_a_large_denominator(self, inst3):
+        # Fraction(0.02) has denominator 2^58; scaling numerators by it
+        # would overflow int64 and wrongly reject the certificate
+        h = Subspace.from_vectors(11, [2 << k for k in range(10)])
+        as_float = witness_scan(inst3.table, h, 0.02, inst3.xi)
+        exact = witness_scan(inst3.table, h, "1/50", inst3.xi)
+        assert as_float.ok and exact.ok
+        assert np.array_equal(as_float.certified, exact.certified)
+        assert np.array_equal(as_float.numerators, exact.numerators)
+
 
 class TestLowerBoundCheck:
     def test_exhaustive_s2(self, inst2):
@@ -335,6 +345,15 @@ class TestLowerBoundCheck:
             inst3, "1/48", mode="auto", random_per_dim=1, seed=1
         )
         assert small.mode == "structured"
+
+    def test_float_eps_walk_matches_exact_rational(self, inst3):
+        as_float, exact = (
+            exhaustive_lowerbound_check(inst3, eps, mode="structured", random_per_dim=20, seed=0)
+            for eps in (0.02, "1/50")
+        )
+        assert exact.certified == exact.checked > 2000
+        for key in ("checked", "certified", "per_dim_checked", "failures", "regular_nonzero"):
+            assert getattr(as_float, key) == getattr(exact, key)
 
     def test_random_subspace_sampler_exact_dim(self):
         stream = Stream(3, "test")
