@@ -12,15 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .decompose import DecompositionError, find_regular_subspace
-from .fourier import FunctionTable, check_subspace_regularity, wht_full
+from .fourier import check_subspace_regularity
 from .gf2 import DEFAULT_DENSE_LIMIT, DenseLimitError, F2Vector, Subspace
 from .instance import (
     Instance,
@@ -29,11 +26,8 @@ from .instance import (
     eval_count,
     generate_spanning_family,
     manifest,
-    verify_spanning_family,
-    verify_spanning_family_sampled,
 )
 from .reports import emit_report, spanning_check_dict
-from .rng import Stream
 from .rounding import deviation_report, round_to_binary, sample_pairs
 from .tableio import TableFormatError, read_table, write_table
 from .witness import ClaimViolationError, exhaustive_lowerbound_check
@@ -67,14 +61,18 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    inst = Instance.generate(
+def _instance(args: argparse.Namespace) -> Instance:
+    return Instance.generate(
         args.s,
         args.seed,
         dense_limit=args.dense_limit,
         max_retries=args.retries,
         sampled_samples=args.samples,
     )
+
+
+def cmd_gen(args: argparse.Namespace) -> int:
+    inst = _instance(args)
     if args.out is not None:
         if inst.table is None:
             raise DenseLimitError(
@@ -86,13 +84,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    inst = Instance.generate(
-        args.s,
-        args.seed,
-        dense_limit=args.dense_limit,
-        max_retries=args.retries,
-        sampled_samples=args.samples,
-    )
+    inst = _instance(args)
     if args.x_bits is not None:
         x = F2Vector.from_string(args.x_bits).bits
     else:
@@ -142,13 +134,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_lowerbound(args: argparse.Namespace) -> int:
-    inst = Instance.generate(
-        args.s,
-        args.seed,
-        dense_limit=args.dense_limit,
-        max_retries=args.retries,
-        sampled_samples=args.samples,
-    )
+    inst = _instance(args)
     eps = _resolve_epsilon(args)
     report = exhaustive_lowerbound_check(
         inst,
@@ -167,7 +153,7 @@ def cmd_verify_lowerbound(args: argparse.Namespace) -> int:
 def cmd_spanning(args: argparse.Namespace) -> int:
     count = args.count if args.count is not None else 8 * args.d
     rho = Fraction(args.rho)
-    family = generate_spanning_family(
+    family, check = generate_spanning_family(
         args.d,
         count,
         rho,
@@ -176,12 +162,6 @@ def cmd_spanning(args: argparse.Namespace) -> int:
         sampled_samples=args.samples,
         dense_limit=args.dense_limit,
     )
-    if args.d <= args.dense_limit:
-        check = verify_spanning_family(family, rho, d=args.d, dense_limit=args.dense_limit)
-    else:
-        check = verify_spanning_family_sampled(
-            family, rho, d=args.d, samples=args.samples, seed=args.seed
-        )
     record = {
         "schema": "f2reglab/spanning-family",
         "schema_version": 1,
@@ -207,41 +187,6 @@ def cmd_round(args: argparse.Namespace) -> int:
         write_table(args.out, rounded)
     _write(emit_report(report), args.report)
     return 0
-
-
-def cmd_bench_wht(args: argparse.Namespace) -> int:
-    results = []
-    max_parseval = 0.0
-    for n in range(args.min_n, args.max_n + 1):
-        stream = Stream(args.seed, f"bench/{n}")
-        table = FunctionTable(n, stream.uniform_block(1 << n))
-        best = float("inf")
-        for _ in range(max(1, args.reps)):
-            start = time.perf_counter()
-            spectrum = wht_full(table, dense_limit=max(n, args.dense_limit))
-            best = min(best, time.perf_counter() - start)
-        results.append({"n": n, "seconds": best})
-        # Parseval: the spectrum's sum of squares is the mean of f^2
-        power = float(np.square(table.values).mean())
-        max_parseval = max(max_parseval, abs(float(np.square(spectrum).sum()) - power) / power)
-    verify_n = min(args.verify_n, args.max_n)
-    stream = Stream(args.seed, f"bench/{verify_n}")
-    table = FunctionTable(verify_n, stream.uniform_block(1 << verify_n))
-    spectrum = wht_full(table)
-    points = np.arange(1 << verify_n, dtype=np.int64)
-    signs = 1.0 - 2.0 * ((np.bitwise_count(points[:, None] & points[None, :]) & 1).astype(np.float64))
-    naive = (signs.T @ table.values) / float(1 << verify_n)
-    max_error = float(np.max(np.abs(spectrum - naive)))
-    record = {
-        "schema": "f2reglab/bench-wht",
-        "schema_version": 1,
-        "timings": results,
-        "verify_n": verify_n,
-        "max_error_vs_defining_sum": max_error,
-        "max_parseval_error": max_parseval,
-    }
-    sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
-    return 0 if max_error <= 1e-12 and max_parseval <= 1e-12 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,18 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="deviation report path (default stdout)")
     common(p)
     p.set_defaults(func=cmd_round)
-
-    p = sub.add_parser(
-        "bench-wht",
-        help="time the transform; check Parseval at every n and the defining sum at small n",
-    )
-    p.add_argument("--min-n", type=int, default=8)
-    p.add_argument("--max-n", type=int, default=20)
-    p.add_argument("--verify-n", type=int, default=10)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench_wht)
 
     return parser
 

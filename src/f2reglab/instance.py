@@ -359,12 +359,16 @@ def generate_spanning_family(
     max_retries: int = 100,
     sampled_samples: int = 10**6,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> list[F2Vector]:
-    """Sample an indexed family of nonzero vectors passing the rho check.
+) -> tuple[list[F2Vector], SpanningCheck]:
+    """Sample an indexed family of nonzero vectors passing the rho check,
+    and return it with the check it passed.
 
     Draws count vectors uniformly from F2^d minus zero and verifies the
     hyperplane-incidence bound, retrying with a fresh substream until it
-    passes.  Repeats are allowed: the family is indexed, not a set.
+    passes.  Repeats are allowed: the family is indexed, not a set.  For
+    d <= dense_limit the check is the exhaustive scan; above it, every
+    attempt is checked against the one hyperplane sample seeded by seed
+    (verify_spanning_family_sampled with samples=sampled_samples).
     """
     rho = as_fraction(rho)
     if count < d:
@@ -372,16 +376,15 @@ def generate_spanning_family(
     if not Fraction(1, 2) < rho <= 1:
         raise ValueError(f"threshold must be in (1/2, 1], got {rho}")
     for attempt in range(max_retries):
-        stream = Stream(seed, f"spanning/{attempt}")
-        family = _row_ints(stream.nonzero_bits_block(d, count))
+        family = _row_ints(Stream(seed, f"spanning/{attempt}").nonzero_bits_block(d, count))
         if d <= dense_limit:
-            result = verify_spanning_family(family, rho, d=d, dense_limit=dense_limit)
+            check = verify_spanning_family(family, rho, d=d, dense_limit=dense_limit)
         else:
-            result = verify_spanning_family_sampled(
-                family, rho, d=d, samples=sampled_samples, seed=stream.u64()
+            check = verify_spanning_family_sampled(
+                family, rho, d=d, samples=sampled_samples, seed=seed
             )
-        if result.ok:
-            return [F2Vector(d, v) for v in family]
+        if check.ok:
+            return [F2Vector(d, v) for v in family], check
     raise RetryLimitError(
         f"no family of {count} vectors in F2^{d} passed rho={rho} "
         f"within {max_retries} attempts"
@@ -443,25 +446,17 @@ def build_xi(
             family = tuple(1 << p for p in range(count))
             checks.append(verify_spanning_family(family, Fraction(1), d=d))
         else:
-            block_seed = Stream(seed, f"xi/{i}").u64()
-            vectors = generate_spanning_family(
+            vectors, check = generate_spanning_family(
                 d,
                 count,
                 rho,
-                block_seed,
+                Stream(seed, f"xi/{i}").u64(),
                 max_retries=max_retries,
                 sampled_samples=sampled_samples,
                 dense_limit=dense_limit,
             )
             family = tuple(v.bits for v in vectors)
-            if d <= dense_limit:
-                checks.append(verify_spanning_family(family, rho, d=d))
-            else:
-                checks.append(
-                    verify_spanning_family_sampled(
-                        family, rho, d=d, samples=sampled_samples, seed=block_seed
-                    )
-                )
+            checks.append(check)
         families.append(family)
     return XiFamily(blocks=blocks, families=tuple(families), seed=seed, checks=tuple(checks))
 

@@ -199,7 +199,7 @@ def test_criterion_6_spanning_families():
     ok = True
     details = []
     for d in range(4, 13):
-        family = fl.generate_spanning_family(d, 8 * d, Fraction(3, 4), seed=0)
+        family, _ = fl.generate_spanning_family(d, 8 * d, Fraction(3, 4), seed=0)
         check = fl.verify_spanning_family(family, Fraction(3, 4), d=d)
         ok = ok and check.ok and check.certified and check.incidence <= 6 * d
         details.append(f"d={d}:{check.incidence}<={6 * d}")

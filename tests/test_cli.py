@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from f2reglab import FunctionTable, read_table, write_table
+from f2reglab import FunctionTable, instance, read_table, write_table
 from f2reglab.cli import main, parse_epsilon
 from f2reglab.tableio import (
     MalformedHeaderError,
@@ -258,6 +258,31 @@ class TestSpanningRound:
             "6387c004a41a55c561315ab69e4b09bf41720594de126ce5da71ab1d98abb66a"
         )
 
+    def test_spanning_reports_the_accepting_check(self, capsys):
+        # rho = 183/320 is near this family size's sampled incidence; the
+        # recorded check must be the one the accepted family passed
+        code, out, _ = run_cli(
+            capsys, "spanning", "--d", "40", "--dense-limit", "20", "--samples", "300",
+            "--rho", "183/320", "--seed", "1", "--retries", "20",
+        )
+        assert code == 0
+        assert json.loads(out)["check"]["ok"] is True
+
+    def test_spanning_checks_family_once(self, capsys, monkeypatch):
+        calls = []
+        sampled = instance.verify_spanning_family_sampled
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return sampled(*args, **kwargs)
+
+        monkeypatch.setattr(instance, "verify_spanning_family_sampled", counting)
+        code, _, _ = run_cli(
+            capsys, "spanning", "--d", "40", "--dense-limit", "20", "--samples", "300",
+            "--seed", "5",
+        )
+        assert code == 0 and calls == [5]
+
     def test_spanning_zero_samples_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "spanning", "--d", "40", "--dense-limit", "20", "--samples", "0",
@@ -316,16 +341,6 @@ class TestSpanningRound:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "c672abc96ac7c64f76ef503a66b4bef771b879ea6a416bc52a39585a2e07923d"
         )
-
-    def test_bench_smoke(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench-wht", "--min-n", "4", "--max-n", "16", "--verify-n", "6",
-            "--reps", "1",
-        )
-        assert code == 0
-        record = json.loads(out)
-        assert record["max_error_vs_defining_sum"] <= 1e-12
-        assert 0.0 <= record["max_parseval_error"] <= 1e-12
 
 
 class TestDeterminism:

@@ -85,8 +85,10 @@ class TestWhtFull:
 
     def test_parseval_full_space(self):
         rng = random.Random(55)
-        for _ in range(20):
-            f = random_table(rng, rng.randint(1, 8))
+        tables = [random_table(rng, rng.randint(1, 8)) for _ in range(20)]
+        # n = 16 and 17 also take _fwht's cache-blocked path
+        tables += [random_table(rng, 16), random_table(rng, 17)]
+        for f in tables:
             spec = wht_full(f)
             assert np.square(spec).sum() == pytest.approx(
                 float(np.square(f.values).mean()), abs=1e-12

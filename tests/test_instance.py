@@ -22,6 +22,7 @@ from f2reglab import (
     verify_spanning_family,
     verify_spanning_family_sampled,
 )
+from f2reglab import instance
 from f2reglab.instance import _SAMPLE_CHUNK, SpanningCheck, eval_count, manifest_json
 from f2reglab.rng import Stream
 
@@ -152,8 +153,9 @@ class TestVerifySpanningFamily:
             assert check.incidence == d - 1 if d > 1 else check.incidence == 0
 
     def test_single_nonzero_vector_dimension_one(self):
-        family = generate_spanning_family(1, 1, 1, seed=0)
+        family, check = generate_spanning_family(1, 1, 1, seed=0)
         assert [v.bits for v in family] == [1]
+        assert check.ok and check.certified
 
     def test_degenerate_repeats_fail(self):
         family = [F2Vector(4, 3)] * 32
@@ -216,7 +218,7 @@ class TestSampledKernel:
             verify_spanning_family_sampled([], "3/4", d=0, samples=10, seed=0)
 
     def test_family_draw_matches_scalar_draws(self):
-        family = generate_spanning_family(
+        family, _ = generate_spanning_family(
             40, 320, "3/4", seed=5, sampled_samples=300, dense_limit=20
         )
         stream = Stream(5, "spanning/0")
@@ -228,12 +230,45 @@ class TestSampledKernel:
         assert check.incidence == 1094
         assert check.worst.bits == 0x69EC3236FE798E472202997B65E8F902704E3AD6CE04B09C119B81664E91AF39
 
+    def test_s4_check_is_the_accepting_check(self):
+        # the recorded check equals a fresh one at the block seed
+        xi = build_xi(block_dims(4), seed=3, sampled_samples=2000)
+        fresh = verify_spanning_family_sampled(
+            xi.families[3], "3/4", d=256, samples=2000, seed=Stream(3, "xi/4").u64()
+        )
+        assert xi.checks[3] == fresh
+
+    def test_s4_family_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return verify_spanning_family_sampled(*args, **kwargs)
+
+        monkeypatch.setattr(instance, "verify_spanning_family_sampled", counting)
+        build_xi(block_dims(4), seed=3, sampled_samples=2000)
+        assert calls == [Stream(3, "xi/4").u64()]
+
+    def test_retry_returns_later_attempt_and_its_check(self):
+        def draw(attempt):
+            stream = Stream(0, f"spanning/{attempt}")
+            return [stream.nonzero_bits(40) for _ in range(320)]
+
+        rho = Fraction(183, 320)
+        assert not verify_spanning_family_sampled(draw(0), rho, d=40, samples=300, seed=0).ok
+        family, check = generate_spanning_family(
+            40, 320, rho, seed=0, sampled_samples=300, dense_limit=20
+        )
+        assert [v.bits for v in family] == draw(1)
+        assert check.ok
+        assert check == verify_spanning_family_sampled(family, rho, d=40, samples=300, seed=0)
+
 
 class TestGenerateSpanningFamily:
     def test_canonical_parameters_succeed(self):
-        family = generate_spanning_family(8, 64, "3/4", seed=42)
+        family, check = generate_spanning_family(8, 64, "3/4", seed=42)
         assert len(family) == 64
-        check = verify_spanning_family(family, "3/4")
+        assert check == verify_spanning_family(family, "3/4")
         assert check.ok and check.incidence <= 48
 
     def test_impossible_parameters_hit_retry_cap(self):
