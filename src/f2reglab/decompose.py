@@ -24,7 +24,7 @@ from .fourier import (
     as_fraction,
     check_subspace_regularity,
 )
-from .gf2 import DEFAULT_DENSE_LIMIT, Subspace, check_dense
+from .gf2 import DEFAULT_DENSE_LIMIT, DimensionMismatchError, Subspace, check_dense
 
 
 class DecompositionError(RuntimeError):
@@ -34,7 +34,7 @@ class DecompositionError(RuntimeError):
 def energy(f: FunctionTable, h: Subspace, dense_limit: int = DEFAULT_DENSE_LIMIT) -> float:
     """Mean over x of the squared mean of f over the coset of x."""
     if f.n != h.n:
-        raise ValueError(f"table n={f.n} vs subspace n={h.n}")
+        raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
     check_dense(f.n, dense_limit, "pullback entries")
     reps = h.coset_representative_array(dense_limit)
     span = h.span_array(dense_limit)

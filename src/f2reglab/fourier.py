@@ -32,6 +32,7 @@ from .gf2 import (
     F2Vector,
     Subspace,
     _span_of_rows,
+    _span_stack,
     check_dense,
     parity64,
 )
@@ -77,8 +78,16 @@ class FunctionTable:
             counts = np.ascontiguousarray(self.counts)
             if counts.shape != values.shape:
                 raise ValueError("counts must match table length")
+            if not np.issubdtype(counts.dtype, np.integer):
+                raise ValueError(f"counts must have an integer dtype, got {counts.dtype}")
+            den = self.denominator
+            if isinstance(den, bool) or not isinstance(den, (int, np.integer)) or den < 1:
+                raise ValueError(f"denominator must be an integer >= 1, got {den!r}")
+            if counts.min() < 0 or counts.max() > den:
+                raise ValueError(f"counts must lie in [0, denominator={den}]")
             counts.setflags(write=False)
             object.__setattr__(self, "counts", counts)
+            object.__setattr__(self, "denominator", int(den))
 
     @classmethod
     def from_counts(cls, n: int, counts: np.ndarray, denominator: int) -> "FunctionTable":
@@ -359,36 +368,102 @@ def _coset_transform(
     if f.counts is None:
         table, den = f.values[index], 1 << dim
     else:
-        table, den = f.counts[index].astype(np.int64), f.denominator << dim
+        table = f.counts[index].astype(_count_dtype(f.denominator, dim))
+        den = f.denominator << dim
     _fwht(table)
     return table, den
 
 
+def _count_dtype(denominator: int, dim: int) -> type:
+    """Narrowest exact integer type for transforms of 2^dim counts.
+
+    Every entry of such a transform, and every partial sum its butterfly
+    stages form, is a signed sum of at most 2^dim counts in
+    [0, denominator] (FunctionTable validates that range), so its
+    magnitude is at most denominator * 2^dim: int32 holds it when that
+    is below 2^31.  The same bound covers a transform over any
+    2^c entries of a full spectrum, which sums the counts of a coset.
+    """
+    bound = denominator << dim
+    if bound < 1 << 31:
+        return np.int32
+    if bound < 1 << 63:
+        return np.int64
+    raise OverflowError(f"transform of 2^{dim} counts over {denominator} exceeds int64")
+
+
+def _count_spectrum(f: FunctionTable) -> np.ndarray:
+    """Exact integer transform of a count table's counts over all of F2^n."""
+    return _fwht(f.counts.astype(_count_dtype(f.denominator, f.n)))
+
+
 def _signed(values: np.ndarray, reps: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Multiply values by (-1)^<rep, eta> in place (reps and etas broadcast)."""
-    odd = (np.bitwise_count(reps & etas) & 1).astype(bool)
-    return np.negative(values, out=values, where=odd)
+    """Multiply values by (-1)^<rep, eta> in place (reps and etas broadcast).
+
+    A product with +-1 is exact and flips float signs as negation does.
+    (numpy 2.4 computes `np.negative(..., where=)` wrongly in place on
+    some strided views of 4-byte types, such as an int32 column.)
+    """
+    signs = 1 - 2 * (np.bitwise_count(reps & etas) & 1).astype(np.int8)
+    return np.multiply(values, signs, out=values)
 
 
 def _poisson_numerators(
-    spectrum: np.ndarray, dual: Subspace, reps: np.ndarray, etas: np.ndarray
+    spectrum: np.ndarray, dual_span: np.ndarray, reps: np.ndarray, etas: np.ndarray
 ) -> np.ndarray:
     """Coset numerators of a count table read from its full transform.
 
-    spectrum is the int64 `_fwht` of the counts over all of F2^n, and
-    dual is D = H-perp with |D| = 2^c.  By Poisson summation over D, the
-    numerator of the coset reps[k] + H at etas[k] (the sum over the coset
-    of counts(x) (-1)^<x, eta>) is
+    spectrum is the integer `_fwht` of the counts over all of F2^n
+    (`_count_spectrum`), and dual_span lists D = H-perp, |D| = 2^c, along
+    its last axis (a stack passes one span per subspace, broadcasting
+    against reps and etas).  By Poisson summation over D, the numerator
+    of the coset reps[k] + H at etas[k] (the sum over the coset of
+    counts(x) (-1)^<x, eta>) is
     2^-c * sum over u in D of (-1)^<reps[k], u> spectrum[etas[k] ^ u].
     The division is exact, so this equals the signed `_coset_transform`
-    entry (-1)^<r, eta> T[r, bucket(eta)], at 2^c lookups per entry.
-    reps and etas broadcast against each other.
+    entry (-1)^<r, eta> T[r, bucket(eta)], at 2^c lookups per entry; the
+    sum runs in int64.
     """
-    d = dual.span_array()
     reps, etas = np.broadcast_arrays(reps, etas)
-    terms = spectrum[etas[..., None] ^ d]
-    _signed(terms, reps[..., None], d)
-    return terms.sum(axis=-1) >> dual.dim
+    terms = spectrum[etas[..., None] ^ dual_span]
+    _signed(terms, reps[..., None], dual_span)
+    return terms.sum(axis=-1, dtype=np.int64) >> (dual_span.shape[-1].bit_length() - 1)
+
+
+def _top_bits(rows: np.ndarray) -> np.ndarray:
+    """Position of the highest set bit of each positive entry (below 2^53,
+    where float64 holds it exactly)."""
+    return (np.frexp(rows)[1] - 1).astype(np.int64)
+
+
+def _dual_worst(spectrum: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """Largest nontrivial |numerator| of every coset of B subspaces H,
+    read from the full transform of a count table through their duals.
+
+    duals is a (B, c) stack of bases of D = H-perp in top-pivot echelon
+    form (`_echelon_stack(..., top=True)`): row i has the highest set bit
+    t_i, ascending in i, and no other row has bit t_i.  The members of
+    F2^n with every t_i clear represent the classes mod D once each, and
+    0 represents D itself, the trivial class.  For each nontrivial class
+    rep eta, gathering spectrum[eta ^ u] over u in span(D) and running
+    one size-2^c transform gives 2^c times the numerator at eta of every
+    coset at once (Poisson summation; the transform runs across the
+    gathered rows of classes): entry j belongs to the coset whose
+    representative carries the bits of j at t_1..t_c, which is H's j-th
+    canonical representative.  Returns shape (B, 2^c), in that order.
+    """
+    n = spectrum.shape[-1].bit_length() - 1
+    c = duals.shape[1]
+    # the nontrivial class reps of each distinct set of top bits: the
+    # nonzero (n - c)-bit numbers with a zero bit inserted at each t_i
+    tops, inverse = np.unique(_top_bits(duals), axis=0, return_inverse=True)
+    classes = np.arange(1, 1 << (n - c), dtype=np.int64)
+    for t in tops.T:
+        t = t[:, None]
+        classes = ((classes >> t) << (t + 1)) | (classes & ((1 << t) - 1))
+    table = spectrum[_span_stack(duals)[:, :, None] ^ classes[inverse.ravel(), None, :]]
+    _butterflies(table, 1, 1 << c, table.shape[2])
+    return np.abs(table, out=table).max(axis=2) >> c
 
 
 def _class_spectra(

@@ -361,29 +361,51 @@ def echelonize(vectors: Sequence[F2Vector], n: int | None = None) -> Subspace:
     return Subspace.from_vectors(n, vectors)
 
 
-def subspaces_of_dim(n: int, d: int) -> Iterator[Subspace]:
-    """Every d-dimensional subspace of F2^n exactly once.
+# Rows per array of `_echelon_bases`.
+_BASES_CHUNK = 1 << 16
 
-    Enumerates echelon normal forms: a pivot set and arbitrary entries
-    in the free cells to the right of each pivot.  Counts grow like
-    2^(d(n-d)), so the caller is responsible for choosing feasible
-    (n, d).
+
+def _echelon_bases(n: int, d: int) -> Iterator[np.ndarray]:
+    """Every d-dimensional subspace of F2^n exactly once, as (K, d) int64
+    stacks of echelon bases of about _BASES_CHUNK rows each.
+
+    Enumerates echelon normal forms: for each pivot set in
+    lexicographic order, the entries of the free cells to the right of
+    each pivot, counted up with cell c at bit c of the count.  Counts
+    grow like 2^(d(n-d)), so the caller is responsible for choosing
+    feasible (n, d).
     """
     if not 0 <= d <= n:
         raise ValueError(f"dimension {d} out of range for n={n}")
+    if n > 62:
+        raise DenseLimitError("dense arrays require ambient dimension <= 62")
+    parts: list[np.ndarray] = []
+    size = 0
     for pivots in combinations(range(n), d):
-        free_cells = [
-            (i, j)
-            for i, p in enumerate(pivots)
-            for j in range(p + 1, n)
-            if j not in pivots
-        ]
-        for mask in range(1 << len(free_cells)):
-            rows = [1 << p for p in pivots]
-            for c, (i, j) in enumerate(free_cells):
-                if (mask >> c) & 1:
-                    rows[i] |= 1 << j
-            yield Subspace._from_echelon(n, tuple(rows))
+        cells = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n)
+                 if j not in pivots]
+        total = 1 << len(cells)
+        for start in range(0, total, _BASES_CHUNK):
+            masks = np.arange(start, min(total, start + _BASES_CHUNK), dtype=np.int64)
+            rows = np.empty((masks.size, d), dtype=np.int64)
+            rows[:] = [1 << p for p in pivots]
+            for c, (i, j) in enumerate(cells):
+                rows[:, i] |= ((masks >> c) & 1) << j
+            parts.append(rows)
+            size += masks.size
+            if size >= _BASES_CHUNK:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
+
+
+def subspaces_of_dim(n: int, d: int) -> Iterator[Subspace]:
+    """Every d-dimensional subspace of F2^n exactly once, in the order of
+    `_echelon_bases`."""
+    for rows in _echelon_bases(n, d):
+        for basis in rows.tolist():
+            yield Subspace._from_echelon(n, tuple(basis))
 
 
 def enumerate_all_subspaces(n: int) -> Iterator[Subspace]:
@@ -416,6 +438,43 @@ def _span_of_rows(rows: Sequence[int]) -> np.ndarray:
     for r in rows:
         span = np.concatenate([span, span ^ np.int64(r)])
     return span
+
+
+def _span_stack(rows: np.ndarray) -> np.ndarray:
+    """Spans of a (B, d) stack of basis rows, shape (B, 2^d), each in
+    basis-coefficient counting order as `_span_of_rows` lists it."""
+    span = np.zeros((rows.shape[0], 1), dtype=np.int64)
+    for row in rows.T:
+        span = np.concatenate([span, span ^ row[:, None]], axis=1)
+    return span
+
+
+def _echelon_stack(
+    rows: np.ndarray, n: int, top: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced echelon bases of a (K, m) stack of row sets, and their ranks.
+
+    Row k of the result lists the rank[k] basis rows of the span of
+    rows[k] by ascending pivot, then zero rows.  The pivot is the lowest
+    set bit, so the nonzero rows are exactly `_echelon_rows(rows[k])`;
+    with top=True it is the highest set bit instead.  Eliminates one bit
+    position at a time across the whole stack.
+    """
+    rows = np.array(rows, dtype=np.int64)
+    pivot = np.full(rows.shape, n, dtype=np.int64)
+    for b in range(n - 1, -1, -1) if top else range(n):
+        hit = ((rows >> b) & 1).astype(bool)
+        candidates = hit & (pivot == n)
+        k = np.flatnonzero(candidates.any(axis=1))
+        if k.size == 0:
+            continue
+        p = candidates[k].argmax(axis=1)
+        chosen = rows[k, p]
+        rows[k] ^= np.where(hit[k], chosen[:, None], 0)
+        rows[k, p] = chosen
+        pivot[k, p] = b
+    order = np.argsort(pivot, axis=1, kind="stable")
+    return np.take_along_axis(rows, order, axis=1), (pivot < n).sum(axis=1)
 
 
 @lru_cache(maxsize=512)

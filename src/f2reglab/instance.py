@@ -239,6 +239,27 @@ def verify_spanning_family(
     )
 
 
+def _basis_check(count: int, d: int) -> SpanningCheck:
+    """`verify_spanning_family` of the unit vectors e_1..e_count of F2^d
+    at rho = 1, in closed form (count <= d).
+
+    The hyperplane orthogonal to eta holds the units outside eta's
+    support.  With count < d, an eta carried by the coordinates above
+    count holds all of them, and the smallest such eta is 1 << count;
+    with count == d every eta misses at least one, and eta = 1 misses
+    exactly one.
+    """
+    incidence, worst = (count - 1, 1) if count == d else (count, 1 << count)
+    return SpanningCheck(
+        ok=True,
+        count=count,
+        rho=Fraction(1),
+        incidence=incidence,
+        worst=F2Vector(d, worst),
+        certified=True,
+    )
+
+
 # The sampled check folds the family's bit columns by the method of four
 # Russians (Arlazarov, Dinic, Kronrod & Faradzev 1970): one 16-entry
 # lookup table per 4 eta coordinates, whose entry v is the XOR of the
@@ -444,7 +465,7 @@ def build_xi(
         check_dense(count.bit_length() - 1, dense_limit, f"xi entries for block {i}")
         if count <= d:
             family = tuple(1 << p for p in range(count))
-            checks.append(verify_spanning_family(family, Fraction(1), d=d))
+            checks.append(_basis_check(count, d))
         else:
             vectors, check = generate_spanning_family(
                 d,

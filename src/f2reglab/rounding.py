@@ -22,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FunctionTable, _fwht, _poisson_numerators, coset_spectra_matrix
+from .fourier import (
+    FunctionTable,
+    _count_spectrum,
+    _poisson_numerators,
+    coset_spectra_matrix,
+)
 from .gf2 import (
     DEFAULT_DENSE_LIMIT,
     AffineSubspace,
@@ -128,11 +133,11 @@ def _lookup_coefficients(
 ) -> list[float]:
     """Coefficients of a 0/1 count table, each an exact Poisson-sum lookup
     in one full transform of its counts."""
-    spectrum = _fwht(t.counts.astype(np.int64))
+    spectrum = _count_spectrum(t)
     return [
         float(_poisson_numerators(
             spectrum,
-            coset.subspace.orthogonal_complement(),
+            coset.subspace.orthogonal_complement().span_array(),
             np.int64(coset.representative.bits),
             np.int64(eta),
         )) / coset.size

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from typing import Iterable, Iterator
+from itertools import groupby
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -37,9 +37,13 @@ from .fourier import (
     RegularityReport,
     _buckets,
     _coset_transform,
+    _count_spectrum,
+    _dual_worst,
+    _poisson_numerators,
     _pullback_reps,
     _regularity_report,
     _signed,
+    _top_bits,
     as_fraction,
     check_subspace_regularity,
     restricted_coefficient,
@@ -50,11 +54,12 @@ from .gf2 import (
     BlockStructure,
     F2Vector,
     Subspace,
+    _echelon_bases,
+    _echelon_stack,
+    _span_stack,
     check_dense,
     enumerate_all_subspaces,
-    parity64,
     reduce_array,
-    subspaces_of_dim,
 )
 from .instance import Instance, XiFamily
 from .rng import Stream
@@ -365,52 +370,79 @@ class LowerBoundReport:
 _STACK_ENTRIES = 1 << 17
 
 
-def _stacks(subspaces: Iterable[Subspace], n: int) -> Iterator[list[Subspace]]:
-    """Runs of consecutive equal-dimension subspaces, in order, cut so
-    that each stack's tables (2^n entries per subspace) stay within
-    _STACK_ENTRIES; above n = 17 every stack is a single subspace."""
-    cap = max(1, _STACK_ENTRIES >> n)
-    stack: list[Subspace] = []
-    for h in subspaces:
-        if stack and (h.dim != stack[0].dim or len(stack) == cap):
-            yield stack
-            stack = []
-        stack.append(h)
-    if stack:
-        yield stack
+def _random_stack(n: int, dim: int, count: int, stream: Stream) -> np.ndarray:
+    """The first `count` subspaces of exact dimension dim drawn from the
+    stream, as (count, dim) echelon bases.
 
-
-def _certify_stack(
-    f: FunctionTable,
-    stack: list[Subspace],
-    eps: Fraction,
-    xi: XiFamily,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """witness_scan and the walk's checks on B nonzero subspaces of one
-    dimension d, from one exact transform of shape (B, 2^(n-d), 2^d).
-
-    Returns per subspace the certified and the irregular coset counts and
-    whether every check passed: the certificate is ok, certified cosets
-    are irregular, the report is not regular (which also rules out a
-    regular report beside an ok certificate), and up to 4 certified
-    coefficients per subspace, strided as in `_cross_check`, equal the
-    defining mean.
+    Each attempt is dim successive draws of n bits (one stream word
+    each), echelonized, and rejected when the rows are dependent; the
+    kept subspaces are the first full-rank attempts in attempt order.
+    Attempts are drawn a block at a time, sized to the exact acceptance
+    rate plus a margin, so one block almost always suffices; drawing
+    past the last kept attempt only advances this stream.
     """
+    accept = float(np.prod(1.0 - np.exp2(np.arange(dim) - n)))
+    mask = np.uint64((1 << n) - 1)
+    kept = [np.zeros((0, dim), dtype=np.int64)]
+    need = count
+    while need > 0:
+        attempts = int(need / accept * 1.05) + 16
+        draws = (stream.u64_block(attempts * dim) & mask).astype(np.int64)
+        basis, rank = _echelon_stack(draws.reshape(attempts, dim), n)
+        kept.append(basis[rank == dim][:need])
+        need -= len(kept[-1])
+    return np.concatenate(kept)
+
+
+def _walk(
+    n: int, mode: str, random_per_dim: int, seed: int, max_codim: int
+) -> Iterator[tuple[bool, np.ndarray]]:
+    """The subspaces of a lower-bound walk in order, as runs of one
+    dimension and kind: (False, (B, d) echelon bases of H) or, for the
+    enumerated codimensions, (True, (B, c) top-pivot echelon bases of
+    H-perp, as `_dual_worst` takes them)."""
+    if mode == "exhaustive":
+        for d, group in groupby(enumerate_all_subspaces(n), key=lambda h: h.dim):
+            bases = [h.basis for h in group]
+            yield False, np.array(bases, dtype=np.int64).reshape(len(bases), d)
+        return
+    if mode == "structured":
+        yield False, 1 << np.arange(n, dtype=np.int64)[None, :]
+        for codim in range(1, max_codim + 1):
+            if codim == n:
+                yield False, np.zeros((1, 0), dtype=np.int64)
+                continue
+            for duals in _echelon_bases(n, codim):
+                yield True, _echelon_stack(duals, n, top=True)[0]
+    for dim in range(1, n):
+        stream = Stream(seed, f"lowerbound/dim{dim}")
+        yield False, _random_stack(n, dim, random_per_dim, stream)
+
+
+def _stacks(
+    runs: Iterable[tuple[bool, np.ndarray]], n: int
+) -> Iterator[tuple[bool, np.ndarray]]:
+    """Each run cut, in order, into stacks whose tables (2^n entries per
+    subspace) stay within _STACK_ENTRIES; above n = 17 every stack is a
+    single subspace."""
+    cap = max(1, _STACK_ENTRIES >> n)
+    for dual, rows in runs:
+        for start in range(0, rows.shape[0], cap):
+            yield dual, rows[start : start + cap]
+
+
+def _stack_guards(f: FunctionTable, dense_limit: int) -> None:
+    """The guards of a stacked certificate on every subspace of f."""
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
     check_dense(f.n, dense_limit, "pullback entries")
-    blocks = xi.blocks
-    rows = np.array([h.basis for h in stack], dtype=np.int64)
-    spans = np.zeros((len(stack), 1), dtype=np.int64)
-    for row in rows.T:
-        spans = np.concatenate([spans, spans ^ row[:, None]], axis=1)
-    # canonical coset representatives: the points with every pivot bit clear
-    points = np.arange(1 << f.n, dtype=np.int64)
-    free = (points & np.bitwise_or.reduce(rows & -rows, axis=1)[:, None]) == 0
-    reps = np.broadcast_to(points, free.shape)[free].reshape(len(stack), -1)
 
-    # the active block holds the lowest pivot, the low bit of the first row
+
+def _gammas(rows: np.ndarray, reps: np.ndarray, xi: XiFamily) -> np.ndarray:
+    """Witness characters of the cosets reps (B, R) of B nonzero subspaces
+    with echelon bases rows (B, d); the active block holds the lowest
+    pivot, the low bit of the first row."""
+    blocks = xi.blocks
     lowest = np.bitwise_count((rows[:, 0] & -rows[:, 0]) - 1)
     active = np.searchsorted(blocks.offsets, lowest, side="right")
     gammas = np.empty_like(reps)
@@ -421,14 +453,35 @@ def _certify_stack(
         assert not (rows[sel] & prefix).any(), "prefix not constant on cosets"
         family = np.asarray(xi.families[i - 1], dtype=np.int64)
         gammas[sel] = family[reps[sel] & prefix] << np.int64(lo)
+    return gammas
 
-    transform, denominator = _coset_transform(f, spans, reps)
-    buckets = _buckets(rows.T[:, :, None], gammas)
-    numerators = np.take_along_axis(transform, buckets[..., None], axis=2)[..., 0]
-    _signed(numerators, reps, gammas)
+
+def _verdicts(
+    f: FunctionTable,
+    eps: Fraction,
+    span_of: Callable[[np.ndarray], np.ndarray],
+    reps: np.ndarray,
+    gammas: np.ndarray,
+    numerators: np.ndarray,
+    denominator: int,
+    nontrivial: np.ndarray,
+    worst: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walk's checks on B subspaces of one dimension d, from their
+    cosets' exact numerators at gamma, whether gamma is nontrivial, and
+    the largest nontrivial |numerator| (all (B, R), coset reps
+    ascending); span_of maps subspace indices to their (K, 2^d) spans.
+
+    Returns per subspace the certified and the irregular coset counts and
+    whether every check passed: the certificate is ok, certified cosets
+    are irregular, the report is not regular (which also rules out a
+    regular report beside an ok certificate), and up to 4 certified
+    coefficients per subspace, strided as in `_cross_check`, equal the
+    defining mean.
+    """
     threshold = eps.numerator * denominator // eps.denominator
-    certified = (buckets != 0) & (numerators > threshold)
-    irregular = np.abs(transform[..., 1:]).max(axis=2) > threshold
+    certified = nontrivial & (numerators > threshold)
+    irregular = worst > threshold
 
     # a count c of the 2^(n-d) cosets exceeds eps * 2^(n-d) iff c > limit
     limit = eps.numerator * reps.shape[1] // eps.denominator
@@ -447,21 +500,84 @@ def _certify_stack(
     sub, row = np.nonzero(certified)
     pick = ((np.cumsum(certified_count) - certified_count)[:, None] + offsets)[take]
     sub, row = sub[pick], row[pick]
-    coset = spans[sub] ^ reps[sub, row][:, None]
-    signs = 1.0 - 2.0 * parity64(coset & gammas[sub, row][:, None])
+    coset = span_of(sub) ^ reps[sub, row][:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(coset & gammas[sub, row][:, None]) & 1)
     value = (f.values[coset] * signs).mean(axis=1)
     wrong = np.abs(value - numerators[sub, row] / denominator) > 1e-9
     passed[sub[wrong]] = False
     return certified_count, irregular_count, passed
 
 
-def _random_subspace(n: int, dim: int, stream: Stream) -> Subspace:
-    """Uniform-ish subspace of exact dimension: random rows, echelonized,
-    rejecting dimension misses."""
-    while True:
-        sub = Subspace.from_vectors(n, [stream.bits(n) for _ in range(dim)])
-        if sub.dim == dim:
-            return sub
+def _certify_stack(
+    f: FunctionTable,
+    rows: np.ndarray,
+    eps: Fraction,
+    xi: XiFamily,
+    dense_limit: int = DEFAULT_DENSE_LIMIT,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """witness_scan and the walk's checks (`_verdicts`) on B nonzero
+    subspaces of one dimension d, given as (B, d) echelon bases, from one
+    exact transform of shape (B, 2^(n-d), 2^d)."""
+    _stack_guards(f, dense_limit)
+    spans = _span_stack(rows)
+    # canonical coset representatives: the points with every pivot bit clear
+    points = np.arange(1 << f.n, dtype=np.int64)
+    free = (points & np.bitwise_or.reduce(rows & -rows, axis=1)[:, None]) == 0
+    reps = np.broadcast_to(points, free.shape)[free].reshape(rows.shape[0], -1)
+    gammas = _gammas(rows, reps, xi)
+
+    transform, denominator = _coset_transform(f, spans, reps)
+    buckets = _buckets(rows.T[:, :, None], gammas)
+    numerators = np.take_along_axis(transform, buckets[..., None], axis=2)[..., 0]
+    _signed(numerators, reps, gammas)
+    worst = np.abs(transform[..., 1:]).max(axis=2)
+    return _verdicts(
+        f, eps, spans.__getitem__, reps, gammas, numerators, denominator,
+        buckets != 0, worst,
+    )
+
+
+def _certify_duals(
+    f: FunctionTable,
+    spectrum: np.ndarray,
+    duals: np.ndarray,
+    eps: Fraction,
+    xi: XiFamily,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`_certify_stack` on B subspaces of codimension c given by their
+    duals, a (B, c) top-pivot echelon stack of bases of H-perp, from the
+    count table's full transform (`_count_spectrum`).
+
+    With t_1 < ... < t_c the duals' top bits, H's canonical coset
+    representatives are the vectors carried by the t_i, and its echelon
+    basis is e_j plus the column j of the duals placed at the t_i, for
+    every other j.  The largest nontrivial |numerator| of each coset
+    comes from `_dual_worst`, and the numerators at gamma from
+    `_poisson_numerators`.  Returns H's (B, n - c) echelon bases and
+    `_certify_stack`'s three arrays.
+    """
+    n = f.n
+    count, c = duals.shape
+    tops = _top_bits(duals)
+    columns = np.arange(n, dtype=np.int64)
+    full = np.broadcast_to(1 << columns, (count, n)).copy()
+    keep = np.ones((count, n), dtype=bool)
+    for i in range(c):
+        full |= ((duals[:, i, None] >> columns) & 1) << tops[:, i, None]
+        keep &= columns != tops[:, i, None]
+    rows = full[keep].reshape(count, n - c)
+    dual_spans = _span_stack(duals)
+    reps = _span_stack(1 << tops)
+    gammas = _gammas(rows, reps, xi)
+
+    numerators = _poisson_numerators(spectrum, dual_spans[:, None, :], reps, gammas)
+    nontrivial = _buckets(rows.T[:, :, None], gammas) != 0
+    worst = _dual_worst(spectrum, duals)
+    denominator = f.denominator << (n - c)
+    return rows, _verdicts(
+        f, eps, lambda sub: _span_stack(rows[sub]), reps, gammas, numerators,
+        denominator, nontrivial, worst,
+    )
 
 
 def exhaustive_lowerbound_check(
@@ -485,10 +601,12 @@ def exhaustive_lowerbound_check(
     subspaces are collected in the report (informational large-eps runs).
 
     The walk certifies consecutive subspaces of one dimension in stacks
-    (`_certify_stack`, at most _STACK_ENTRIES table entries each); a
-    subspace that fails any check there is scanned again by
-    `witness_scan`, in walk order, which raises or records the failure
-    exactly as a one-at-a-time walk would.
+    of at most _STACK_ENTRIES table entries: enumerated codimensions from
+    their duals and one full transform of the table per call
+    (`_certify_duals`), the rest by stacked coset transforms
+    (`_certify_stack`).  A subspace that fails any check there is scanned
+    again by `witness_scan`, in walk order, which raises or records the
+    failure exactly as a one-at-a-time walk would.
     """
     if inst.table is None:
         raise ValueError("lower-bound scans need a dense instance table")
@@ -497,27 +615,9 @@ def exhaustive_lowerbound_check(
     n = inst.n
     if mode == "auto":
         mode = "exhaustive" if n <= 4 else "structured"
-
-    subspaces: Iterable[Subspace]
-    used_seed: int | None = seed
-    if mode == "exhaustive":
-        subspaces = enumerate_all_subspaces(n)
-        used_seed = None
-    elif mode in ("structured", "sampled"):
-        def generate() -> Iterable[Subspace]:
-            if mode == "structured":
-                yield Subspace.full(n)
-                for codim in range(1, max_enumerated_codim + 1):
-                    for dual in subspaces_of_dim(n, codim):
-                        yield dual.orthogonal_complement()
-            for dim in range(1, n):
-                stream = Stream(seed, f"lowerbound/dim{dim}")
-                for _ in range(random_per_dim):
-                    yield _random_subspace(n, dim, stream)
-
-        subspaces = generate()
-    else:
+    if mode not in ("exhaustive", "structured", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    used_seed = None if mode == "exhaustive" else seed
 
     checked = 0
     certified = 0
@@ -526,20 +626,30 @@ def exhaustive_lowerbound_check(
     regular_nonzero: list[tuple[int, ...]] = []
     per_dim = [0] * (n + 1)
     zero_seen = False
+    spectrum = None
 
-    for stack in _stacks(subspaces, n):
-        per_dim[stack[0].dim] += len(stack)
-        if stack[0].dim == 0:
+    runs = _walk(n, mode, random_per_dim, seed, max_enumerated_codim)
+    for dual, stack in _stacks(runs, n):
+        dim = n - stack.shape[1] if dual else stack.shape[1]
+        per_dim[dim] += len(stack)
+        if dim == 0:
             zero_seen = True
-            report = check_subspace_regularity(f, stack[0], eps, dense_limit)
+            report = check_subspace_regularity(f, Subspace.zero(n), eps, dense_limit)
             zero_regular = report.is_regular
             if strict and not zero_regular:
                 raise ClaimViolationError("the zero subspace failed its regularity check")
             continue
         checked += len(stack)
-        passed = _certify_stack(f, stack, eps, inst.xi, dense_limit)[2]
+        if dual:
+            if spectrum is None:
+                _stack_guards(f, dense_limit)
+                spectrum = _count_spectrum(f)
+            stack, (_, _, passed) = _certify_duals(f, spectrum, stack, eps, inst.xi)
+        else:
+            passed = _certify_stack(f, stack, eps, inst.xi, dense_limit)[2]
         certified += int(passed.sum())
-        for h in compress(stack, ~passed):
+        for basis in stack[~passed].tolist():
+            h = Subspace._from_echelon(n, tuple(basis))
             try:
                 cert = witness_scan(
                     f, h, eps, xi=inst.xi, cross_check=True, dense_limit=dense_limit

@@ -18,7 +18,7 @@ import pytest
 import f2reglab as fl
 from f2reglab.cli import main as cli_main
 from f2reglab.rng import Stream
-from f2reglab.witness import _random_subspace
+from f2reglab.witness import _random_stack
 
 EPS_S2 = Fraction(1, 32)
 EPS_S3 = Fraction(1, 48)
@@ -50,8 +50,8 @@ def structured_family(n: int, seed: int, per_dim: int):
         yield fl.Subspace(n, (eta,)).orthogonal_complement()
     for dim in range(1, n):
         stream = Stream(seed, f"lowerbound/dim{dim}")
-        for _ in range(per_dim):
-            yield _random_subspace(n, dim, stream)
+        for basis in _random_stack(n, dim, per_dim, stream).tolist():
+            yield fl.Subspace(n, tuple(basis))
 
 
 def test_criterion_1_exhaustive_lowerbound_s2(inst2):

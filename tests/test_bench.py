@@ -31,3 +31,7 @@ def test_lowerbound_s3_gate_is_correct():
 
 def test_rounding_n20_gate_is_correct():
     gate("rounding-n20")
+
+
+def test_spectra_n22_gate_is_correct():
+    gate("spectra-n22")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from f2reglab import (
+    DimensionMismatchError,
     FunctionTable,
     Instance,
     Subspace,
@@ -46,6 +47,10 @@ class TestEnergy:
     def test_canonical_line(self, s2_table):
         # coset means (3/4, 1/2, 1/2, 1/4) -> (9+4+4+1)/64
         assert energy(s2_table, Subspace.from_vectors(3, [1])) == 18 / 64
+
+    def test_dimension_mismatch(self, s2_table):
+        with pytest.raises(DimensionMismatchError, match="table n=3 vs subspace n=4"):
+            energy(s2_table, Subspace.full(4))
 
     def test_monotone_under_refinement(self):
         rng = random.Random(42)

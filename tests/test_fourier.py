@@ -26,7 +26,7 @@ from f2reglab import (
     wht_full,
 )
 from f2reglab import fourier
-from f2reglab.gf2 import subspaces_of_dim
+from f2reglab.gf2 import _echelon_stack, subspaces_of_dim
 
 S2_VALUES = [1.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.0]
 S2_SPECTRUM = [0.5, 0.25, 0.125, 0.125, 0.125, -0.125, 0.0, 0.0]
@@ -381,7 +381,7 @@ def transform_numerators(f, h, reps, etas):
 def poisson_numerators(f, h, reps, etas):
     spectrum = fourier._fwht(f.counts.astype(np.int64))
     return fourier._poisson_numerators(
-        spectrum, h.orthogonal_complement(), reps[:, None], etas[None, :]
+        spectrum, h.orthogonal_complement().span_array(), reps[:, None], etas[None, :]
     )
 
 
@@ -430,6 +430,128 @@ class TestPoissonNumerators:
         reps = h.coset_representative_array()
         etas = np.arange(reps.size, dtype=np.int64) * 37 % (1 << 11)
         spectrum = fourier._fwht(s3_table.counts.astype(np.int64))
-        got = fourier._poisson_numerators(spectrum, h.orthogonal_complement(), reps, etas)
+        got = fourier._poisson_numerators(
+            spectrum, h.orthogonal_complement().span_array(), reps, etas
+        )
         full = transform_numerators(s3_table, h, reps, etas)
         assert np.array_equal(got, np.diagonal(full))
+
+
+def top_duals(hs):
+    """Top-pivot echelon stack of the duals of the given subspaces."""
+    n = hs[0].n
+    rows = np.array([h.orthogonal_complement().basis for h in hs], dtype=np.int64)
+    return _echelon_stack(rows, n, top=True)[0]
+
+
+class TestDualWorst:
+    """The dual-side kernel equals the coset transform's largest
+    nontrivial magnitude on every coset, exactly."""
+
+    def assert_equal_on_every_coset(self, f, hs):
+        spectrum = fourier._count_spectrum(f)
+        got = fourier._dual_worst(spectrum, top_duals(hs))
+        assert got.shape == (len(hs), 1 << (f.n - hs[0].dim))
+        for h, row in zip(hs, got):
+            table, _ = fourier._coset_transform(
+                f, h.span_array(), h.coset_representative_array()
+            )
+            assert np.array_equal(row, np.abs(table[:, 1:]).max(axis=1))
+
+    def test_every_hyperplane_of_s2_and_s3(self, s3_table):
+        for f in (Instance.generate(2, seed=1).table, s3_table):
+            hyperplanes = [d.orthogonal_complement() for d in subspaces_of_dim(f.n, 1)]
+            assert len(hyperplanes) == (1 << f.n) - 1
+            self.assert_equal_on_every_coset(f, hyperplanes)
+
+    def test_sampled_codim_2_and_3_of_s3(self, s3_table):
+        rng = random.Random(31)
+        for codim in (2, 3):
+            hs = [random_subspace_of_codim(11, codim, rng) for _ in range(25)]
+            self.assert_equal_on_every_coset(s3_table, hs)
+
+    def test_rounded_table(self):
+        f = round_to_binary(FunctionTable(12, np.random.default_rng(12).random(1 << 12)), 5)
+        rng = random.Random(32)
+        for codim in (1, 2, 4):
+            self.assert_equal_on_every_coset(
+                f, [random_subspace_of_codim(12, codim, rng) for _ in range(8)]
+            )
+
+
+class TestNarrowTransforms:
+    """Count transforms run in int32 exactly when denominator << dim is
+    below 2^31, and are exact on both sides of that bound."""
+
+    def test_dtype_at_the_bound(self):
+        assert fourier._count_dtype((1 << 20) - 1, 11) is np.int32
+        assert fourier._count_dtype(1 << 20, 11) is np.int64
+        assert fourier._count_dtype(1, 62) is np.int64
+        with pytest.raises(OverflowError):
+            fourier._count_dtype(2, 62)
+
+    def test_signed_on_a_strided_int32_column(self):
+        table = np.random.default_rng(5).integers(-9, 9, (128, 4)).astype(np.int32)
+        reps, eta = np.arange(128, dtype=np.int64), np.int64(0b1011)
+        odd = (np.bitwise_count(reps & eta) & 1).astype(bool)
+        expected = np.where(odd, -table[:, 1], table[:, 1])
+        assert np.array_equal(fourier._signed(table[:, 1], reps, eta), expected)
+        assert np.array_equal(table[:, 1], expected)
+
+    @pytest.mark.parametrize("den", [(1 << 20) - 1, 1 << 20])
+    def test_full_counts_reach_the_bound_exactly(self, den):
+        n = 11
+        f = FunctionTable.from_counts(n, np.full(1 << n, den, dtype=np.int64), den)
+        expected = np.int64(den) << n  # 2^31 - 2^11 and 2^31
+        full = Subspace.full(n).span_array()
+        table, scale = fourier._coset_transform(f, full, np.zeros(1, np.int64))
+        assert scale == expected and table[0, 0] == expected
+        assert table.dtype == fourier._count_dtype(den, n)
+        spectrum = fourier._count_spectrum(f)
+        assert spectrum[0] == expected and not spectrum[1:].any()
+
+    @pytest.mark.parametrize("den", [(1 << 20) - 1, 1 << 20])
+    def test_random_counts_match_int64(self, den):
+        n = 11
+        rng = np.random.default_rng(den)
+        counts = np.where(rng.random(1 << n) < 0.9, den, rng.integers(0, den + 1, 1 << n))
+        f = FunctionTable.from_counts(n, counts, den)
+        spectrum = fourier._count_spectrum(f)
+        reference = fourier._fwht(counts.astype(np.int64))
+        assert np.array_equal(spectrum, reference)
+        hs = [random_subspace_of_codim(n, codim, random.Random(codim)) for codim in range(n + 1)]
+        for h in hs:
+            reps = h.coset_representative_array()
+            table, _ = fourier._coset_transform(f, h.span_array(), reps)
+            index = reps[:, None] ^ h.span_array()[None, :]
+            assert np.array_equal(table, fourier._fwht(counts[index].astype(np.int64)))
+        worst = fourier._dual_worst(spectrum, top_duals(hs[1:2]))
+        assert np.array_equal(worst, fourier._dual_worst(reference, top_duals(hs[1:2])))
+
+
+class TestCountValidation:
+    VALUES = np.array([0.0, 0.5, 0.5, 1.0])
+
+    @pytest.mark.parametrize("counts, den, match", [
+        ([0, 7, -3, 2**40], 0, "denominator"),
+        ([0, 1, 1, 2], 0, "denominator"),
+        ([0, 1, 1, 2], -2, "denominator"),
+        ([0, 1, 1, 2], 2.0, "denominator"),
+        ([0, 1, 1, 2], True, "denominator"),
+        ([0, 1, 1, 2], "2", "denominator"),
+        ([0.0, 1.0, 1.0, 2.0], 2, "integer dtype"),
+        ([True, False, False, True], 2, "integer dtype"),
+        ([0, 1, -1, 2], 2, r"\[0, denominator"),
+        ([0, 1, 1, 3], 2, r"\[0, denominator"),
+        ([0, 7, -3, 2**40], 2, r"\[0, denominator"),
+    ])
+    def test_rejected(self, counts, den, match):
+        with pytest.raises(ValueError, match=match):
+            FunctionTable(2, self.VALUES, counts=np.array(counts), denominator=den)
+
+    def test_accepted_and_normalized(self):
+        f = FunctionTable(2, self.VALUES, counts=np.array([0, 1, 1, 2], np.uint8),
+                          denominator=np.int64(2))
+        assert type(f.denominator) is int and f.denominator == 2
+        wide = FunctionTable(2, self.VALUES, counts=np.array([0, 150, 150, 300]), denominator=300)
+        assert wide.counts.max() == 300

@@ -260,6 +260,53 @@ class TestEnumerateAllSubspaces:
         with pytest.raises(ValueError):
             list(subspaces_of_dim(3, 4))
 
+    def test_stacked_echelon_forms_and_spans(self):
+        from f2reglab.gf2 import _echelon_rows, _echelon_stack, _span_of_rows, _span_stack
+
+        rng = random.Random(41)
+        reverse = lambda x, n: int(format(x, f"0{n}b")[::-1], 2)  # noqa: E731
+        for n, m in ((1, 1), (4, 3), (11, 2), (11, 10), (20, 6)):
+            rows = np.array([[rng.getrandbits(n) >> rng.randrange(n) for _ in range(m)]
+                             for _ in range(300)], dtype=np.int64)
+            low, rank = _echelon_stack(rows, n)
+            top, top_rank = _echelon_stack(rows, n, top=True)
+            assert np.array_equal(rank, top_rank)
+            for k, r in enumerate(rows.tolist()):
+                basis = _echelon_rows(r)
+                assert rank[k] == len(basis) and tuple(low[k, : rank[k]].tolist()) == basis
+                assert not low[k, rank[k]:].any() and not top[k, rank[k]:].any()
+                # the top form is the low form of the bit-reversed rows, reversed back
+                flipped = sorted(reverse(v, n) for v in _echelon_rows(reverse(v, n) for v in r))
+                assert top[k, : rank[k]].tolist() == flipped
+            spans = _span_stack(low)
+            for k in range(0, 300, 37):
+                assert np.array_equal(spans[k], _span_of_rows(low[k].tolist()))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_basis_arrays_follow_the_echelon_form_loop(self, n, monkeypatch):
+        from f2reglab import gf2
+
+        def echelon_forms(n, d):
+            # one subspace at a time: pivot sets in lexicographic order,
+            # then the free cells right of each pivot counted up
+            for pivots in combinations(range(n), d):
+                cells = [(i, j) for i, p in enumerate(pivots)
+                         for j in range(p + 1, n) if j not in pivots]
+                for mask in range(1 << len(cells)):
+                    rows = [1 << p for p in pivots]
+                    for c, (i, j) in enumerate(cells):
+                        if (mask >> c) & 1:
+                            rows[i] |= 1 << j
+                    yield tuple(rows)
+
+        monkeypatch.setattr(gf2, "_BASES_CHUNK", 64)  # several arrays per dimension
+        for d in range(n + 1):
+            arrays = list(gf2._echelon_bases(n, d))
+            assert all(a.dtype == np.int64 and a.shape[1] == d for a in arrays)
+            got = [tuple(row) for a in arrays for row in a.tolist()]
+            assert got == list(echelon_forms(n, d))
+            assert [h.basis for h in gf2.subspaces_of_dim(n, d)] == got
+
 
 class TestAffineSubspace:
     def test_representative_canonicalized(self):

@@ -12,6 +12,7 @@ from f2reglab import (
     Instance,
     RetryLimitError,
     TowerOverflowError,
+    TowerParams,
     TowerValue,
     block_dims,
     build_xi,
@@ -296,6 +297,20 @@ class TestBuildXi:
         xi = build_xi(block_dims(3), seed=1)
         assert xi.families[2] == tuple(1 << p for p in range(8))
         assert all(c.ok for c in xi.checks)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_basis_checks_equal_the_exhaustive_scan(self, d):
+        for count in range(d + 1):
+            family = [1 << p for p in range(count)]
+            expected = verify_spanning_family(family, Fraction(1), d=d)
+            assert instance._basis_check(count, d) == expected
+
+    def test_basis_branch_ignores_the_dense_limit(self):
+        # a 30-dimensional block of 2 units: no 2^30 scan, no DenseLimitError
+        xi = build_xi(TowerParams(2, (1, 30)), seed=0, dense_limit=40)
+        assert xi.families == ((1,), (1, 2))
+        assert xi.checks[1] == instance._basis_check(2, 30)
+        assert xi.checks[1].incidence == 2 and xi.checks[1].worst == F2Vector(30, 4)
 
     def test_gamma_entries_never_zero(self):
         xi = build_xi(block_dims(3), seed=1)

@@ -18,6 +18,7 @@ from f2reglab import (
     bad_fraction,
     check_subspace_regularity,
     corollary_fraction,
+    enumerate_all_subspaces,
     exhaustive_lowerbound_check,
     gamma_character,
     minimal_active_block,
@@ -29,8 +30,17 @@ from f2reglab import (
 )
 from f2reglab import witness
 from f2reglab.cli import main as cli_main
+from f2reglab.fourier import _count_spectrum
+from f2reglab.gf2 import _echelon_stack, subspaces_of_dim
 from f2reglab.rng import Stream
-from f2reglab.witness import _STACK_ENTRIES, _certify_stack, _random_subspace, _stacks
+from f2reglab.witness import (
+    _STACK_ENTRIES,
+    _certify_duals,
+    _certify_stack,
+    _random_stack,
+    _stacks,
+    _walk,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +51,30 @@ def inst2():
 @pytest.fixture(scope="module")
 def inst3():
     return Instance.generate(3, seed=1)
+
+
+def _random_subspace(n, dim, stream):
+    """One stream draw at a time: dim rows of n bits, echelonized, until
+    they are independent (the oracle of `_random_stack`)."""
+    while True:
+        sub = Subspace.from_vectors(n, [stream.bits(n) for _ in range(dim)])
+        if sub.dim == dim:
+            return sub
+
+
+def rows_of(subspaces):
+    return np.array([h.basis for h in subspaces], dtype=np.int64)
+
+
+def dual_rows(duals):
+    """Top-pivot echelon stack of the given dual subspaces."""
+    n = duals[0].n
+    return _echelon_stack(rows_of(duals), n, top=True)[0]
+
+
+def hyperplane_duals(n):
+    """Every nonzero eta as a (2^n - 1, 1) stack, in `subspaces_of_dim` order."""
+    return rows_of(subspaces_of_dim(n, 1))
 
 
 def random_nonzero_subspace(n, rng):
@@ -360,6 +394,8 @@ class TestLowerBoundCheck:
         for dim in (1, 4, 7):
             for _ in range(20):
                 assert _random_subspace(11, dim, stream).dim == dim
+            rows = _random_stack(11, dim, 20, stream)
+            assert all(Subspace.from_vectors(11, r).dim == dim for r in rows.tolist())
 
     def test_strict_failure_raises(self, inst2):
         with pytest.raises(ClaimViolationError):
@@ -386,13 +422,20 @@ class TestCrossCheckAgainstRegularityReport:
 
 
 def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
-    """The lower-bound walk with every stack failed, so each subspace goes
-    through the one-at-a-time witness_scan body: the oracle of the stack."""
+    """The lower-bound walk with every stack failed, primal and dual, so
+    each subspace goes through the one-at-a-time witness_scan body: the
+    oracle of the stacks.  Dual stacks hand back H = D-perp computed by
+    `orthogonal_complement`, independently of `_certify_duals`."""
     def fail_all(f, stack, *args):
         return None, None, np.zeros(len(stack), dtype=bool)
 
+    def fail_duals(f, spectrum, duals, *args):
+        perps = [Subspace.from_vectors(f.n, d.tolist()).orthogonal_complement() for d in duals]
+        return rows_of(perps), fail_all(f, duals)
+
     with monkeypatch.context() as m:
         m.setattr(witness, "_certify_stack", fail_all)
+        m.setattr(witness, "_certify_duals", fail_duals)
         return exhaustive_lowerbound_check(inst, eps, **kwargs)
 
 
@@ -403,18 +446,101 @@ def stacked_and_oracle(monkeypatch, inst, eps, **kwargs):
     )
 
 
+def old_walk(n, mode, random_per_dim, seed, max_codim):
+    """The walk as a list of Subspace objects, built one at a time."""
+    family = []
+    if mode == "structured":
+        family.append(Subspace.full(n))
+        for codim in range(1, max_codim + 1):
+            family += [d.orthogonal_complement() for d in subspaces_of_dim(n, codim)]
+    for dim in range(1, n):
+        stream = Stream(seed, f"lowerbound/dim{dim}")
+        family += [_random_subspace(n, dim, stream) for _ in range(random_per_dim)]
+    return family
+
+
+def walk_subspaces(n, mode, random_per_dim, seed, max_codim):
+    out = []
+    for dual, rows in _walk(n, mode, random_per_dim, seed, max_codim):
+        for row in rows.tolist():
+            if dual:
+                out.append(Subspace.from_vectors(n, row).orthogonal_complement())
+            else:
+                out.append(Subspace(n, tuple(row)))
+    return out
+
+
+class TestArrayWalk:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_stacks_equal_the_one_draw_oracle(self, seed):
+        for n in (3, 11):
+            for dim in range(1, n):
+                tag = f"lowerbound/dim{dim}"
+                stream = Stream(seed, tag)
+                expected = [_random_subspace(n, dim, stream) for _ in range(150)]
+                got = _random_stack(n, dim, 150, Stream(seed, tag))
+                assert got.dtype == np.int64 and got.shape == (150, dim)
+                assert np.array_equal(got, rows_of(expected))
+        assert _random_stack(11, 4, 0, Stream(seed)).shape == (0, 4)
+
+    @pytest.mark.parametrize("mode, max_codim", [("structured", 1), ("structured", 3),
+                                                 ("sampled", 1)])
+    def test_walk_lists_the_subspaces_in_order(self, mode, max_codim):
+        n = 6
+        got = walk_subspaces(n, mode, 4, 3, max_codim)
+        assert got == old_walk(n, mode, 4, 3, max_codim)
+
+    def test_exhaustive_walk_lists_every_subspace(self):
+        assert walk_subspaces(4, "exhaustive", 0, 0, 1) == list(enumerate_all_subspaces(4))
+
+    @pytest.mark.parametrize("eps", ["1/48", "1/16", "1/6"])
+    def test_dual_stacks_equal_certify_stack_on_every_hyperplane(self, inst2, inst3, eps):
+        for inst in (inst2, inst3):
+            f, n = inst.table, inst.n
+            cap = _STACK_ENTRIES >> n
+            spectrum = _count_spectrum(f)
+            duals = hyperplane_duals(n)
+            for start in range(0, len(duals), cap):
+                stack = duals[start : start + cap]
+                perps = [Subspace(n, (int(d),)).orthogonal_complement() for d in stack[:, 0]]
+                rows, got = _certify_duals(f, spectrum, stack, Fraction(eps), inst.xi)
+                assert np.array_equal(rows, rows_of(perps))
+                expected = _certify_stack(f, rows_of(perps), Fraction(eps), inst.xi)
+                for a, b in zip(got, expected):
+                    assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("codim", [2, 3])
+    def test_dual_stacks_equal_certify_stack_on_sampled_codims(self, inst3, codim):
+        f, n = inst3.table, inst3.n
+        rng = random.Random(codim)
+        duals = []
+        while len(duals) < 40:
+            d = Subspace.from_vectors(n, [rng.getrandbits(n) for _ in range(codim)])
+            if d.dim == codim:
+                duals.append(d)
+        perps = rows_of([d.orthogonal_complement() for d in duals])
+        for eps in (Fraction(1, 48), Fraction(1, 6)):
+            rows, got = _certify_duals(f, _count_spectrum(f), dual_rows(duals), eps, inst3.xi)
+            assert np.array_equal(rows, perps)
+            expected = _certify_stack(f, perps, eps, inst3.xi)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+
+
 class TestStackedWalk:
     def test_stacks_are_maximal_runs_within_the_cap(self):
         n = 11
         cap = _STACK_ENTRIES >> n
         stream = Stream(4, "stacks")
-        dims = [3] * (2 * cap + 2) + [4] * 5 + [3] * cap + [5]
-        family = [_random_subspace(n, d, stream) for d in dims]
-        stacks = list(_stacks(family, n))
-        assert [len(st) for st in stacks] == [cap, cap, 2, 5, cap, 1]
-        assert [h for st in stacks for h in st] == family
-        for st in stacks:
-            assert len({h.dim for h in st}) == 1
+        runs = [(False, _random_stack(n, d, size, stream))
+                for d, size in ((3, 2 * cap + 2), (4, 5), (3, cap), (5, 1))]
+        runs.insert(2, (True, hyperplane_duals(n)[:cap + 3]))
+        stacks = list(_stacks(runs, n))
+        assert [len(st) for _, st in stacks] == [cap, cap, 2, 5, cap, 3, cap, 1]
+        assert [dual for dual, _ in stacks] == [False] * 4 + [True] * 2 + [False] * 2
+        flat = [(dual, row) for dual, st in stacks for row in st.tolist()]
+        assert flat == [(dual, row) for dual, rows in runs for row in rows.tolist()]
+        for _, st in stacks:
             assert len(st) << n <= _STACK_ENTRIES
 
     @pytest.mark.parametrize("eps", ["1/48", "1/16", "1/6"])
@@ -426,7 +552,7 @@ class TestStackedWalk:
             size = cap if dim % 2 else 9  # full stacks and short ones
             stack = [_random_subspace(n, dim, stream) for _ in range(size)]
             certified, irregular, passed = _certify_stack(
-                f, stack, Fraction(eps), inst3.xi
+                f, rows_of(stack), Fraction(eps), inst3.xi
             )
             for k, h in enumerate(stack):
                 report = check_subspace_regularity(f, h, eps)
@@ -453,8 +579,27 @@ class TestStackedWalk:
         bad = dataclasses.replace(f, values=values)
         with pytest.raises(ClaimViolationError, match="defining mean"):
             witness_scan(bad, h, "1/48", inst3.xi)
-        assert not _certify_stack(bad, [h], Fraction(1, 48), inst3.xi)[2][0]
-        assert _certify_stack(f, [h], Fraction(1, 48), inst3.xi)[2][0]
+        assert not _certify_stack(bad, rows_of([h]), Fraction(1, 48), inst3.xi)[2][0]
+        assert _certify_stack(f, rows_of([h]), Fraction(1, 48), inst3.xi)[2][0]
+
+        # the dual path: corrupt either coset of a hyperplane with two
+        # certified cosets (its counts, and so the spectrum, stay as they were)
+        eps = Fraction(1, 48)
+        duals = hyperplane_duals(11)
+        spectrum = _count_spectrum(f)
+        rows, (certified, _, passed) = _certify_duals(f, spectrum, duals, eps, inst3.xi)
+        assert passed.all()
+        k = int(np.flatnonzero(certified == 2)[-1])
+        h = Subspace.from_vectors(11, rows[k].tolist())
+        for rep in (0, 1 << int(duals[k, 0]).bit_length() - 1):
+            coset = AffineSubspace(h, F2Vector(11, rep)).element_array()
+            values = f.values.copy()
+            values[coset] = 1.0 - values[coset]
+            bad = dataclasses.replace(f, values=values)
+            with pytest.raises(ClaimViolationError, match="defining mean"):
+                witness_scan(bad, h, eps, inst3.xi)
+            _, (_, _, got) = _certify_duals(bad, spectrum, duals[k : k + 1], eps, inst3.xi)
+            assert not got[0]
 
     def test_s3_structured_walk_matches_oracle(self, inst3, monkeypatch):
         # 70 per dimension: one full stack and a short one for every dim
