@@ -436,34 +436,36 @@ def _top_bits(rows: np.ndarray) -> np.ndarray:
     return (np.frexp(rows)[1] - 1).astype(np.int64)
 
 
-def _dual_worst(spectrum: np.ndarray, duals: np.ndarray) -> np.ndarray:
-    """Largest nontrivial |numerator| of every coset of B subspaces H,
-    read from the full transform of a count table through their duals.
+def _dual_table(spectrum: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """Numerators of every coset of B subspaces H at every nontrivial
+    class, read from the full transform of a count table through their
+    duals.
 
     duals is a (B, c) stack of bases of D = H-perp in top-pivot echelon
     form (`_echelon_stack(..., top=True)`): row i has the highest set bit
     t_i, ascending in i, and no other row has bit t_i.  The members of
     F2^n with every t_i clear represent the classes mod D once each, and
-    0 represents D itself, the trivial class.  For each nontrivial class
-    rep eta, gathering spectrum[eta ^ u] over u in span(D) and running
-    one size-2^c transform gives 2^c times the numerator at eta of every
-    coset at once (Poisson summation; the transform runs across the
-    gathered rows of classes): entry j belongs to the coset whose
-    representative carries the bits of j at t_1..t_c, which is H's j-th
-    canonical representative.  Returns shape (B, 2^c), in that order.
+    0 represents D itself, the trivial class; the nonzero ones, ascending,
+    are the (n - c)-bit numbers 1, 2, ... with a zero bit inserted at each
+    t_i.  For each of them, eta, gathering spectrum[eta ^ u] over u in
+    span(D) and running one size-2^c transform gives 2^c times the
+    numerator at eta of every coset at once (Poisson summation; the
+    transform runs across the gathered rows of classes): entry j belongs
+    to the coset whose representative carries the bits of j at
+    t_1..t_c, which is H's j-th canonical representative.  Returns shape
+    (B, 2^c, 2^(n-c) - 1): [b, j, k - 1] is 2^c times the numerator of
+    coset j at the k-th nontrivial class rep.
     """
     n = spectrum.shape[-1].bit_length() - 1
     c = duals.shape[1]
-    # the nontrivial class reps of each distinct set of top bits: the
-    # nonzero (n - c)-bit numbers with a zero bit inserted at each t_i
     tops, inverse = np.unique(_top_bits(duals), axis=0, return_inverse=True)
-    classes = np.arange(1, 1 << (n - c), dtype=np.int64)
+    classes = np.arange(1, 1 << (n - c), dtype=np.int64)[None, :]
     for t in tops.T:
         t = t[:, None]
         classes = ((classes >> t) << (t + 1)) | (classes & ((1 << t) - 1))
     table = spectrum[_span_stack(duals)[:, :, None] ^ classes[inverse.ravel(), None, :]]
     _butterflies(table, 1, 1 << c, table.shape[2])
-    return np.abs(table, out=table).max(axis=2) >> c
+    return table
 
 
 def _class_spectra(

@@ -134,7 +134,8 @@ class Subspace:
         self._check_range()
 
     def _check_range(self) -> None:
-        if self.basis and self.basis[-1] >= (1 << self.n):
+        # rows are ordered by lowest set bit, not by value, so check each
+        if not all(0 < row < 1 << self.n for row in self.basis):
             raise ValueError("basis row out of range for ambient dimension")
 
     @classmethod
@@ -294,10 +295,6 @@ class AffineSubspace:
     def element_array(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
         """All elements of the coset as int64 encodings."""
         return self.subspace.span_array(dense_limit) ^ np.int64(self.representative.bits)
-
-    def elements(self) -> Iterator[F2Vector]:
-        for x in self.element_array():
-            yield F2Vector(self.n, int(x))
 
 
 @dataclass(frozen=True)

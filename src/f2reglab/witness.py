@@ -17,10 +17,12 @@ transform that the regularity report is built from; floating point
 appears only in the spot checks against the defining mean.
 
 `witness_scan` certifies one subspace.  The lower-bound walk certifies
-runs of equal-dimension subspaces in stacks: one exact transform per
-stack yields the same certificates, verdicts and checks for every
-subspace at once, and any subspace that fails a check is scanned again
-on its own, so reports and exceptions match the one-at-a-time walk.
+runs of equal-dimension subspaces in stacks, each from the duals of its
+subspaces and the table's one exact full transform (Poisson summation
+over H-perp): that yields the same certificates, verdicts and checks for
+every subspace of the stack at once, and any subspace that fails a check
+is scanned again on its own, so reports and exceptions match the
+one-at-a-time walk.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,8 +40,7 @@ from .fourier import (
     _buckets,
     _coset_transform,
     _count_spectrum,
-    _dual_worst,
-    _poisson_numerators,
+    _dual_table,
     _pullback_reps,
     _regularity_report,
     _signed,
@@ -394,48 +395,63 @@ def _random_stack(n: int, dim: int, count: int, stream: Stream) -> np.ndarray:
     return np.concatenate(kept)
 
 
+def _perp_stack(basis: np.ndarray, pivots: np.ndarray, n: int) -> np.ndarray:
+    """Complements of a (B, k) stack of reduced echelon bases whose row i
+    has its pivot at pivots[:, i]: the rows e_j + sum over i of
+    bit_j(basis_i) e_{pivots_i} for every non-pivot j, ascending, shape
+    (B, n - k).
+
+    Each such row is orthogonal to every basis row because the basis is
+    reduced (basis_i has the bit pivots_i' exactly when i = i').  Given a
+    top-pivot stack of duals D and their top bits, the rows are the
+    lowest-pivot echelon basis of H = D-perp (row j has lowest bit j);
+    given H's echelon basis and its lowest bits, they are H-perp in the
+    top-pivot echelon form of `_echelon_stack(..., top=True)` (row j has
+    top bit j).
+    """
+    count, k = basis.shape
+    columns = np.arange(n, dtype=np.int64)
+    full = np.broadcast_to(1 << columns, (count, n)).copy()
+    keep = np.ones((count, n), dtype=bool)
+    for i in range(k):
+        full |= ((basis[:, i, None] >> columns) & 1) << pivots[:, i, None]
+        keep &= columns != pivots[:, i, None]
+    return full[keep].reshape(count, n - k)
+
+
 def _walk(
     n: int, mode: str, random_per_dim: int, seed: int, max_codim: int
-) -> Iterator[tuple[bool, np.ndarray]]:
-    """The subspaces of a lower-bound walk in order, as runs of one
-    dimension and kind: (False, (B, d) echelon bases of H) or, for the
-    enumerated codimensions, (True, (B, c) top-pivot echelon bases of
-    H-perp, as `_dual_worst` takes them)."""
-    if mode == "exhaustive":
-        for d, group in groupby(enumerate_all_subspaces(n), key=lambda h: h.dim):
-            bases = [h.basis for h in group]
-            yield False, np.array(bases, dtype=np.int64).reshape(len(bases), d)
-        return
+) -> Iterator[np.ndarray]:
+    """The subspaces H of a lower-bound walk in order, as runs of one
+    dimension given by their duals: (B, c) top-pivot echelon bases of
+    H-perp, as `_certify_duals` takes them."""
     if mode == "structured":
-        yield False, 1 << np.arange(n, dtype=np.int64)[None, :]
+        yield np.zeros((1, 0), dtype=np.int64)
         for codim in range(1, max_codim + 1):
-            if codim == n:
-                yield False, np.zeros((1, 0), dtype=np.int64)
-                continue
             for duals in _echelon_bases(n, codim):
-                yield True, _echelon_stack(duals, n, top=True)[0]
-    for dim in range(1, n):
-        stream = Stream(seed, f"lowerbound/dim{dim}")
-        yield False, _random_stack(n, dim, random_per_dim, stream)
+                yield _echelon_stack(duals, n, top=True)[0]
+    if mode == "exhaustive":
+        runs = (
+            np.array([h.basis for h in group], dtype=np.int64)
+            for _, group in groupby(enumerate_all_subspaces(n), key=lambda h: h.dim)
+        )
+    else:
+        runs = (
+            _random_stack(n, dim, random_per_dim, Stream(seed, f"lowerbound/dim{dim}"))
+            for dim in range(1, n)
+        )
+    for rows in runs:
+        yield _perp_stack(rows, _top_bits(rows & -rows), n)
 
 
-def _stacks(
-    runs: Iterable[tuple[bool, np.ndarray]], n: int
-) -> Iterator[tuple[bool, np.ndarray]]:
+def _stacks(runs: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
     """Each run cut, in order, into stacks whose tables (2^n entries per
     subspace) stay within _STACK_ENTRIES; above n = 17 every stack is a
     single subspace."""
     cap = max(1, _STACK_ENTRIES >> n)
-    for dual, rows in runs:
-        for start in range(0, rows.shape[0], cap):
-            yield dual, rows[start : start + cap]
-
-
-def _stack_guards(f: FunctionTable, dense_limit: int) -> None:
-    """The guards of a stacked certificate on every subspace of f."""
-    if f.counts is None:
-        raise ValueError("witness scans need exact count tables (instance functions)")
-    check_dense(f.n, dense_limit, "pullback entries")
+    for duals in runs:
+        for start in range(0, duals.shape[0], cap):
+            yield duals[start : start + cap]
 
 
 def _gammas(rows: np.ndarray, reps: np.ndarray, xi: XiFamily) -> np.ndarray:
@@ -456,34 +472,53 @@ def _gammas(rows: np.ndarray, reps: np.ndarray, xi: XiFamily) -> np.ndarray:
     return gammas
 
 
-def _verdicts(
+def _certify_duals(
     f: FunctionTable,
+    spectrum: np.ndarray,
+    duals: np.ndarray,
     eps: Fraction,
-    span_of: Callable[[np.ndarray], np.ndarray],
-    reps: np.ndarray,
-    gammas: np.ndarray,
-    numerators: np.ndarray,
-    denominator: int,
-    nontrivial: np.ndarray,
-    worst: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The walk's checks on B subspaces of one dimension d, from their
-    cosets' exact numerators at gamma, whether gamma is nontrivial, and
-    the largest nontrivial |numerator| (all (B, R), coset reps
-    ascending); span_of maps subspace indices to their (K, 2^d) spans.
+    xi: XiFamily,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """witness_scan and the walk's checks on B nonzero subspaces H of
+    codimension c, given by their duals, a (B, c) top-pivot echelon stack
+    of bases of H-perp, from the count table's full transform
+    (`_count_spectrum`).
 
-    Returns per subspace the certified and the irregular coset counts and
-    whether every check passed: the certificate is ok, certified cosets
-    are irregular, the report is not regular (which also rules out a
-    regular report beside an ok certificate), and up to 4 certified
-    coefficients per subspace, strided as in `_cross_check`, equal the
-    defining mean.
+    With t_1 < ... < t_c the duals' top bits, H's canonical coset
+    representatives are the vectors carried by the t_i, its echelon
+    basis is `_perp_stack` of the duals at the t_i, and `_dual_table`
+    gives every coset's numerator at every nontrivial class.  H's pivots
+    are the other bits, so the bucket k of gamma carries the bits of
+    gamma's class rep at those pivots: k == 0 means gamma is trivial on
+    H, and otherwise the rep is the table's class k - 1.  Coset reps live
+    on the t_i and class reps off them, so the numerator at gamma is
+    (-1)^<r, gamma> times the class rep's.
+
+    Returns H's (B, n - c) echelon bases and, per subspace, the certified
+    and the irregular coset counts and whether every check passed: the
+    certificate is ok, certified cosets are irregular, the report is not
+    regular (which also rules out a regular report beside an ok
+    certificate), and up to 4 certified coefficients per subspace,
+    strided as in `_cross_check`, equal the defining mean.
     """
-    threshold = eps.numerator * denominator // eps.denominator
-    certified = nontrivial & (numerators > threshold)
-    irregular = worst > threshold
+    n = f.n
+    c = duals.shape[1]
+    tops = _top_bits(duals)
+    rows = _perp_stack(duals, tops, n)
+    reps = _span_stack(1 << tops)
+    gammas = _gammas(rows, reps, xi)
+    table = _dual_table(spectrum, duals)
+    buckets = _buckets(rows.T[:, :, None], gammas)
+    # a trivial gamma (bucket 0) reads the last class; `certified` drops it
+    numerators = np.take_along_axis(table, buckets[..., None] - 1, axis=2)[..., 0] >> c
+    _signed(numerators, reps, gammas)
+    worst = np.abs(table, out=table).max(axis=2) >> c
 
-    # a count c of the 2^(n-d) cosets exceeds eps * 2^(n-d) iff c > limit
+    denominator = f.denominator << (n - c)
+    threshold = eps.numerator * denominator // eps.denominator
+    certified = (buckets != 0) & (numerators > threshold)
+    irregular = worst > threshold
+    # a count of the 2^c cosets exceeds eps * 2^c iff it exceeds limit
     limit = eps.numerator * reps.shape[1] // eps.denominator
     certified_count = certified.sum(axis=1)
     irregular_count = irregular.sum(axis=1)
@@ -500,84 +535,12 @@ def _verdicts(
     sub, row = np.nonzero(certified)
     pick = ((np.cumsum(certified_count) - certified_count)[:, None] + offsets)[take]
     sub, row = sub[pick], row[pick]
-    coset = span_of(sub) ^ reps[sub, row][:, None]
+    coset = _span_stack(rows[sub]) ^ reps[sub, row][:, None]
     signs = 1.0 - 2.0 * (np.bitwise_count(coset & gammas[sub, row][:, None]) & 1)
     value = (f.values[coset] * signs).mean(axis=1)
     wrong = np.abs(value - numerators[sub, row] / denominator) > 1e-9
     passed[sub[wrong]] = False
-    return certified_count, irregular_count, passed
-
-
-def _certify_stack(
-    f: FunctionTable,
-    rows: np.ndarray,
-    eps: Fraction,
-    xi: XiFamily,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """witness_scan and the walk's checks (`_verdicts`) on B nonzero
-    subspaces of one dimension d, given as (B, d) echelon bases, from one
-    exact transform of shape (B, 2^(n-d), 2^d)."""
-    _stack_guards(f, dense_limit)
-    spans = _span_stack(rows)
-    # canonical coset representatives: the points with every pivot bit clear
-    points = np.arange(1 << f.n, dtype=np.int64)
-    free = (points & np.bitwise_or.reduce(rows & -rows, axis=1)[:, None]) == 0
-    reps = np.broadcast_to(points, free.shape)[free].reshape(rows.shape[0], -1)
-    gammas = _gammas(rows, reps, xi)
-
-    transform, denominator = _coset_transform(f, spans, reps)
-    buckets = _buckets(rows.T[:, :, None], gammas)
-    numerators = np.take_along_axis(transform, buckets[..., None], axis=2)[..., 0]
-    _signed(numerators, reps, gammas)
-    worst = np.abs(transform[..., 1:]).max(axis=2)
-    return _verdicts(
-        f, eps, spans.__getitem__, reps, gammas, numerators, denominator,
-        buckets != 0, worst,
-    )
-
-
-def _certify_duals(
-    f: FunctionTable,
-    spectrum: np.ndarray,
-    duals: np.ndarray,
-    eps: Fraction,
-    xi: XiFamily,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """`_certify_stack` on B subspaces of codimension c given by their
-    duals, a (B, c) top-pivot echelon stack of bases of H-perp, from the
-    count table's full transform (`_count_spectrum`).
-
-    With t_1 < ... < t_c the duals' top bits, H's canonical coset
-    representatives are the vectors carried by the t_i, and its echelon
-    basis is e_j plus the column j of the duals placed at the t_i, for
-    every other j.  The largest nontrivial |numerator| of each coset
-    comes from `_dual_worst`, and the numerators at gamma from
-    `_poisson_numerators`.  Returns H's (B, n - c) echelon bases and
-    `_certify_stack`'s three arrays.
-    """
-    n = f.n
-    count, c = duals.shape
-    tops = _top_bits(duals)
-    columns = np.arange(n, dtype=np.int64)
-    full = np.broadcast_to(1 << columns, (count, n)).copy()
-    keep = np.ones((count, n), dtype=bool)
-    for i in range(c):
-        full |= ((duals[:, i, None] >> columns) & 1) << tops[:, i, None]
-        keep &= columns != tops[:, i, None]
-    rows = full[keep].reshape(count, n - c)
-    dual_spans = _span_stack(duals)
-    reps = _span_stack(1 << tops)
-    gammas = _gammas(rows, reps, xi)
-
-    numerators = _poisson_numerators(spectrum, dual_spans[:, None, :], reps, gammas)
-    nontrivial = _buckets(rows.T[:, :, None], gammas) != 0
-    worst = _dual_worst(spectrum, duals)
-    denominator = f.denominator << (n - c)
-    return rows, _verdicts(
-        f, eps, lambda sub: _span_stack(rows[sub]), reps, gammas, numerators,
-        denominator, nontrivial, worst,
-    )
+    return rows, certified_count, irregular_count, passed
 
 
 def exhaustive_lowerbound_check(
@@ -601,10 +564,9 @@ def exhaustive_lowerbound_check(
     subspaces are collected in the report (informational large-eps runs).
 
     The walk certifies consecutive subspaces of one dimension in stacks
-    of at most _STACK_ENTRIES table entries: enumerated codimensions from
-    their duals and one full transform of the table per call
-    (`_certify_duals`), the rest by stacked coset transforms
-    (`_certify_stack`).  A subspace that fails any check there is scanned
+    of at most _STACK_ENTRIES table entries, every stack from its duals
+    and the one full transform of the table that the call computes
+    (`_certify_duals`).  A subspace that fails any check there is scanned
     again by `witness_scan`, in walk order, which raises or records the
     failure exactly as a one-at-a-time walk would.
     """
@@ -629,9 +591,9 @@ def exhaustive_lowerbound_check(
     spectrum = None
 
     runs = _walk(n, mode, random_per_dim, seed, max_enumerated_codim)
-    for dual, stack in _stacks(runs, n):
-        dim = n - stack.shape[1] if dual else stack.shape[1]
-        per_dim[dim] += len(stack)
+    for duals in _stacks(runs, n):
+        dim = n - duals.shape[1]
+        per_dim[dim] += len(duals)
         if dim == 0:
             zero_seen = True
             report = check_subspace_regularity(f, Subspace.zero(n), eps, dense_limit)
@@ -639,16 +601,15 @@ def exhaustive_lowerbound_check(
             if strict and not zero_regular:
                 raise ClaimViolationError("the zero subspace failed its regularity check")
             continue
-        checked += len(stack)
-        if dual:
-            if spectrum is None:
-                _stack_guards(f, dense_limit)
-                spectrum = _count_spectrum(f)
-            stack, (_, _, passed) = _certify_duals(f, spectrum, stack, eps, inst.xi)
-        else:
-            passed = _certify_stack(f, stack, eps, inst.xi, dense_limit)[2]
+        checked += len(duals)
+        if spectrum is None:
+            if f.counts is None:
+                raise ValueError("witness scans need exact count tables (instance functions)")
+            check_dense(n, dense_limit, "pullback entries")
+            spectrum = _count_spectrum(f)
+        rows, _, _, passed = _certify_duals(f, spectrum, duals, eps, inst.xi)
         certified += int(passed.sum())
-        for basis in stack[~passed].tolist():
+        for basis in rows[~passed].tolist():
             h = Subspace._from_echelon(n, tuple(basis))
             try:
                 cert = witness_scan(

@@ -189,6 +189,14 @@ class TestCheckDecompose:
         assert code == 2
         assert json.loads(out)["status"] == "index-guard"
 
+    @pytest.mark.parametrize("basis", ["9,2", "-1"])
+    def test_check_basis_out_of_range_exit_2(self, table_path, capsys, basis):
+        code, out, err = run_cli(
+            capsys, "check", "--in", str(table_path), f"--basis={basis}", "--eps", "1/32"
+        )
+        assert code == 2 and out == ""
+        assert "out of range" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--in", "/nonexistent", "--basis", "1", "--eps", "1/32")
         assert code == 2

@@ -445,18 +445,25 @@ def top_duals(hs):
 
 
 class TestDualWorst:
-    """The dual-side kernel equals the coset transform's largest
-    nontrivial magnitude on every coset, exactly."""
+    """Every entry of the dual-side table equals 2^c times the signed
+    coset transform entry, exactly: every coset at every nontrivial class
+    rep, the members of F2^n with the duals' top bits clear.  So does each
+    coset's worst nontrivial magnitude, which the walk reads from it."""
 
     def assert_equal_on_every_coset(self, f, hs):
         spectrum = fourier._count_spectrum(f)
-        got = fourier._dual_worst(spectrum, top_duals(hs))
-        assert got.shape == (len(hs), 1 << (f.n - hs[0].dim))
-        for h, row in zip(hs, got):
-            table, _ = fourier._coset_transform(
-                f, h.span_array(), h.coset_representative_array()
-            )
-            assert np.array_equal(row, np.abs(table[:, 1:]).max(axis=1))
+        duals = top_duals(hs)
+        got = fourier._dual_table(spectrum, duals)
+        c = duals.shape[1]
+        assert got.shape == (len(hs), 1 << c, (1 << (f.n - c)) - 1)
+        for h, d, table in zip(hs, duals.tolist(), got):
+            tops = sum(1 << (t.bit_length() - 1) for t in d)
+            etas = np.array([e for e in range(1, 1 << f.n) if not e & tops], dtype=np.int64)
+            reps = h.coset_representative_array()
+            assert np.array_equal(table, transform_numerators(f, h, reps, etas) << c)
+            primal, _ = fourier._coset_transform(f, h.span_array(), reps)
+            worst = np.abs(table).max(axis=1) >> c
+            assert np.array_equal(worst, np.abs(primal[:, 1:]).max(axis=1))
 
     def test_every_hyperplane_of_s2_and_s3(self, s3_table):
         for f in (Instance.generate(2, seed=1).table, s3_table):
@@ -477,6 +484,13 @@ class TestDualWorst:
             self.assert_equal_on_every_coset(
                 f, [random_subspace_of_codim(12, codim, rng) for _ in range(8)]
             )
+
+    def test_full_space(self, s3_table):
+        # c = 0: one coset, whose numerators are the spectrum itself
+        for f in (Instance.generate(2, seed=1).table, s3_table):
+            self.assert_equal_on_every_coset(f, [Subspace.full(f.n)] * 2)
+            table = fourier._dual_table(fourier._count_spectrum(f), np.zeros((1, 0), np.int64))
+            assert np.array_equal(table[0, 0], fourier._count_spectrum(f)[1:])
 
 
 class TestNarrowTransforms:
@@ -525,8 +539,8 @@ class TestNarrowTransforms:
             table, _ = fourier._coset_transform(f, h.span_array(), reps)
             index = reps[:, None] ^ h.span_array()[None, :]
             assert np.array_equal(table, fourier._fwht(counts[index].astype(np.int64)))
-        worst = fourier._dual_worst(spectrum, top_duals(hs[1:2]))
-        assert np.array_equal(worst, fourier._dual_worst(reference, top_duals(hs[1:2])))
+        table = fourier._dual_table(spectrum, top_duals(hs[1:2]))
+        assert np.array_equal(table, fourier._dual_table(reference, top_duals(hs[1:2])))
 
 
 class TestCountValidation:

@@ -58,6 +58,14 @@ class TestF2Vector:
 
 
 class TestEchelonize:
+    @pytest.mark.parametrize("rows", [(9, 2), (-1,), (2, -4), (8,)])
+    def test_rows_out_of_range_rejected(self, rows):
+        # echelon rows are ordered by lowest set bit, so 9 comes before 2
+        with pytest.raises(ValueError, match="out of range"):
+            Subspace.from_vectors(3, rows)
+        with pytest.raises(ValueError, match="out of range"):
+            Subspace(3, rows)
+
     def test_empty_span(self):
         sub = echelonize([], n=3)
         assert sub.dim == 0 and sub.index == 8

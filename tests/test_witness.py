@@ -36,7 +36,7 @@ from f2reglab.rng import Stream
 from f2reglab.witness import (
     _STACK_ENTRIES,
     _certify_duals,
-    _certify_stack,
+    _perp_stack,
     _random_stack,
     _stacks,
     _walk,
@@ -75,6 +75,35 @@ def dual_rows(duals):
 def hyperplane_duals(n):
     """Every nonzero eta as a (2^n - 1, 1) stack, in `subspaces_of_dim` order."""
     return rows_of(subspaces_of_dim(n, 1))
+
+
+def certify(f, hs, eps, xi):
+    """`_certify_duals` on the subspaces hs of one dimension, through
+    their duals from `orthogonal_complement`; checks the echelon bases it
+    hands back and returns its per-subspace counts and verdicts."""
+    rows, *got = _certify_duals(
+        f, _count_spectrum(f), dual_rows([h.orthogonal_complement() for h in hs]),
+        Fraction(eps), xi,
+    )
+    assert np.array_equal(rows, rows_of(hs))
+    return got
+
+
+def assert_stack_matches_scans(f, hs, eps, xi):
+    """The oracle of `_certify_duals`: each subspace's irregular coset count
+    from check_subspace_regularity, and its certified count and verdict
+    from witness_scan, which raises exactly where the stack fails a check."""
+    certified, irregular, passed = certify(f, hs, eps, xi)
+    for k, h in enumerate(hs):
+        report = check_subspace_regularity(f, h, eps)
+        assert irregular[k] == report.irregular_cosets
+        try:
+            cert = witness_scan(f, h, eps, xi)
+        except ClaimViolationError:
+            assert not passed[k]
+            continue
+        assert certified[k] == cert.certified_cosets
+        assert passed[k] and not report.is_regular
 
 
 def random_nonzero_subspace(n, rng):
@@ -422,19 +451,15 @@ class TestCrossCheckAgainstRegularityReport:
 
 
 def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
-    """The lower-bound walk with every stack failed, primal and dual, so
-    each subspace goes through the one-at-a-time witness_scan body: the
-    oracle of the stacks.  Dual stacks hand back H = D-perp computed by
+    """The lower-bound walk with every stack failed, so each subspace goes
+    through the one-at-a-time witness_scan body: the oracle of the
+    stacks.  Stacks hand back H = D-perp computed by
     `orthogonal_complement`, independently of `_certify_duals`."""
-    def fail_all(f, stack, *args):
-        return None, None, np.zeros(len(stack), dtype=bool)
-
     def fail_duals(f, spectrum, duals, *args):
         perps = [Subspace.from_vectors(f.n, d.tolist()).orthogonal_complement() for d in duals]
-        return rows_of(perps), fail_all(f, duals)
+        return rows_of(perps), None, None, np.zeros(len(duals), dtype=bool)
 
     with monkeypatch.context() as m:
-        m.setattr(witness, "_certify_stack", fail_all)
         m.setattr(witness, "_certify_duals", fail_duals)
         return exhaustive_lowerbound_check(inst, eps, **kwargs)
 
@@ -461,12 +486,9 @@ def old_walk(n, mode, random_per_dim, seed, max_codim):
 
 def walk_subspaces(n, mode, random_per_dim, seed, max_codim):
     out = []
-    for dual, rows in _walk(n, mode, random_per_dim, seed, max_codim):
-        for row in rows.tolist():
-            if dual:
-                out.append(Subspace.from_vectors(n, row).orthogonal_complement())
-            else:
-                out.append(Subspace(n, tuple(row)))
+    for duals in _walk(n, mode, random_per_dim, seed, max_codim):
+        assert np.array_equal(duals, _echelon_stack(duals, n, top=True)[0])
+        out += [Subspace.from_vectors(n, row).orthogonal_complement() for row in duals.tolist()]
     return out
 
 
@@ -494,37 +516,44 @@ class TestArrayWalk:
         assert walk_subspaces(4, "exhaustive", 0, 0, 1) == list(enumerate_all_subspaces(4))
 
     @pytest.mark.parametrize("eps", ["1/48", "1/16", "1/6"])
-    def test_dual_stacks_equal_certify_stack_on_every_hyperplane(self, inst2, inst3, eps):
+    def test_dual_stacks_equal_witness_scan_on_every_hyperplane(self, inst2, inst3, eps):
         for inst in (inst2, inst3):
-            f, n = inst.table, inst.n
+            n = inst.n
             cap = _STACK_ENTRIES >> n
-            spectrum = _count_spectrum(f)
-            duals = hyperplane_duals(n)
-            for start in range(0, len(duals), cap):
-                stack = duals[start : start + cap]
-                perps = [Subspace(n, (int(d),)).orthogonal_complement() for d in stack[:, 0]]
-                rows, got = _certify_duals(f, spectrum, stack, Fraction(eps), inst.xi)
-                assert np.array_equal(rows, rows_of(perps))
-                expected = _certify_stack(f, rows_of(perps), Fraction(eps), inst.xi)
-                for a, b in zip(got, expected):
-                    assert np.array_equal(a, b)
+            hyperplanes = [Subspace(n, (int(d),)).orthogonal_complement()
+                           for d in hyperplane_duals(n)[:, 0]]
+            for start in range(0, len(hyperplanes), cap):
+                assert_stack_matches_scans(
+                    inst.table, hyperplanes[start : start + cap], eps, inst.xi
+                )
 
     @pytest.mark.parametrize("codim", [2, 3])
-    def test_dual_stacks_equal_certify_stack_on_sampled_codims(self, inst3, codim):
-        f, n = inst3.table, inst3.n
+    def test_dual_stacks_equal_witness_scan_on_sampled_codims(self, inst3, codim):
+        n = inst3.n
         rng = random.Random(codim)
         duals = []
         while len(duals) < 40:
             d = Subspace.from_vectors(n, [rng.getrandbits(n) for _ in range(codim)])
             if d.dim == codim:
                 duals.append(d)
-        perps = rows_of([d.orthogonal_complement() for d in duals])
-        for eps in (Fraction(1, 48), Fraction(1, 6)):
-            rows, got = _certify_duals(f, _count_spectrum(f), dual_rows(duals), eps, inst3.xi)
-            assert np.array_equal(rows, perps)
-            expected = _certify_stack(f, perps, eps, inst3.xi)
-            for a, b in zip(got, expected):
-                assert np.array_equal(a, b)
+        perps = [d.orthogonal_complement() for d in duals]
+        for eps in ("1/48", "1/6"):
+            assert_stack_matches_scans(inst3.table, perps, eps, inst3.xi)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_perp_stack_is_the_orthogonal_complement_both_ways(self, seed):
+        n = 11
+        for dim in range(n + 1):
+            rows = _random_stack(n, dim, 40, Stream(seed, f"perp/{dim}"))
+            hs = [Subspace(n, tuple(r)) for r in rows.tolist()]
+            perps = dual_rows([h.orthogonal_complement() for h in hs])
+            # H's lowest bits give H-perp in top-pivot echelon form
+            lowest = np.bitwise_count((rows & -rows) - 1)
+            assert np.array_equal(_perp_stack(rows, lowest, n), perps)
+            # and the duals' top bits give H back in lowest-pivot form
+            tops = np.array([[r.bit_length() - 1 for r in p] for p in perps.tolist()],
+                            dtype=np.int64).reshape(40, n - dim)
+            assert np.array_equal(_perp_stack(perps, tops, n), rows)
 
 
 class TestStackedWalk:
@@ -532,38 +561,26 @@ class TestStackedWalk:
         n = 11
         cap = _STACK_ENTRIES >> n
         stream = Stream(4, "stacks")
-        runs = [(False, _random_stack(n, d, size, stream))
-                for d, size in ((3, 2 * cap + 2), (4, 5), (3, cap), (5, 1))]
-        runs.insert(2, (True, hyperplane_duals(n)[:cap + 3]))
+        runs = [_random_stack(n, d, size, stream)
+                for d, size in ((8, 2 * cap + 2), (7, 5), (8, cap), (6, 1))]
+        runs.insert(2, hyperplane_duals(n)[:cap + 3])
         stacks = list(_stacks(runs, n))
-        assert [len(st) for _, st in stacks] == [cap, cap, 2, 5, cap, 3, cap, 1]
-        assert [dual for dual, _ in stacks] == [False] * 4 + [True] * 2 + [False] * 2
-        flat = [(dual, row) for dual, st in stacks for row in st.tolist()]
-        assert flat == [(dual, row) for dual, rows in runs for row in rows.tolist()]
-        for _, st in stacks:
+        assert [len(st) for st in stacks] == [cap, cap, 2, 5, cap, 3, cap, 1]
+        assert [st.shape[1] for st in stacks] == [8, 8, 8, 7, 1, 1, 8, 6]
+        flat = [row for st in stacks for row in st.tolist()]
+        assert flat == [row for rows in runs for row in rows.tolist()]
+        for st in stacks:
             assert len(st) << n <= _STACK_ENTRIES
 
     @pytest.mark.parametrize("eps", ["1/48", "1/16", "1/6"])
     def test_stack_matches_witness_scan_and_report(self, inst3, eps):
-        f, n = inst3.table, inst3.n
+        n = inst3.n
         cap = _STACK_ENTRIES >> n
         stream = Stream(8, f"stack-oracle/{eps}")
         for dim in range(1, n + 1):
             size = cap if dim % 2 else 9  # full stacks and short ones
             stack = [_random_subspace(n, dim, stream) for _ in range(size)]
-            certified, irregular, passed = _certify_stack(
-                f, rows_of(stack), Fraction(eps), inst3.xi
-            )
-            for k, h in enumerate(stack):
-                report = check_subspace_regularity(f, h, eps)
-                assert irregular[k] == report.irregular_cosets
-                try:
-                    cert = witness_scan(f, h, eps, inst3.xi)
-                except ClaimViolationError:
-                    assert not passed[k]
-                    continue
-                assert certified[k] == cert.certified_cosets
-                assert passed[k] == (not report.is_regular)
+            assert_stack_matches_scans(inst3.table, stack, eps, inst3.xi)
 
     def test_spot_checks_use_the_strided_rows(self, inst3):
         # corrupt the defining mean on the last spot-checked coset only
@@ -579,15 +596,16 @@ class TestStackedWalk:
         bad = dataclasses.replace(f, values=values)
         with pytest.raises(ClaimViolationError, match="defining mean"):
             witness_scan(bad, h, "1/48", inst3.xi)
-        assert not _certify_stack(bad, rows_of([h]), Fraction(1, 48), inst3.xi)[2][0]
-        assert _certify_stack(f, rows_of([h]), Fraction(1, 48), inst3.xi)[2][0]
+        # bad keeps f's counts, so only the spot checks can see the change
+        assert not certify(bad, [h], "1/48", inst3.xi)[2][0]
+        assert certify(f, [h], "1/48", inst3.xi)[2][0]
 
         # the dual path: corrupt either coset of a hyperplane with two
         # certified cosets (its counts, and so the spectrum, stay as they were)
         eps = Fraction(1, 48)
         duals = hyperplane_duals(11)
         spectrum = _count_spectrum(f)
-        rows, (certified, _, passed) = _certify_duals(f, spectrum, duals, eps, inst3.xi)
+        rows, certified, _, passed = _certify_duals(f, spectrum, duals, eps, inst3.xi)
         assert passed.all()
         k = int(np.flatnonzero(certified == 2)[-1])
         h = Subspace.from_vectors(11, rows[k].tolist())
@@ -598,8 +616,7 @@ class TestStackedWalk:
             bad = dataclasses.replace(f, values=values)
             with pytest.raises(ClaimViolationError, match="defining mean"):
                 witness_scan(bad, h, eps, inst3.xi)
-            _, (_, _, got) = _certify_duals(bad, spectrum, duals[k : k + 1], eps, inst3.xi)
-            assert not got[0]
+            assert not _certify_duals(bad, spectrum, duals[k : k + 1], eps, inst3.xi)[3][0]
 
     def test_s3_structured_walk_matches_oracle(self, inst3, monkeypatch):
         # 70 per dimension: one full stack and a short one for every dim
