@@ -13,14 +13,12 @@ from .decompose import (
     DecompositionTrace,
     energy,
     find_regular_subspace,
-    refine_step,
 )
 from .fourier import (
     CosetSpectrum,
     FunctionTable,
     RegularityReport,
     as_fraction,
-    check_coset_regularity,
     check_subspace_regularity,
     restricted_coefficient,
     restricted_spectrum,
@@ -34,7 +32,6 @@ from .gf2 import (
     DimensionMismatchError,
     F2Vector,
     Subspace,
-    echelonize,
     enumerate_all_subspaces,
 )
 from .instance import (
@@ -62,7 +59,6 @@ from .rounding import (
     deviation_report,
     round_to_binary,
     sample_pairs,
-    spectrum_deviations,
 )
 from .tableio import (
     MalformedHeaderError,

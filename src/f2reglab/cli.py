@@ -33,9 +33,18 @@ from .tableio import TableFormatError, read_table, write_table
 from .witness import ClaimViolationError, exhaustive_lowerbound_check
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """A decimal ("0.03125") or an exact rational ("1/32"); a zero
+    denominator is a usage error like any other malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_epsilon(text: str) -> Fraction:
     """Accept a decimal ("0.03125") or an exact rational ("1/32")."""
-    value = Fraction(text)
+    value = _parse_fraction(text)
     if value <= 0:
         raise ValueError(f"epsilon must be positive, got {text}")
     return value
@@ -152,11 +161,10 @@ def cmd_verify_lowerbound(args: argparse.Namespace) -> int:
 
 def cmd_spanning(args: argparse.Namespace) -> int:
     count = args.count if args.count is not None else 8 * args.d
-    rho = Fraction(args.rho)
     family, check = generate_spanning_family(
         args.d,
         count,
-        rho,
+        _parse_fraction(args.rho),
         args.seed,
         max_retries=args.retries,
         sampled_samples=args.samples,

@@ -21,10 +21,11 @@ import numpy as np
 from .fourier import (
     FunctionTable,
     RegularityReport,
+    _pullback_reps,
     as_fraction,
     check_subspace_regularity,
 )
-from .gf2 import DEFAULT_DENSE_LIMIT, DimensionMismatchError, Subspace, check_dense
+from .gf2 import DEFAULT_DENSE_LIMIT, Subspace
 
 
 class DecompositionError(RuntimeError):
@@ -33,10 +34,7 @@ class DecompositionError(RuntimeError):
 
 def energy(f: FunctionTable, h: Subspace, dense_limit: int = DEFAULT_DENSE_LIMIT) -> float:
     """Mean over x of the squared mean of f over the coset of x."""
-    if f.n != h.n:
-        raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
-    check_dense(f.n, dense_limit, "pullback entries")
-    reps = h.coset_representative_array(dense_limit)
+    reps = _pullback_reps(f, h, dense_limit)
     span = h.span_array(dense_limit)
     means = f.values[reps[:, None] ^ span[None, :]].mean(axis=1)
     return float(np.square(means).mean())
@@ -56,25 +54,6 @@ def _refine(
         added = tuple(sorted({int(e) for e in report.witness_etas}))
     span = Subspace.from_vectors(h.n, added)
     return h.intersect(span.orthogonal_complement()), added
-
-
-def refine_step(
-    f: FunctionTable,
-    h: Subspace,
-    epsilon: "float | str | Fraction",
-    single_witness: bool = False,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> tuple[Subspace, frozenset[int]]:
-    """One refinement round: intersect H with the annihilator of the
-    worst witness character of every irregular coset.
-
-    Requires H to be irregular for f at eps.
-    """
-    report = check_subspace_regularity(f, h, epsilon, dense_limit)
-    if report.is_regular:
-        raise ValueError("refine_step requires an irregular subspace")
-    refined, added = _refine(h, report, single_witness)
-    return refined, frozenset(added)
 
 
 @dataclass(frozen=True)

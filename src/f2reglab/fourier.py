@@ -7,14 +7,26 @@ signed coset mean); the nontrivial spectrum of a coset is indexed by the
 classes of F2^n modulo H-perp, and each class is represented canonically
 by its member with all H-perp pivot coordinates zero.
 
-One private kernel computes every coset coefficient: it pulls f back
-through the basis parameterization of H over the requested cosets and
-runs one batched size-2^dim transform.  Count tables transform their
-integer numerators, so their coefficients are exact ratios and their
-regularity verdicts compare integers; other tables transform their float
-values.  A coset restriction is regular at level eps when every
-nontrivial class coefficient has absolute value at most eps; a subspace
-is regular when at least a (1 - eps) fraction of its cosets are.
+Three private kernels compute coset coefficients:
+
+* `_coset_transform` pulls f back through the basis parameterization of
+  H over the requested cosets and runs one batched size-2^dim transform.
+  `check_subspace_regularity`, `restricted_spectrum`, `witness_scan`
+  and the tail-translate averages of `witness` read their coefficients
+  from it.
+* `_dual_table` reads every coset's numerator at every nontrivial class
+  of a stack of subspaces from the count table's one full transform, by
+  Poisson summation over H-perp; the lower-bound walk certifies its
+  stacks from it.
+* `_poisson_numerators` reads single (coset, character) numerators from
+  that full transform; rounding deviation reports use it.
+
+Count tables transform their integer numerators, so their coefficients
+are exact ratios and their regularity verdicts compare integers; other
+tables transform their float values.  A coset restriction is regular at
+level eps when every nontrivial class coefficient has absolute value at
+most eps; a subspace is regular when at least a (1 - eps) fraction of
+its cosets are.
 """
 
 from __future__ import annotations
@@ -355,8 +367,7 @@ def _coset_transform(
     """Unnormalized transforms of f over the cosets reps[r] + H, where
     span lists H in basis-coefficient counting order (`span_array`).
 
-    This is the one kernel behind every coset coefficient: the
-    coefficient over the coset of reps[r] at eta is
+    The coefficient over the coset of reps[r] at eta is
     (-1)^<reps[r], eta> * T[r, bucket(eta)] / den.  Count tables
     transform their integer numerators, so T is exact and
     den = denominator * 2^dim; other tables transform their float values
@@ -468,83 +479,24 @@ def _dual_table(spectrum: np.ndarray, duals: np.ndarray) -> np.ndarray:
     return table
 
 
-def _class_spectra(
-    f: FunctionTable, h: Subspace, reps: np.ndarray, dense_limit: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class representatives and the float coefficient matrix of the
-    cosets of reps; count tables give the correctly rounded exact ratio."""
-    table, den = _coset_transform(f, h.span_array(dense_limit), reps)
-    etas, z = _class_maps(h)
-    values = table[:, z].astype(np.float64, copy=False)
-    values /= den
-    return etas, _signed(values, reps[:, None], etas[None, :])
-
-
-def _worst_classes(
-    h: Subspace, eps: Fraction, reps: np.ndarray, table: np.ndarray, den: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Worst nontrivial class of each coset from its transform row.
-
-    Returns (etas, worst, values, irregular): etas[worst[r]] has the
-    largest coefficient magnitude on row r (ties go to the smallest
-    representative), values[r] is its signed coefficient and irregular[r]
-    says whether that magnitude exceeds eps.  The verdict compares |T|
-    with eps scaled by den: floor(eps * den) for integer tables, which is
-    exact, and eps * den for float tables, a power-of-two scaling of the
-    float comparison.  Requires a nonzero subspace.
-    """
-    etas, z = _class_maps(h)
-    magnitudes = table[:, z[1:]]
-    np.abs(magnitudes, out=magnitudes)
-    rows = np.arange(reps.shape[0])
-    worst = np.argmax(magnitudes, axis=1)
-    worst_abs = magnitudes[rows, worst]
-    worst += 1
-    if table.dtype.kind == "f":
-        threshold = float(eps) * den
-    else:
-        threshold = eps.numerator * den // eps.denominator
-    values = _signed(table[rows, z[worst]] / den, reps, etas[worst])
-    return etas, worst, values, worst_abs > threshold
-
-
 def restricted_spectrum(
     f: FunctionTable, a: AffineSubspace, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> CosetSpectrum:
     """All class coefficients of f over the coset a at once.
 
     Pulls f back through the basis parameterization of the coset and
-    runs one size-2^dim transform.
-    """
-    _check_table_coset(f, a)
-    check_dense(a.subspace.dim, dense_limit, "spectrum entries")
-    reps = np.array([a.representative.bits], dtype=np.int64)
-    etas, values = _class_spectra(f, a.subspace, reps, dense_limit)
-    return CosetSpectrum(coset=a, class_reps=etas, coefficients=values[0])
-
-
-def check_coset_regularity(
-    f: FunctionTable,
-    a: AffineSubspace,
-    epsilon: "float | str | Fraction",
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> tuple[bool, tuple[F2Vector, float] | None]:
-    """Is every nontrivial class coefficient of f over a at most eps?
-
-    Returns the verdict and the worst nontrivial class (ties broken by
-    the smallest canonical representative encoding); None when the coset
-    has no nontrivial classes (single-point subspace direction).  The
-    verdict is exact on count tables.
+    runs one size-2^dim transform; count tables give the correctly
+    rounded exact ratio.
     """
     _check_table_coset(f, a)
     h = a.subspace
     check_dense(h.dim, dense_limit, "spectrum entries")
-    if h.dim == 0:
-        return True, None
-    reps = np.array([a.representative.bits], dtype=np.int64)
-    table, den = _coset_transform(f, h.span_array(dense_limit), reps)
-    etas, worst, values, irregular = _worst_classes(h, as_fraction(epsilon), reps, table, den)
-    return not irregular[0], (F2Vector(f.n, int(etas[worst[0]])), float(values[0]))
+    rep = np.int64(a.representative.bits)
+    table, den = _coset_transform(f, h.span_array(dense_limit), rep[None])
+    etas, z = _class_maps(h)
+    values = table[0, z].astype(np.float64, copy=False)
+    values /= den
+    return CosetSpectrum(coset=a, class_reps=etas, coefficients=_signed(values, rep, etas))
 
 
 def _pullback_reps(f: FunctionTable, h: Subspace, dense_limit: int) -> np.ndarray:
@@ -555,32 +507,36 @@ def _pullback_reps(f: FunctionTable, h: Subspace, dense_limit: int) -> np.ndarra
     return h.coset_representative_array(dense_limit)
 
 
-def coset_spectra_matrix(
-    f: FunctionTable, h: Subspace, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Class coefficients of f over every coset of h in one batch.
-
-    Returns (reps, etas, V): V[r, k] is the coefficient of f over the
-    coset of reps[r] at the canonical class representative etas[k]; both
-    index arrays ascend.  Memory is one 2^n float matrix.
-    """
-    reps = _pullback_reps(f, h, dense_limit)
-    etas, values = _class_spectra(f, h, reps, dense_limit)
-    return reps, etas, values
-
-
 def _regularity_report(
     h: Subspace, eps: Fraction, reps: np.ndarray, table: np.ndarray, den: int
 ) -> tuple[RegularityReport, np.ndarray]:
     """Regularity report of h from the transform rows of all its cosets,
-    with the per-coset irregular mask."""
+    with the per-coset irregular mask.
+
+    A coset's worst nontrivial class is the one of largest coefficient
+    magnitude on its row (ties go to the smallest representative).  The
+    verdict compares |T| with eps scaled by den: floor(eps * den) for
+    integer tables, which is exact, and eps * den for float tables, a
+    power-of-two scaling of the float comparison.
+    """
     total = reps.shape[0]
     if h.dim == 0:
         irregular = np.zeros(total, dtype=bool)
         witness_etas, witness_values = np.empty(0, dtype=np.int64), np.empty(0)
     else:
-        etas, worst, values, irregular = _worst_classes(h, eps, reps, table, den)
-        witness_etas, witness_values = etas[worst[irregular]], values[irregular]
+        etas, z = _class_maps(h)
+        magnitudes = table[:, z[1:]]
+        np.abs(magnitudes, out=magnitudes)
+        worst = np.argmax(magnitudes, axis=1)
+        worst_abs = magnitudes[np.arange(total), worst]
+        if table.dtype.kind == "f":
+            threshold = float(eps) * den
+        else:
+            threshold = eps.numerator * den // eps.denominator
+        irregular = worst_abs > threshold
+        rows, worst = np.flatnonzero(irregular), worst[irregular] + 1
+        witness_etas = etas[worst]
+        witness_values = _signed(table[rows, z[worst]] / den, reps[rows], witness_etas)
     report = RegularityReport(
         subspace=h,
         epsilon=eps,

@@ -74,23 +74,9 @@ class F2Vector:
             bits |= (c == "1") << j
         return cls(len(coords), bits)
 
-    def to_string(self) -> str:
-        return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.n))
-
     def bit(self, j: int) -> int:
         """Coordinate j in 0-based bit indexing."""
         return (self.bits >> j) & 1
-
-    def __xor__(self, other: "F2Vector") -> "F2Vector":
-        if self.n != other.n:
-            raise DimensionMismatchError(f"n mismatch: {self.n} vs {other.n}")
-        return F2Vector(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "F2Vector") -> int:
-        """Standard inner product over F2."""
-        if self.n != other.n:
-            raise DimensionMismatchError(f"n mismatch: {self.n} vs {other.n}")
-        return parity(self.bits & other.bits)
 
     def __repr__(self) -> str:
         return f"F2Vector({self.n}, 0b{self.bits:0{self.n}b})"
@@ -202,10 +188,6 @@ class Subspace:
     def contains(self, v: "F2Vector | int") -> bool:
         return self.reduce(v) == 0
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains(r) for r in other.basis)
-
     def orthogonal_complement(self) -> "Subspace":
         """All characters vanishing on this subspace."""
         piv = self.pivots
@@ -224,20 +206,12 @@ class Subspace:
         joined = self.orthogonal_complement().basis + other.orthogonal_complement().basis
         return Subspace._from_echelon(self.n, _echelon_rows(joined)).orthogonal_complement()
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace._from_echelon(self.n, _echelon_rows(self.basis + other.basis))
-
-    def coset_representatives(
-        self, dense_limit: int = DEFAULT_DENSE_LIMIT
-    ) -> list[F2Vector]:
-        """Canonical representatives of all 2^(n-dim) cosets."""
-        return [F2Vector(self.n, int(b)) for b in self.coset_representative_array(dense_limit)]
-
     def coset_representative_array(
         self, dense_limit: int = DEFAULT_DENSE_LIMIT
     ) -> np.ndarray:
-        """Canonical coset representatives as an ascending int64 array.
+        """Canonical coset representatives as an ascending int64 array:
+        the subset sums of the unit vectors at the free positions, entry k
+        summing those selected by the bits of k.
 
         The returned array is read-only (it may be shared by a cache).
         """
@@ -247,7 +221,7 @@ class Subspace:
             raise DenseLimitError("dense arrays require ambient dimension <= 62")
         if k <= 12:
             return _cached_scatter(self.free_positions)
-        return scatter_array(self.free_positions)
+        return _span_of_rows([1 << p for p in self.free_positions])
 
     def span_array(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
         """All 2^dim elements, ordered by basis-coefficient counting.
@@ -328,34 +302,9 @@ class BlockStructure:
         lo = self.offsets[i - 1]
         return (_as_bits(x) >> lo) & ((1 << self.dims[i - 1]) - 1)
 
-    def embed(self, value: int, i: int) -> int:
-        """Place a d_i-bit value into block i of an otherwise-zero vector."""
-        if not 0 <= value < (1 << self.dims[i - 1]):
-            raise ValueError(f"value {value} out of range for block {i}")
-        return value << self.offsets[i - 1]
-
     def prefix(self, x: "F2Vector | int", i: int) -> int:
         """Bits of blocks 1..i-1 of x (the D_{i-1}-bit prefix)."""
         return _as_bits(x) & ((1 << self.offsets[i - 1]) - 1)
-
-
-def echelonize(vectors: Sequence[F2Vector], n: int | None = None) -> Subspace:
-    """Canonical basis of the span of the given vectors.
-
-    The ambient dimension is taken from the vectors and must be uniform;
-    pass n explicitly to allow an empty list.
-    """
-    if vectors:
-        ns = {v.n for v in vectors}
-        if len(ns) > 1:
-            raise DimensionMismatchError(f"mixed ambient dimensions: {sorted(ns)}")
-        ambient = ns.pop()
-        if n is not None and n != ambient:
-            raise DimensionMismatchError(f"n mismatch: {n} vs {ambient}")
-        n = ambient
-    if n is None:
-        raise ValueError("empty vector list needs an explicit ambient dimension")
-    return Subspace.from_vectors(n, vectors)
 
 
 # Rows per array of `_echelon_bases`.
@@ -418,18 +367,6 @@ def enumerate_all_subspaces(n: int) -> Iterator[Subspace]:
         yield from subspaces_of_dim(n, d)
 
 
-def scatter_array(positions: Sequence[int]) -> np.ndarray:
-    """All subset-sums of the given bit positions, ascending int64.
-
-    positions must be strictly increasing; entry k is the integer whose
-    set bits are the positions selected by the bits of k.
-    """
-    out = np.zeros(1, dtype=np.int64)
-    for p in positions:
-        out = np.concatenate([out, out | np.int64(1 << p)])
-    return out
-
-
 def _span_of_rows(rows: Sequence[int]) -> np.ndarray:
     span = np.zeros(1, dtype=np.int64)
     for r in rows:
@@ -483,7 +420,7 @@ def _cached_span(rows: tuple[int, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def _cached_scatter(positions: tuple[int, ...]) -> np.ndarray:
-    out = scatter_array(positions)
+    out = _span_of_rows([1 << p for p in positions])
     out.setflags(write=False)
     return out
 

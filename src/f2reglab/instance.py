@@ -18,7 +18,6 @@ table sizes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -442,7 +441,6 @@ class XiFamily:
 def build_xi(
     params: TowerParams,
     seed: int,
-    rho: "float | str | Fraction" = Fraction(3, 4),
     max_retries: int = 100,
     sampled_samples: int = 10**6,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
@@ -470,7 +468,7 @@ def build_xi(
             vectors, check = generate_spanning_family(
                 d,
                 count,
-                rho,
+                Fraction(3, 4),
                 Stream(seed, f"xi/{i}").u64(),
                 max_retries=max_retries,
                 sampled_samples=sampled_samples,
@@ -553,7 +551,6 @@ class Instance:
         s: int,
         seed: int,
         dense_limit: int = DEFAULT_DENSE_LIMIT,
-        rho: "float | str | Fraction" = Fraction(3, 4),
         max_retries: int = 100,
         sampled_samples: int = 10**6,
     ) -> "Instance":
@@ -561,7 +558,6 @@ class Instance:
             block_dims(s),
             seed,
             dense_limit=dense_limit,
-            rho=rho,
             max_retries=max_retries,
             sampled_samples=sampled_samples,
         )
@@ -572,7 +568,6 @@ class Instance:
         params: TowerParams,
         seed: int,
         dense_limit: int = DEFAULT_DENSE_LIMIT,
-        rho: "float | str | Fraction" = Fraction(3, 4),
         max_retries: int = 100,
         sampled_samples: int = 10**6,
     ) -> "Instance":
@@ -580,7 +575,6 @@ class Instance:
         xi = build_xi(
             params,
             seed,
-            rho=rho,
             max_retries=max_retries,
             sampled_samples=sampled_samples,
             dense_limit=dense_limit,
@@ -628,7 +622,3 @@ def manifest(inst: Instance, xi_entry_cap: int = 65536) -> dict:
         out["xi"] = None
         out["xi_omitted_entries"] = total_entries
     return out
-
-
-def manifest_json(inst: Instance, xi_entry_cap: int = 65536) -> str:
-    return json.dumps(manifest(inst, xi_entry_cap), sort_keys=True, indent=2) + "\n"

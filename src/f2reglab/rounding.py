@@ -26,7 +26,6 @@ from .fourier import (
     FunctionTable,
     _count_spectrum,
     _poisson_numerators,
-    coset_spectra_matrix,
 )
 from .gf2 import (
     DEFAULT_DENSE_LIMIT,
@@ -271,16 +270,3 @@ def sample_pairs(
         eta = F2Vector(n, stream.bits(n))
         pairs.append((AffineSubspace(h, rep), eta))
     return pairs
-
-
-def spectrum_deviations(
-    f: FunctionTable,
-    s: FunctionTable,
-    h: Subspace,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficient deviations |s_hat - f_hat| over every coset of h and
-    every class at once; returns (reps, etas, deviations)."""
-    reps, etas, vf = coset_spectra_matrix(f, h, dense_limit)
-    _, _, vs = coset_spectra_matrix(s, h, dense_limit)
-    return reps, etas, np.abs(vs - vf)

@@ -47,11 +47,9 @@ from .fourier import (
     _top_bits,
     as_fraction,
     check_subspace_regularity,
-    restricted_coefficient,
 )
 from .gf2 import (
     DEFAULT_DENSE_LIMIT,
-    AffineSubspace,
     BlockStructure,
     F2Vector,
     Subspace,
@@ -172,13 +170,6 @@ class WitnessCertificate:
     def coefficient(self, r: int) -> Fraction:
         return Fraction(int(self.numerators[r]), self.denominator)
 
-    def records(self) -> list[tuple[F2Vector, F2Vector, Fraction]]:
-        n = self.subspace.n
-        return [
-            (F2Vector(n, int(rep)), F2Vector(n, int(g)), self.coefficient(r))
-            for r, (rep, g) in enumerate(zip(self.reps, self.gammas))
-        ]
-
 
 def witness_scan(
     f: FunctionTable,
@@ -222,7 +213,7 @@ def witness_scan(
 
     bad = Fraction(int((~nontrivial).sum()), reps.shape[0])
 
-    report = irregular = None
+    report = None
     if cross_check:
         report, irregular = _regularity_report(h, eps, reps, transform, denominator)
     cert = WitnessCertificate(
@@ -240,7 +231,15 @@ def witness_scan(
         regularity_report=report,
     )
     if cross_check:
-        _cross_check(f, h, cert, irregular)
+        if (certified & ~irregular).any():
+            raise ClaimViolationError("certified coset not irregular in the regularity report")
+        if report.is_regular and cert.ok:
+            raise ClaimViolationError("certificate contradicts the regularity report")
+        if not _spot_checks(
+            f, np.array([h.basis]), reps[None], gammas[None], numerators[None],
+            denominator, certified[None],
+        )[0]:
+            raise ClaimViolationError("defining mean and exact coefficient disagree")
     if not cert.ok:
         raise ClaimViolationError(
             f"witness fraction {cert.irregular_fraction} is not above {eps} "
@@ -249,24 +248,37 @@ def witness_scan(
     return cert
 
 
-def _cross_check(
-    f: FunctionTable, h: Subspace, cert: WitnessCertificate, irregular: np.ndarray
-) -> None:
-    """Check the certificate against its regularity report (irregular is
-    the report's per-coset mask) and against the defining mean."""
-    if (cert.certified & ~irregular).any():
-        raise ClaimViolationError(
-            "certified coset not irregular in the regularity report"
-        )
-    if cert.regularity_report.is_regular and cert.ok:
-        raise ClaimViolationError("certificate contradicts the regularity report")
-    # spot-check the exact coefficients against the defining mean
-    rows = np.flatnonzero(cert.certified)
-    for row in rows[:: max(1, rows.size // 4)][:4]:
-        coset = AffineSubspace(h, F2Vector(h.n, int(cert.reps[row])))
-        value = restricted_coefficient(f, coset, F2Vector(h.n, int(cert.gammas[row])))
-        if abs(value - float(cert.coefficient(row))) > 1e-9:
-            raise ClaimViolationError("defining mean and exact coefficient disagree")
+def _spot_checks(
+    f: FunctionTable,
+    rows: np.ndarray,
+    reps: np.ndarray,
+    gammas: np.ndarray,
+    numerators: np.ndarray,
+    denominator: int,
+    certified: np.ndarray,
+) -> np.ndarray:
+    """Which of B certificates pass their spot checks against the
+    defining mean.
+
+    rows is a (B, d) stack of echelon bases of the subspaces, and the
+    other arrays are their (B, R) per-coset certificate entries.  Each
+    subspace checks the certified rows r[::max(1, len(r) // 4)][:4]: the
+    mean of f(x) (-1)^<x, gamma> over the coset must equal
+    numerator / denominator to within 1e-9.
+    """
+    count = certified.sum(axis=1)
+    offsets = np.arange(4) * np.maximum(1, count // 4)[:, None]
+    take = offsets < count[:, None]
+    sub, row = np.nonzero(certified)
+    pick = ((np.cumsum(count) - count)[:, None] + offsets)[take]
+    sub, row = sub[pick], row[pick]
+    coset = _span_stack(rows[sub]) ^ reps[sub, row][:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(coset & gammas[sub, row][:, None]) & 1)
+    value = (f.values[coset] * signs).mean(axis=1)
+    wrong = np.abs(value - numerators[sub, row] / denominator) > 1e-9
+    passed = np.ones(rows.shape[0], dtype=bool)
+    passed[sub[wrong]] = False
+    return passed
 
 
 def _w_class_fractions(
@@ -498,8 +510,7 @@ def _certify_duals(
     and the irregular coset counts and whether every check passed: the
     certificate is ok, certified cosets are irregular, the report is not
     regular (which also rules out a regular report beside an ok
-    certificate), and up to 4 certified coefficients per subspace,
-    strided as in `_cross_check`, equal the defining mean.
+    certificate), and the certificate passes `_spot_checks`.
     """
     n = f.n
     c = duals.shape[1]
@@ -526,20 +537,8 @@ def _certify_duals(
         (certified_count > limit)
         & (irregular_count > limit)
         & ~(certified & ~irregular).any(axis=1)
+        & _spot_checks(f, rows, reps, gammas, numerators, denominator, certified)
     )
-
-    # spot checks: the certified rows r[::step][:4] of each subspace
-    step = np.maximum(1, certified_count // 4)
-    offsets = np.arange(4) * step[:, None]
-    take = offsets < certified_count[:, None]
-    sub, row = np.nonzero(certified)
-    pick = ((np.cumsum(certified_count) - certified_count)[:, None] + offsets)[take]
-    sub, row = sub[pick], row[pick]
-    coset = _span_stack(rows[sub]) ^ reps[sub, row][:, None]
-    signs = 1.0 - 2.0 * (np.bitwise_count(coset & gammas[sub, row][:, None]) & 1)
-    value = (f.values[coset] * signs).mean(axis=1)
-    wrong = np.abs(value - numerators[sub, row] / denominator) > 1e-9
-    passed[sub[wrong]] = False
     return rows, certified_count, irregular_count, passed
 
 

@@ -8,11 +8,11 @@ from pathlib import Path
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-def gate(workload):
+def gate(workload, trace="0"):
     # a one-second run still checks the workload's oracles and golden digests
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", "3",
-         "--seconds", "1", "--trace", "0"],
+         "--seconds", "1", "--trace", trace],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -27,6 +27,12 @@ def test_spanning_s4_gate_is_correct():
 
 def test_lowerbound_s3_gate_is_correct():
     gate("lowerbound-s3")
+
+
+def test_lowerbound_s3_traced_gate_is_correct():
+    # only the traced replay scans each subspace with witness_scan's
+    # cross-check, and its digests must equal the untraced pass's
+    gate("lowerbound-s3", trace="1")
 
 
 def test_rounding_n20_gate_is_correct():

@@ -197,6 +197,16 @@ class TestCheckDecompose:
         assert code == 2 and out == ""
         assert "out of range" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "--in", "{table}", "--basis", "1", "--eps", "1/0"),
+        ("decompose", "--in", "{table}", "--eps", "1/0"),
+        ("verify-lowerbound", "--s", "2", "--eps", "1/0"),
+        ("spanning", "--d", "3", "--rho", "1/0"),
+    ])
+    def test_zero_denominator_exit_2(self, table_path, capsys, argv):
+        code, out, err = run_cli(capsys, *(a.format(table=table_path) for a in argv))
+        assert code == 2 and out == "" and "zero denominator" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--in", "/nonexistent", "--basis", "1", "--eps", "1/32")
         assert code == 2

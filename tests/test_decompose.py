@@ -15,7 +15,6 @@ from f2reglab import (
     check_subspace_regularity,
     energy,
     find_regular_subspace,
-    refine_step,
 )
 
 S2_VALUES = [1.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.0]
@@ -76,32 +75,25 @@ class TestEnergy:
 
 
 class TestRefineStep:
+    """The refinement rounds of find_regular_subspace."""
+
     def test_single_character_function(self):
         f = character_indicator(6, 5)
-        refined, added = refine_step(f, Subspace.full(6), 0.25)
-        assert added == {5}
-        assert refined == Subspace.from_vectors(6, [5]).orthogonal_complement()
+        trace = find_regular_subspace(f, 0.25)
+        assert [rec.added_characters for rec in trace.iterations] == [(5,)]
+        assert trace.final_subspace == Subspace.from_vectors(6, [5]).orthogonal_complement()
 
     def test_s2_table_from_full_space(self, s2_table):
-        refined, added = refine_step(s2_table, Subspace.full(3), "1/32")
-        assert added == {1}  # worst coefficient 1/4 at e1
-        gain = energy(s2_table, refined) - energy(s2_table, Subspace.full(3))
-        assert gain == 1 / 16
-
-    def test_rejects_regular_subspace(self, s2_table):
-        with pytest.raises(ValueError):
-            refine_step(s2_table, Subspace.zero(3), 0.5)
+        first = find_regular_subspace(s2_table, "1/32").iterations[0]
+        assert first.dim == 3
+        assert first.added_characters == (1,)  # worst coefficient 1/4 at e1
+        assert first.energy_gain == 1 / 16
 
     def test_strict_shrinkage(self, s2_table):
-        h = Subspace.full(3)
-        for _ in range(5):
-            report = check_subspace_regularity(s2_table, h, "1/32")
-            if report.is_regular:
-                break
-            refined, _ = refine_step(s2_table, h, "1/32")
-            assert refined.dim < h.dim
-            h = refined
-        assert check_subspace_regularity(s2_table, h, "1/32").is_regular
+        trace = find_regular_subspace(s2_table, "1/32")
+        dims = [rec.dim for rec in trace.iterations] + [trace.final_subspace.dim]
+        assert len(dims) > 2 and all(a > b for a, b in zip(dims, dims[1:]))
+        assert check_subspace_regularity(s2_table, trace.final_subspace, "1/32").is_regular
 
 
 class TestFindRegularSubspace:
@@ -121,7 +113,7 @@ class TestFindRegularSubspace:
         assert trace.final_subspace.index <= 8
         assert trace.final_report.is_regular
         span = Subspace.from_vectors(n, etas)
-        assert trace.final_subspace.contains_subspace(span.orthogonal_complement())
+        assert all(trace.final_subspace.contains(r) for r in span.orthogonal_complement().basis)
 
     def test_s2_instance_reaches_zero_subspace(self, s2_table):
         trace = find_regular_subspace(s2_table, "1/32")

@@ -18,7 +18,6 @@ from f2reglab import (
     FunctionTable,
     Instance,
     Subspace,
-    check_coset_regularity,
     check_subspace_regularity,
     restricted_coefficient,
     restricted_spectrum,
@@ -270,48 +269,35 @@ class TestRestrictedSpectrum:
 
 
 class TestCosetRegularity:
+    """Per-coset verdicts and witnesses, as the subspace report gives them."""
+
     def test_constant_always_regular(self):
+        # every nontrivial coefficient of a constant is exactly zero
         f = FunctionTable.constant(3, 0.7)
-        coset = AffineSubspace(Subspace.from_vectors(3, [1, 2]))
-        ok, worst = check_coset_regularity(f, coset, 0.0)
-        assert ok and abs(worst[1]) < 1e-15
-
-    def test_single_point_vacuously_regular(self, s2_table):
-        ok, worst = check_coset_regularity(
-            s2_table, AffineSubspace(Subspace.zero(3), F2Vector(3, 6)), 0.0
-        )
-        assert ok and worst is None
-
-    def test_canonical_irregular_coset(self, s2_table):
-        h = Subspace.from_vectors(3, [1])
-        ok, worst = check_coset_regularity(
-            s2_table, AffineSubspace(h, F2Vector(3, 0)), "1/32"
-        )
-        assert not ok
-        assert worst[0].bits == 1 and worst[1] == 0.25
+        report = check_subspace_regularity(f, Subspace.from_vectors(3, [1, 2]), 0.0)
+        assert report.is_regular and report.regular_cosets == report.total_cosets == 2
 
     def test_full_space_irregular(self, s2_table):
-        ok, worst = check_coset_regularity(
-            s2_table, AffineSubspace(Subspace.full(3)), "1/32"
-        )
-        assert not ok
-        assert worst[0].bits == 1 and worst[1] == 0.25
+        report = check_subspace_regularity(s2_table, Subspace.full(3), "1/32")
+        assert not report.is_regular
+        assert [(r.bits, e.bits, v) for r, e, v in report.witnesses] == [(0, 1, 0.25)]
 
     def test_tie_break_smallest_encoding(self):
         # point indicator: all nontrivial coefficients tie at 1/4
         values = np.zeros(4)
         values[0] = 1.0
-        ok, worst = check_coset_regularity(
-            FunctionTable(2, values), AffineSubspace(Subspace.full(2)), 0.1
-        )
-        assert not ok and worst[0].bits == 1 and worst[1] == 0.25
+        report = check_subspace_regularity(FunctionTable(2, values), Subspace.full(2), 0.1)
+        assert not report.is_regular
+        assert report.witness_etas.tolist() == [1] and report.witness_values.tolist() == [0.25]
 
     def test_count_table_coefficient_at_eps_is_regular(self, s3_table):
         # over this coset the worst coefficients of the s = 3 instance are
         # exactly 1/6, which the float transform rounds above 1/6
-        coset = AffineSubspace(Subspace.from_vectors(11, [793, 78]), F2Vector(11, 16))
-        ok, worst = check_coset_regularity(s3_table, coset, "1/6")
-        assert ok and abs(worst[1]) == 1 / 6
+        h = Subspace.from_vectors(11, [793, 78])
+        spec = restricted_spectrum(s3_table, AffineSubspace(h, F2Vector(11, 16)))
+        assert np.abs(spec.coefficients[1:]).max() == 1 / 6
+        report = check_subspace_regularity(s3_table, h, "1/6")
+        assert 16 in h.coset_representative_array() and 16 not in report.witness_reps
 
 
 class TestSubspaceRegularity:

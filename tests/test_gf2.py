@@ -13,10 +13,9 @@ from f2reglab import (
     DimensionMismatchError,
     F2Vector,
     Subspace,
-    echelonize,
     enumerate_all_subspaces,
 )
-from f2reglab.gf2 import reduce_array, scatter_array
+from f2reglab.gf2 import reduce_array
 
 
 def brute_span(rows, n):
@@ -41,16 +40,10 @@ class TestF2Vector:
         assert vec("110").bits == 3
         assert vec("011").bits == 6
         assert vec("101").bits == 5
-        assert vec("110").to_string() == "110"
-
-    def test_dot_and_xor(self):
-        assert vec("110").dot(vec("011")) == 1
-        assert vec("110").dot(vec("001")) == 0
-        assert (vec("110") ^ vec("011")).bits == 5
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            vec("10").dot(vec("100"))
+            Subspace.from_vectors(2, [vec("100")])
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -67,7 +60,7 @@ class TestEchelonize:
             Subspace(3, rows)
 
     def test_empty_span(self):
-        sub = echelonize([], n=3)
+        sub = Subspace.from_vectors(3, [])
         assert sub.dim == 0 and sub.index == 8
 
     def test_rank_matches_brute_force(self):
@@ -79,7 +72,7 @@ class TestEchelonize:
         assert {sub.reduce(v) == 0 for v in span} == {True}
 
     def test_standard_basis_full_space(self):
-        sub = echelonize([F2Vector(5, 1 << j) for j in range(5)])
+        sub = Subspace.from_vectors(5, [F2Vector(5, 1 << j) for j in range(5)])
         assert sub.dim == 5 and sub == Subspace.full(5)
 
     def test_idempotent_canonical(self):
@@ -98,7 +91,7 @@ class TestEchelonize:
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            echelonize([F2Vector(2, 1), F2Vector(3, 1)])
+            Subspace.from_vectors(2, [F2Vector(2, 1), F2Vector(3, 1)])
 
 
 class TestContains:
@@ -180,15 +173,15 @@ class TestIntersect:
 
 class TestCosetRepresentatives:
     def test_full_space_single_coset(self):
-        assert [v.bits for v in Subspace.full(3).coset_representatives()] == [0]
+        assert Subspace.full(3).coset_representative_array().tolist() == [0]
 
     def test_zero_subspace_all_points(self):
-        reps = Subspace.zero(2).coset_representatives()
-        assert sorted(v.bits for v in reps) == [0, 1, 2, 3]
+        reps = Subspace.zero(2).coset_representative_array()
+        assert reps.tolist() == [0, 1, 2, 3]
 
     def test_line_in_f2_3_partition(self):
         sub = Subspace.from_vectors(3, [1])  # span{100}
-        reps = [v.bits for v in sub.coset_representatives()]
+        reps = sub.coset_representative_array().tolist()
         cosets = [frozenset((r ^ h) for h in (0, 1)) for r in reps]
         assert len(reps) == 4
         assert set().union(*cosets) == set(range(8))
@@ -219,6 +212,19 @@ class TestCosetRepresentatives:
     def test_memory_guard(self):
         with pytest.raises(DenseLimitError):
             Subspace.zero(30).coset_representative_array(dense_limit=26)
+
+    def test_reps_are_sorted_subset_sums_of_free_positions(self):
+        # both the cached (at most 12 free positions) and the uncached path
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(1, 16)
+            free = sorted(rng.sample(range(n), rng.randint(0, n)))
+            sub = Subspace.from_vectors(n, [1 << j for j in range(n) if j not in free])
+            mask = sum(1 << p for p in free)
+            points = np.arange(1 << n, dtype=np.int64)
+            reps = sub.coset_representative_array()
+            assert reps.dtype == np.int64
+            assert np.array_equal(reps, points[(points & ~mask) == 0])
 
 
 class TestEnumerateAllSubspaces:
@@ -344,15 +350,3 @@ class TestBlockStructure:
         assert blocks.block(x, 1) == 1
         assert blocks.block(x, 2) == 1  # block-local (x2, x3) = (1, 0)
         assert blocks.prefix(x, 2) == 1
-
-    def test_embed_roundtrip(self):
-        blocks = BlockStructure((2, 3, 1))
-        for i, d in enumerate(blocks.dims, start=1):
-            for value in range(1 << d):
-                assert blocks.block(blocks.embed(value, i), i) == value
-
-    def test_scatter_array_is_sorted_subset_sums(self):
-        arr = scatter_array((0, 2, 3))
-        assert arr.tolist() == sorted(
-            sum(1 << p for p in sel) for k in range(4) for sel in combinations((0, 2, 3), k)
-        )

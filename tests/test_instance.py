@@ -1,6 +1,5 @@
 """Tower dims, spanning families, xi construction, instance tables."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from f2reglab import (
     verify_spanning_family_sampled,
 )
 from f2reglab import instance
-from f2reglab.instance import _SAMPLE_CHUNK, SpanningCheck, eval_count, manifest_json
+from f2reglab.instance import _SAMPLE_CHUNK, SpanningCheck, eval_count, manifest
 from f2reglab.rng import Stream
 
 S2_VALUES = [1.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.0]
@@ -409,7 +408,7 @@ class TestCustomDims:
 class TestManifest:
     def test_roundtrip_and_content(self):
         inst = Instance.generate(2, seed=9)
-        data = json.loads(manifest_json(inst))
+        data = manifest(inst)
         assert data["s"] == 2 and data["n"] == 3 and data["seed"] == 9
         assert data["dims"] == [1, 2]
         assert data["xi"] == {"1": [1], "2": [1, 2]}

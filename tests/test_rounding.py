@@ -20,7 +20,7 @@ from f2reglab import (
     enumerate_all_subspaces,
     round_to_binary,
     sample_pairs,
-    spectrum_deviations,
+    wht_full,
 )
 from f2reglab.gf2 import parity64
 from f2reglab.rounding import round_point, size_threshold
@@ -118,7 +118,7 @@ class TestDeviationReport:
         s = round_to_binary(inst.table, 5)
         # full space: size 2048 >= 4 * 121 / 0.25 = 1936
         assert 2048 >= size_threshold(11, 0.5)
-        _, _, deviations = spectrum_deviations(inst.table, s, Subspace.full(11))
+        deviations = np.abs(wht_full(s) - wht_full(inst.table))
         assert float(deviations.max()) <= 0.5
 
     def test_sampled_pairs_deterministic(self):
