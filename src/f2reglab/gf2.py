@@ -74,10 +74,6 @@ class F2Vector:
             bits |= (c == "1") << j
         return cls(len(coords), bits)
 
-    def bit(self, j: int) -> int:
-        """Coordinate j in 0-based bit indexing."""
-        return (self.bits >> j) & 1
-
     def __repr__(self) -> str:
         return f"F2Vector({self.n}, 0b{self.bits:0{self.n}b})"
 
@@ -221,7 +217,7 @@ class Subspace:
             raise DenseLimitError("dense arrays require ambient dimension <= 62")
         if k <= 12:
             return _cached_scatter(self.free_positions)
-        return _span_of_rows([1 << p for p in self.free_positions])
+        return _frozen_span([1 << p for p in self.free_positions])
 
     def span_array(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
         """All 2^dim elements, ordered by basis-coefficient counting.
@@ -233,7 +229,7 @@ class Subspace:
             raise DenseLimitError("dense arrays require ambient dimension <= 62")
         if self.dim <= 12:
             return _cached_span(self.basis)
-        return _span_of_rows(self.basis)
+        return _frozen_span(self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.n}, dim={self.dim}, basis={[bin(r) for r in self.basis]})"
@@ -411,18 +407,20 @@ def _echelon_stack(
     return np.take_along_axis(rows, order, axis=1), (pivot < n).sum(axis=1)
 
 
-@lru_cache(maxsize=512)
-def _cached_span(rows: tuple[int, ...]) -> np.ndarray:
+def _frozen_span(rows: Sequence[int]) -> np.ndarray:
     span = _span_of_rows(rows)
     span.setflags(write=False)
     return span
 
 
 @lru_cache(maxsize=512)
+def _cached_span(rows: tuple[int, ...]) -> np.ndarray:
+    return _frozen_span(rows)
+
+
+@lru_cache(maxsize=512)
 def _cached_scatter(positions: tuple[int, ...]) -> np.ndarray:
-    out = _span_of_rows([1 << p for p in positions])
-    out.setflags(write=False)
-    return out
+    return _frozen_span([1 << p for p in positions])
 
 
 def reduce_array(x: np.ndarray, subspace: Subspace) -> np.ndarray:

@@ -207,8 +207,8 @@ def verify_spanning_family(
 ) -> SpanningCheck:
     """Exhaustive hyperplane-incidence scan of an indexed family.
 
-    Uses one size-2^d transform of the multiset frequency vector: the
-    incidence of the hyperplane orthogonal to eta is
+    Uses one exact integer size-2^d transform of the multiset frequency
+    vector: the incidence of the hyperplane orthogonal to eta is
     (count + sum_j (-1)^<v_j, eta>) / 2.
     """
     rho = as_fraction(rho)
@@ -222,12 +222,11 @@ def verify_spanning_family(
     if any(not 0 < b < (1 << d) for b in bits):
         raise ValueError(f"family entries must be nonzero {d}-bit vectors")
     count = len(bits)
-    freq = np.zeros(1 << d, dtype=np.float64)
-    np.add.at(freq, np.asarray(bits, dtype=np.int64), 1.0)
+    freq = np.bincount(np.asarray(bits, dtype=np.int64), minlength=1 << d)
     _fwht(freq)
-    incidences = (count + freq[1:]) / 2.0
+    incidences = (count + freq[1:]) // 2
     worst_idx = int(np.argmax(incidences)) + 1
-    incidence = int(round(incidences[worst_idx - 1]))
+    incidence = int(incidences[worst_idx - 1])
     return SpanningCheck(
         ok=incidence * rho.denominator <= rho.numerator * count,
         count=count,
@@ -593,11 +592,15 @@ class Instance:
         return self.params.blocks.n
 
 
-def manifest(inst: Instance, xi_entry_cap: int = 65536) -> dict:
+_XI_ENTRY_CAP = 65536
+
+
+def manifest(inst: Instance) -> dict:
     """JSON-ready description of an instance.
 
     xi entries are written per block as integer encodings; families
-    above the cap are omitted (they regenerate from the seed).
+    above _XI_ENTRY_CAP entries in total are omitted (they regenerate
+    from the seed).
     """
     params = inst.params
     dims = [d if isinstance(d, int) and d < 2**53 else str(d) for d in params.dims]
@@ -613,7 +616,7 @@ def manifest(inst: Instance, xi_entry_cap: int = 65536) -> dict:
         "epsilon_max_float": float(params.epsilon_max),
         "dense": inst.table is not None,
     }
-    if total_entries <= xi_entry_cap:
+    if total_entries <= _XI_ENTRY_CAP:
         out["xi"] = {
             str(i + 1): [v if v < 2**53 else str(v) for v in family]
             for i, family in enumerate(inst.xi.families)

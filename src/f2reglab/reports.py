@@ -19,6 +19,7 @@ from .rounding import RoundingReport
 from .witness import LowerBoundReport, WitnessCertificate
 
 SCHEMA_VERSION = 1
+# Most records a report lists; longer lists are marked truncated.
 _DEFAULT_LIST_CAP = 4096
 
 
@@ -27,7 +28,7 @@ def _frac(out: dict, key: str, value: Fraction) -> None:
     out[f"{key}_float"] = float(value)
 
 
-def regularity_report_dict(r: RegularityReport, list_cap: int = _DEFAULT_LIST_CAP) -> dict:
+def regularity_report_dict(r: RegularityReport) -> dict:
     out: dict[str, Any] = {
         "schema": "f2reglab/regularity-report",
         "schema_version": SCHEMA_VERSION,
@@ -42,18 +43,19 @@ def regularity_report_dict(r: RegularityReport, list_cap: int = _DEFAULT_LIST_CA
     }
     _frac(out, "epsilon", r.epsilon)
     _frac(out, "regular_fraction", r.regular_fraction)
+    shown = slice(_DEFAULT_LIST_CAP)
     witnesses = [
         {"coset": int(rep), "eta": int(eta), "value": float(val)}
         for rep, eta, val in zip(
-            r.witness_reps[:list_cap], r.witness_etas[:list_cap], r.witness_values[:list_cap]
+            r.witness_reps[shown], r.witness_etas[shown], r.witness_values[shown]
         )
     ]
     out["witnesses"] = witnesses
-    out["witnesses_truncated"] = bool(r.witness_reps.shape[0] > list_cap)
+    out["witnesses_truncated"] = bool(r.witness_reps.shape[0] > _DEFAULT_LIST_CAP)
     return out
 
 
-def witness_certificate_dict(c: WitnessCertificate, list_cap: int = _DEFAULT_LIST_CAP) -> dict:
+def witness_certificate_dict(c: WitnessCertificate) -> dict:
     gammas = {int(g) for g in c.gammas}
     out: dict[str, Any] = {
         "schema": "f2reglab/witness-certificate",
@@ -73,7 +75,7 @@ def witness_certificate_dict(c: WitnessCertificate, list_cap: int = _DEFAULT_LIS
     _frac(out, "epsilon", c.epsilon)
     _frac(out, "bad_fraction", c.bad_fraction)
     _frac(out, "irregular_fraction", c.irregular_fraction)
-    cap = min(c.total_cosets, list_cap)
+    cap = min(c.total_cosets, _DEFAULT_LIST_CAP)
     out["cosets"] = [int(x) for x in c.reps[:cap]]
     out["gammas"] = [int(x) for x in c.gammas[:cap]]
     out["coefficients"] = [
@@ -116,7 +118,7 @@ def decomposition_trace_dict(t: DecompositionTrace) -> dict:
     return out
 
 
-def rounding_report_dict(r: RoundingReport, list_cap: int = _DEFAULT_LIST_CAP) -> dict:
+def rounding_report_dict(r: RoundingReport) -> dict:
     out: dict[str, Any] = {
         "schema": "f2reglab/rounding-report",
         "schema_version": SCHEMA_VERSION,
@@ -140,9 +142,9 @@ def rounding_report_dict(r: RoundingReport, list_cap: int = _DEFAULT_LIST_CAP) -
                 "s_value": rec.s_value,
                 "deviation": rec.deviation,
             }
-            for rec in r.records[:list_cap]
+            for rec in r.records[:_DEFAULT_LIST_CAP]
         ],
-        "records_truncated": bool(len(r.records) > list_cap),
+        "records_truncated": bool(len(r.records) > _DEFAULT_LIST_CAP),
     }
     return out
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -51,13 +50,13 @@ from .fourier import (
 from .gf2 import (
     DEFAULT_DENSE_LIMIT,
     BlockStructure,
+    DenseLimitError,
     F2Vector,
     Subspace,
     _echelon_bases,
     _echelon_stack,
     _span_stack,
     check_dense,
-    enumerate_all_subspaces,
     reduce_array,
 )
 from .instance import Instance, XiFamily
@@ -149,7 +148,7 @@ class WitnessCertificate:
     denominator: int
     certified: np.ndarray
     cross_checked: bool
-    regularity_report: RegularityReport | None = None
+    regularity_report: RegularityReport
 
     @property
     def total_cosets(self) -> int:
@@ -186,11 +185,13 @@ def witness_scan(
     exceed eps (which would contradict the lower-bound construction for
     eps up to 1/(16 s)).  The numerator of each coset is the entry of
     its exact coset transform at the bucket of its gamma, and gamma is
-    nontrivial exactly when that bucket is nonzero.  The cross-check
-    builds the regularity report from the same transform, requires every
-    certified coset to be irregular there, and spot-checks certified
-    coefficients against the defining mean.  _gamma_cache is accepted
-    for callers that still pass it and is ignored.
+    nontrivial exactly when that bucket is nonzero.  Every scan is
+    cross-checked: it builds the regularity report from the same
+    transform, requires every certified coset to be irregular there,
+    raises when the report is regular, and spot-checks certified
+    coefficients against the defining mean.  cross_check and
+    _gamma_cache are accepted for callers that still pass them and are
+    ignored.
     """
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
@@ -213,9 +214,7 @@ def witness_scan(
 
     bad = Fraction(int((~nontrivial).sum()), reps.shape[0])
 
-    report = None
-    if cross_check:
-        report, irregular = _regularity_report(h, eps, reps, transform, denominator)
+    report, irregular = _regularity_report(h, eps, reps, transform, denominator)
     cert = WitnessCertificate(
         subspace=h,
         epsilon=eps,
@@ -227,19 +226,18 @@ def witness_scan(
         numerators=numerators,
         denominator=denominator,
         certified=certified,
-        cross_checked=cross_check,
+        cross_checked=True,
         regularity_report=report,
     )
-    if cross_check:
-        if (certified & ~irregular).any():
-            raise ClaimViolationError("certified coset not irregular in the regularity report")
-        if report.is_regular and cert.ok:
-            raise ClaimViolationError("certificate contradicts the regularity report")
-        if not _spot_checks(
-            f, np.array([h.basis]), reps[None], gammas[None], numerators[None],
-            denominator, certified[None],
-        )[0]:
-            raise ClaimViolationError("defining mean and exact coefficient disagree")
+    if (certified & ~irregular).any():
+        raise ClaimViolationError("certified coset not irregular in the regularity report")
+    if report.is_regular and cert.ok:
+        raise ClaimViolationError("certificate contradicts the regularity report")
+    if not _spot_checks(
+        f, np.array([h.basis]), reps[None], gammas[None], numerators[None],
+        denominator, certified[None],
+    )[0]:
+        raise ClaimViolationError("defining mean and exact coefficient disagree")
     if not cert.ok:
         raise ClaimViolationError(
             f"witness fraction {cert.irregular_fraction} is not above {eps} "
@@ -434,19 +432,17 @@ def _perp_stack(basis: np.ndarray, pivots: np.ndarray, n: int) -> np.ndarray:
 def _walk(
     n: int, mode: str, random_per_dim: int, seed: int, max_codim: int
 ) -> Iterator[np.ndarray]:
-    """The subspaces H of a lower-bound walk in order, as runs of one
-    dimension given by their duals: (B, c) top-pivot echelon bases of
-    H-perp, as `_certify_duals` takes them."""
+    """The nonzero subspaces H of a lower-bound walk in order, as runs of
+    one dimension given by their duals: (B, c) top-pivot echelon bases of
+    H-perp, as `_certify_duals` takes them.  Exhaustive runs list every
+    nonzero subspace in the order of `enumerate_all_subspaces`."""
     if mode == "structured":
         yield np.zeros((1, 0), dtype=np.int64)
         for codim in range(1, max_codim + 1):
             for duals in _echelon_bases(n, codim):
                 yield _echelon_stack(duals, n, top=True)[0]
     if mode == "exhaustive":
-        runs = (
-            np.array([h.basis for h in group], dtype=np.int64)
-            for _, group in groupby(enumerate_all_subspaces(n), key=lambda h: h.dim)
-        )
+        runs = (rows for dim in range(1, n + 1) for rows in _echelon_bases(n, dim))
     else:
         runs = (
             _random_stack(n, dim, random_per_dim, Stream(seed, f"lowerbound/dim{dim}"))
@@ -554,12 +550,14 @@ def exhaustive_lowerbound_check(
 ) -> LowerBoundReport:
     """Verify that only the zero subspace is eps-regular for an instance.
 
-    Exhaustive mode walks every subspace (n <= 4); structured mode walks
-    the full space, every hyperplane (and optionally deeper enumerated
-    codimensions), plus seeded random subspaces of every dimension;
-    sampled mode uses only the random part.  Each nonzero subspace must
-    fail the regularity check and carry a valid witness certificate.
-    With strict=True any failure raises; otherwise failures and regular
+    The zero subspace is checked once, before the walk; its cosets are
+    single points, so it is always regular.  The walk then lists nonzero
+    subspaces: exhaustive mode every one of them (n <= 4); structured
+    mode the full space, every hyperplane (and optionally deeper
+    enumerated codimensions), plus seeded random subspaces of every
+    dimension; sampled mode only the random part.  Each must fail the
+    regularity check and carry a valid witness certificate.  With
+    strict=True any failure raises; otherwise failures and regular
     subspaces are collected in the report (informational large-eps runs).
 
     The walk certifies consecutive subspaces of one dimension in stacks
@@ -578,71 +576,48 @@ def exhaustive_lowerbound_check(
         mode = "exhaustive" if n <= 4 else "structured"
     if mode not in ("exhaustive", "structured", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    used_seed = None if mode == "exhaustive" else seed
+    if mode == "exhaustive" and n > 4:
+        raise DenseLimitError(f"subspace enumeration is limited to n <= 4, got {n}")
+    if f.counts is None:
+        raise ValueError("witness scans need exact count tables (instance functions)")
+    check_dense(n, dense_limit, "pullback entries")
 
-    checked = 0
+    zero_regular = check_subspace_regularity(f, Subspace.zero(n), eps, dense_limit).is_regular
+    if strict and not zero_regular:
+        raise ClaimViolationError("the zero subspace failed its regularity check")
+    spectrum = _count_spectrum(f)
+
     certified = 0
-    zero_regular = True
     failures: list[dict] = []
     regular_nonzero: list[tuple[int, ...]] = []
     per_dim = [0] * (n + 1)
-    zero_seen = False
-    spectrum = None
-
-    runs = _walk(n, mode, random_per_dim, seed, max_enumerated_codim)
-    for duals in _stacks(runs, n):
-        dim = n - duals.shape[1]
-        per_dim[dim] += len(duals)
-        if dim == 0:
-            zero_seen = True
-            report = check_subspace_regularity(f, Subspace.zero(n), eps, dense_limit)
-            zero_regular = report.is_regular
-            if strict and not zero_regular:
-                raise ClaimViolationError("the zero subspace failed its regularity check")
-            continue
-        checked += len(duals)
-        if spectrum is None:
-            if f.counts is None:
-                raise ValueError("witness scans need exact count tables (instance functions)")
-            check_dense(n, dense_limit, "pullback entries")
-            spectrum = _count_spectrum(f)
+    per_dim[0] = int(mode == "exhaustive")  # only exhaustive mode enumerates {0}
+    for duals in _stacks(_walk(n, mode, random_per_dim, seed, max_enumerated_codim), n):
+        per_dim[n - duals.shape[1]] += len(duals)
         rows, _, _, passed = _certify_duals(f, spectrum, duals, eps, inst.xi)
         certified += int(passed.sum())
         for basis in rows[~passed].tolist():
             h = Subspace._from_echelon(n, tuple(basis))
             try:
-                cert = witness_scan(
-                    f, h, eps, xi=inst.xi, cross_check=True, dense_limit=dense_limit
-                )
-                if cert.regularity_report.is_regular:
-                    raise ClaimViolationError(
-                        f"subspace with basis {h.basis} is eps-regular"
-                    )
+                witness_scan(f, h, eps, xi=inst.xi, dense_limit=dense_limit)
                 certified += 1
             except ClaimViolationError as exc:
                 if strict:
                     raise
-                report = check_subspace_regularity(f, h, eps, dense_limit)
-                if report.is_regular:
+                if check_subspace_regularity(f, h, eps, dense_limit).is_regular:
                     regular_nonzero.append(tuple(h.basis))
                 else:
                     failures.append(
                         {"basis": list(h.basis), "dim": h.dim, "reason": str(exc)}
                     )
 
-    if mode == "exhaustive" and not zero_seen:
-        raise AssertionError("exhaustive enumeration must include the zero subspace")
-    if mode in ("structured", "sampled") and not zero_seen:
-        report = check_subspace_regularity(f, Subspace.zero(n), eps, dense_limit)
-        zero_regular = report.is_regular
-
     return LowerBoundReport(
         mode=mode,
         epsilon=eps,
         s=inst.s,
         n=n,
-        seed=used_seed,
-        checked=checked,
+        seed=None if mode == "exhaustive" else seed,
+        checked=sum(per_dim[1:]),
         certified=certified,
         zero_subspace_regular=zero_regular,
         failures=tuple(failures),

@@ -213,6 +213,10 @@ class TestCosetRepresentatives:
         with pytest.raises(DenseLimitError):
             Subspace.zero(30).coset_representative_array(dense_limit=26)
 
+    def test_arrays_are_read_only_above_the_caches(self):
+        assert not Subspace.zero(14).coset_representative_array().flags.writeable
+        assert not Subspace.full(13).span_array().flags.writeable
+
     def test_reps_are_sorted_subset_sums_of_free_positions(self):
         # both the cached (at most 12 free positions) and the uncached path
         rng = random.Random(8)

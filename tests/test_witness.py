@@ -12,6 +12,7 @@ import pytest
 from f2reglab import (
     AffineSubspace,
     ClaimViolationError,
+    DenseLimitError,
     F2Vector,
     Instance,
     Subspace,
@@ -404,6 +405,8 @@ class TestLowerBoundCheck:
 
     def test_exhaustive_refused_then_structured_auto(self, inst2, inst3):
         assert exhaustive_lowerbound_check(inst2, "1/32", mode="auto").mode == "exhaustive"
+        with pytest.raises(DenseLimitError, match="limited to n <= 4, got 11"):
+            exhaustive_lowerbound_check(inst3, "1/48", mode="exhaustive")
         small = exhaustive_lowerbound_check(
             inst3, "1/48", mode="auto", random_per_dim=1, seed=1
         )
@@ -513,7 +516,8 @@ class TestArrayWalk:
         assert got == old_walk(n, mode, 4, 3, max_codim)
 
     def test_exhaustive_walk_lists_every_subspace(self):
-        assert walk_subspaces(4, "exhaustive", 0, 0, 1) == list(enumerate_all_subspaces(4))
+        expected = [h for h in enumerate_all_subspaces(4) if h.dim]
+        assert walk_subspaces(4, "exhaustive", 0, 0, 1) == expected
 
     @pytest.mark.parametrize("eps", ["1/48", "1/16", "1/6"])
     def test_dual_stacks_equal_witness_scan_on_every_hyperplane(self, inst2, inst3, eps):
@@ -670,4 +674,13 @@ class TestStackedWalk:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "61db4a804372eccc3f6b8b645c3df849b8517259da5ebed063b8820b8d957778"
+        )
+
+    def test_exhaustive_non_strict_report_bytes_pinned(self, capsys):
+        # the 15 regular nonzero subspaces in walk order, per_dim_checked[0] == 1
+        code = cli_main(["verify-lowerbound", "--s", "2", "--eps", "1/2", "--no-strict"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ffc18a24f8c7fba162c366b10fdab34b5c5d68ddd708ae413ce68a9f2578a87c"
         )
