@@ -8,6 +8,14 @@ character of each irregular coset (an irregular coset carries a local
 coefficient above eps on more than an eps fraction of the space).  The
 loop therefore reaches an eps-regular subspace within ceil(1/eps^3)
 rounds unless it hits the index guard first.
+
+On a count table (values k/s) the decomposition transforms the integer
+counts once: by Parseval over H-perp, each round's energy is the exact
+rational sum of squared transform entries over H-perp divided by
+(s 2^n)^2, and each round's scan reads the same transform through
+`fourier._dual_table`.  The gain check then compares exact rationals.
+Float tables scan by pullback and compare float energies with a 1e-12
+slack.
 """
 
 from __future__ import annotations
@@ -21,11 +29,14 @@ import numpy as np
 from .fourier import (
     FunctionTable,
     RegularityReport,
+    _count_dtype,
+    _count_spectrum,
+    _dual_report,
     _pullback_reps,
     as_fraction,
     check_subspace_regularity,
 )
-from .gf2 import DEFAULT_DENSE_LIMIT, Subspace
+from .gf2 import DEFAULT_DENSE_LIMIT, Subspace, check_dense
 
 
 class DecompositionError(RuntimeError):
@@ -33,11 +44,44 @@ class DecompositionError(RuntimeError):
 
 
 def energy(f: FunctionTable, h: Subspace, dense_limit: int = DEFAULT_DENSE_LIMIT) -> float:
-    """Mean over x of the squared mean of f over the coset of x."""
+    """Mean over x of the squared mean of f over the coset of x.
+
+    On a count table with denominator s this is the correctly rounded
+    exact value: with S_j the integer count sum of coset j, the mean of
+    (S_j / (s 2^dim))^2 over the 2^c cosets is 2^c * sum of S_j^2 over
+    (s 2^n)^2, which by Parseval on the quotient equals the sum over
+    H-perp of the squared full transform (`_parseval_energy`).
+    """
     reps = _pullback_reps(f, h, dense_limit)
-    span = h.span_array(dense_limit)
-    means = f.values[reps[:, None] ^ span[None, :]].mean(axis=1)
-    return float(np.square(means).mean())
+    points = reps[:, None] ^ h.span_array(dense_limit)[None, :]
+    if f.counts is None:
+        means = f.values[points].mean(axis=1)
+        return float(np.square(means).mean())
+    sums = f.counts[points].sum(axis=1, dtype=_count_dtype(f.denominator, h.dim))
+    scale = (f.denominator << f.n) ** 2
+    return float(Fraction(_square_sum(sums, scale) * reps.shape[0], scale))
+
+
+def _square_sum(a: np.ndarray, bound: int) -> int:
+    """Exact sum of the squares of integer entries, given a bound on it.
+
+    The terms are non-negative, so every partial sum is at most the
+    total: int64 holds them all when the bound is below 2^63, and numpy
+    would wrap silently above it, where Python ints take over.  Both
+    energies bound their sums by (s 2^n)^2.
+    """
+    if bound < 1 << 63:
+        a = a.astype(np.int64, copy=False)
+        return int(np.dot(a, a))
+    return sum(x * x for x in a.tolist())
+
+
+def _parseval_energy(spectrum: np.ndarray, h: Subspace, denominator: int) -> Fraction:
+    """Exact energy of a count table on h from its full integer transform
+    F (`_count_spectrum`): the sum of F(u)^2 over u in H-perp, over
+    (s 2^n)^2 for the denominator s (Parseval over H-perp)."""
+    scale = (denominator << h.n) ** 2
+    return Fraction(_square_sum(spectrum[h.orthogonal_complement().span_array()], scale), scale)
 
 
 def _refine(
@@ -113,19 +157,46 @@ def find_regular_subspace(
     energy (checked), so the iteration guard ceil(1/eps^3) can only trip
     on a defect; the index guard caps the partition size instead of
     looping toward an unaffordable one.
+
+    A count table is transformed once (`_count_spectrum`).  Every
+    round's scan is read from that transform (`_dual_report`, equal to
+    `check_subspace_regularity`) and its energy is exact
+    (`_parseval_energy`), so the gain check compares Fractions; the
+    trace records the energies as floats, and each gain as the
+    difference of those floats.  Float tables scan by pullback and keep
+    a 1e-12 slack on the float gain.
     """
     eps = as_fraction(epsilon)
     if not Fraction(0) < eps < Fraction(1, 2):
         raise ValueError(f"epsilon must be in (0, 1/2), got {eps}")
-    gain_floor = float(eps) ** 3
     iteration_guard = max_iterations if max_iterations is not None else math.ceil(1 / eps**3)
 
+    if f.counts is None:
+        def scan(h: Subspace) -> RegularityReport:
+            return check_subspace_regularity(f, h, eps, dense_limit)
+
+        def measure(h: Subspace) -> float:
+            return energy(f, h, dense_limit)
+
+        gain_floor: "Fraction | float" = float(eps) ** 3 - 1e-12
+    else:
+        check_dense(f.n, dense_limit, "spectrum entries")
+        spectrum = _count_spectrum(f)
+
+        def scan(h: Subspace) -> RegularityReport:
+            return _dual_report(h, eps, spectrum, f.denominator, dense_limit)
+
+        def measure(h: Subspace) -> Fraction:
+            return _parseval_energy(spectrum, h, f.denominator)
+
+        gain_floor = eps**3
+
     h = Subspace.full(f.n)
-    current_energy = energy(f, h, dense_limit)
+    current_energy = measure(h)
     records: list[IterationRecord] = []
     status = "regular"
     while True:
-        report = check_subspace_regularity(f, h, eps, dense_limit)
+        report = scan(h)
         if report.is_regular:
             status = "regular"
             break
@@ -136,21 +207,21 @@ def find_regular_subspace(
         if refined.n - refined.dim > max_index_log2:
             status = "index-guard"
             break
-        refined_energy = energy(f, refined, dense_limit)
-        gain = refined_energy - current_energy
-        if not gain > gain_floor - 1e-12:
+        refined_energy = measure(refined)
+        if not refined_energy - current_energy > gain_floor:
             raise DecompositionError(
-                f"energy gain {gain} did not exceed eps^3 = {gain_floor}"
+                f"energy gain {float(refined_energy - current_energy)} did not exceed "
+                f"eps^3 = {float(eps) ** 3}"
             )
         records.append(
             IterationRecord(
                 iteration=len(records),
                 dim=h.dim,
                 index=h.index,
-                energy=current_energy,
+                energy=float(current_energy),
                 irregular_cosets=report.irregular_cosets,
                 added_characters=added,
-                energy_gain=gain,
+                energy_gain=float(refined_energy) - float(current_energy),
             )
         )
         h = refined
@@ -163,5 +234,5 @@ def find_regular_subspace(
         iterations=tuple(records),
         final_subspace=h,
         final_report=report,
-        final_energy=current_energy,
+        final_energy=float(current_energy),
     )

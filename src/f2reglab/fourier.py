@@ -16,8 +16,10 @@ Three private kernels compute coset coefficients:
   from it.
 * `_dual_table` reads every coset's numerator at every nontrivial class
   of a stack of subspaces from the count table's one full transform, by
-  Poisson summation over H-perp; the lower-bound walk certifies its
-  stacks from it.
+  Poisson summation over H-perp (a gather and codim(H) butterfly
+  stages).  The lower-bound walk certifies its stacks from it, and
+  `find_regular_subspace` scans each round of a count table's
+  decomposition with it at the canonical class reps (`_dual_report`).
 * `_poisson_numerators` reads single (coset, character) numerators from
   that full transform; rounding deviation reports use it.
 
@@ -43,6 +45,7 @@ from .gf2 import (
     DimensionMismatchError,
     F2Vector,
     Subspace,
+    _echelon_stack,
     _span_of_rows,
     _span_stack,
     check_dense,
@@ -447,34 +450,45 @@ def _top_bits(rows: np.ndarray) -> np.ndarray:
     return (np.frexp(rows)[1] - 1).astype(np.int64)
 
 
-def _dual_table(spectrum: np.ndarray, duals: np.ndarray) -> np.ndarray:
-    """Numerators of every coset of B subspaces H at every nontrivial
-    class, read from the full transform of a count table through their
+def _dual_table(
+    spectrum: np.ndarray, duals: np.ndarray, classes: "np.ndarray | None" = None
+) -> np.ndarray:
+    """Numerators of every coset of B subspaces H at their nontrivial
+    classes, read from the full transform of a count table through their
     duals.
 
     duals is a (B, c) stack of bases of D = H-perp in top-pivot echelon
     form (`_echelon_stack(..., top=True)`): row i has the highest set bit
-    t_i, ascending in i, and no other row has bit t_i.  The members of
-    F2^n with every t_i clear represent the classes mod D once each, and
-    0 represents D itself, the trivial class; the nonzero ones, ascending,
-    are the (n - c)-bit numbers 1, 2, ... with a zero bit inserted at each
-    t_i.  For each of them, eta, gathering spectrum[eta ^ u] over u in
+    t_i, ascending in i, and no other row has bit t_i.  classes (1, K)
+    lists one representative of each nontrivial class mod D for every
+    subspace of the stack; by default each subspace gets its own off-top
+    classes, the nonzero members of F2^n with every t_i clear, ascending:
+    the (n - c)-bit numbers 1, 2, ... with a zero bit inserted at each
+    t_i.  For each class rep eta, gathering spectrum[eta ^ u] over u in
     span(D) and running one size-2^c transform gives 2^c times the
     numerator at eta of every coset at once (Poisson summation; the
     transform runs across the gathered rows of classes): entry j belongs
     to the coset whose representative carries the bits of j at
     t_1..t_c, which is H's j-th canonical representative.  Returns shape
-    (B, 2^c, 2^(n-c) - 1): [b, j, k - 1] is 2^c times the numerator of
-    coset j at the k-th nontrivial class rep.
+    (B, 2^c, K): [b, j, k] is 2^c times the numerator of coset j at the
+    k-th class rep.  The entries and every partial sum of the transform
+    are at most denominator * 2^n in magnitude, so they stay exact in the
+    spectrum's dtype.
     """
-    n = spectrum.shape[-1].bit_length() - 1
     c = duals.shape[1]
-    tops, inverse = np.unique(_top_bits(duals), axis=0, return_inverse=True)
-    classes = np.arange(1, 1 << (n - c), dtype=np.int64)[None, :]
-    for t in tops.T:
-        t = t[:, None]
-        classes = ((classes >> t) << (t + 1)) | (classes & ((1 << t) - 1))
-    table = spectrum[_span_stack(duals)[:, :, None] ^ classes[inverse.ravel(), None, :]]
+    if classes is None:
+        n = spectrum.shape[-1].bit_length() - 1
+        tops, inverse = np.unique(_top_bits(duals), axis=0, return_inverse=True)
+        classes = np.arange(1, 1 << (n - c), dtype=np.int64)[None, :]
+        for t in tops.T:
+            t = t[:, None]
+            classes = ((classes >> t) << (t + 1)) | (classes & ((1 << t) - 1))
+        # the (B, K) rows of classes live only inside the gather: held
+        # through the butterflies, they slowed the lower-bound walk by
+        # about a third (heap reuse of its many stack-sized arrays)
+        table = spectrum[_span_stack(duals)[:, :, None] ^ classes[inverse.ravel(), None, :]]
+    else:
+        table = spectrum[_span_stack(duals)[:, :, None] ^ classes[:, None, :]]
     _butterflies(table, 1, 1 << c, table.shape[2])
     return table
 
@@ -507,37 +521,33 @@ def _pullback_reps(f: FunctionTable, h: Subspace, dense_limit: int) -> np.ndarra
     return h.coset_representative_array(dense_limit)
 
 
-def _regularity_report(
-    h: Subspace, eps: Fraction, reps: np.ndarray, table: np.ndarray, den: int
-) -> tuple[RegularityReport, np.ndarray]:
-    """Regularity report of h from the transform rows of all its cosets,
-    with the per-coset irregular mask.
+def _threshold(eps: Fraction, den: int, kind: str) -> "int | float":
+    """eps scaled by den, the bound a coset's largest nontrivial
+    magnitude must not exceed: floor(eps * den) for integer numerators,
+    which is exact, and eps * den for float ones, a power-of-two scaling
+    of the float comparison."""
+    if kind == "f":
+        return float(eps) * den
+    return eps.numerator * den // eps.denominator
 
-    A coset's worst nontrivial class is the one of largest coefficient
-    magnitude on its row (ties go to the smallest representative).  The
-    verdict compares |T| with eps scaled by den: floor(eps * den) for
-    integer tables, which is exact, and eps * den for float tables, a
-    power-of-two scaling of the float comparison.
-    """
+
+def _largest_magnitude(table: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each row, without an absolute-value copy."""
+    return np.maximum(table.max(axis=1), -table.min(axis=1))
+
+
+def _report(
+    h: Subspace,
+    eps: Fraction,
+    reps: np.ndarray,
+    irregular: np.ndarray,
+    witness_etas: np.ndarray,
+    witness_values: np.ndarray,
+) -> RegularityReport:
+    """The report of h at eps with the given irregular coset mask and
+    the witnesses of the irregular cosets, in coset order."""
     total = reps.shape[0]
-    if h.dim == 0:
-        irregular = np.zeros(total, dtype=bool)
-        witness_etas, witness_values = np.empty(0, dtype=np.int64), np.empty(0)
-    else:
-        etas, z = _class_maps(h)
-        magnitudes = table[:, z[1:]]
-        np.abs(magnitudes, out=magnitudes)
-        worst = np.argmax(magnitudes, axis=1)
-        worst_abs = magnitudes[np.arange(total), worst]
-        if table.dtype.kind == "f":
-            threshold = float(eps) * den
-        else:
-            threshold = eps.numerator * den // eps.denominator
-        irregular = worst_abs > threshold
-        rows, worst = np.flatnonzero(irregular), worst[irregular] + 1
-        witness_etas = etas[worst]
-        witness_values = _signed(table[rows, z[worst]] / den, reps[rows], witness_etas)
-    report = RegularityReport(
+    return RegularityReport(
         subspace=h,
         epsilon=eps,
         total_cosets=total,
@@ -546,7 +556,66 @@ def _regularity_report(
         witness_etas=witness_etas,
         witness_values=witness_values,
     )
-    return report, irregular
+
+
+def _regularity_report(
+    h: Subspace, eps: Fraction, reps: np.ndarray, table: np.ndarray, den: int
+) -> tuple[RegularityReport, np.ndarray]:
+    """Regularity report of h from the transform rows of all its cosets
+    (`_coset_transform`), with the per-coset irregular mask.
+
+    The verdict reads each row's largest nontrivial magnitude in place.
+    Only the irregular rows are copied, in class order, to find their
+    worst nontrivial class: the one of largest coefficient magnitude,
+    the smallest representative on ties.
+    """
+    irregular = np.zeros(reps.shape[0], dtype=bool)
+    if h.dim:
+        irregular = _largest_magnitude(table[:, 1:]) > _threshold(eps, den, table.dtype.kind)
+    rows = np.flatnonzero(irregular)
+    witness_etas, witness_values = np.empty(0, dtype=np.int64), np.empty(0)
+    if rows.size:
+        etas, z = _class_maps(h)
+        magnitudes = table[rows[:, None], z[1:]]
+        worst = np.argmax(np.abs(magnitudes, out=magnitudes), axis=1) + 1
+        witness_etas = etas[worst]
+        witness_values = _signed(table[rows, z[worst]] / den, reps[rows], witness_etas)
+    return _report(h, eps, reps, irregular, witness_etas, witness_values), irregular
+
+
+def _dual_report(
+    h: Subspace,
+    eps: Fraction,
+    spectrum: np.ndarray,
+    denominator: int,
+    dense_limit: int = DEFAULT_DENSE_LIMIT,
+) -> RegularityReport:
+    """`check_subspace_regularity` of a count table on h, read from the
+    table's full transform (`_count_spectrum`) instead of a pullback.
+
+    `_dual_table` gathers the spectrum over H-perp at the canonical class
+    reps (those of `_class_maps(h)`, H-perp's coset representatives) and
+    runs c = codim(h) butterfly stages, in place of the pullback's n - c:
+    every coset's numerators at every nontrivial class, in the class
+    order of the primal scan, so the verdict, the witness characters and
+    their tie-breaks are the same.
+    """
+    reps = h.coset_representative_array(dense_limit)
+    if h.dim == 0:
+        regular = np.zeros(reps.shape[0], dtype=bool)
+        return _report(h, eps, reps, regular, np.empty(0, dtype=np.int64), np.empty(0))
+    c = h.n - h.dim
+    perp = h.orthogonal_complement()
+    etas = perp.coset_representative_array(h.n)
+    duals = _echelon_stack(np.array([perp.basis], np.int64), h.n, top=True)[0]
+    table = _dual_table(spectrum, duals, etas[None, 1:])[0]
+    den = denominator << h.dim
+    irregular = _largest_magnitude(table) >> c > _threshold(eps, den, "i")
+    rows = np.flatnonzero(irregular)
+    magnitudes = table[rows]
+    worst = np.argmax(np.abs(magnitudes, out=magnitudes), axis=1)
+    witness_values = (table[rows, worst] >> c) / den
+    return _report(h, eps, reps, irregular, etas[worst + 1], witness_values)
 
 
 def check_subspace_regularity(

@@ -16,6 +16,7 @@ from f2reglab import (
     energy,
     find_regular_subspace,
 )
+from f2reglab import decompose, fourier
 
 S2_VALUES = [1.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.0]
 
@@ -72,6 +73,106 @@ class TestEnergy:
             h = Subspace.from_vectors(n, rows)
             e = energy(f, h)
             assert f.mean() ** 2 - 1e-12 <= e <= float(np.square(f.values).mean()) + 1e-12
+
+
+def brute_energy(f: FunctionTable, h: Subspace) -> Fraction:
+    """Exact energy of a count table by the definition: the mean over the
+    cosets of the squared exact coset mean."""
+    span = h.span_array().tolist()
+    reps = h.coset_representative_array().tolist()
+    counts = f.counts.tolist()
+    means = [Fraction(sum(counts[r ^ x] for x in span), f.denominator * len(span))
+             for r in reps]
+    return sum(m * m for m in means) / len(reps)
+
+
+def trace_subspaces(trace) -> list[Subspace]:
+    """The subspace scanned in each round, rebuilt from the full space
+    and the characters each round added."""
+    h = Subspace.full(trace.final_subspace.n)
+    out = []
+    for rec in trace.iterations:
+        out.append(h)
+        added = Subspace.from_vectors(h.n, rec.added_characters)
+        h = h.intersect(added.orthogonal_complement())
+    assert h == trace.final_subspace
+    return out
+
+
+class TestExactCountEnergy:
+    """On count tables energy is the correctly rounded exact value, equal
+    to the Parseval sum over H-perp that the decomposition reads."""
+
+    def test_brute_force_and_parseval_at_a_2_40_denominator(self):
+        # (2^40 * 2^12)^2 = 2^104: the squares wrap in int64
+        n, den = 12, 1 << 40
+        # noise in [0, 1/2] plus two planted characters of weight 1/4
+        points = np.arange(1 << n, dtype=np.int64)
+        hits = sum(((np.bitwise_count(points & e) & 1) == 0).astype(np.int64)
+                   for e in (0b101, 0b110000000))
+        noise = np.random.default_rng(40).integers(0, den // 2 + 1, 1 << n)
+        f = FunctionTable.from_counts(n, (den // 4) * hits + noise, den)
+        spectrum = fourier._count_spectrum(f)
+        py = random.Random(40)
+        hs = [Subspace.full(n), Subspace.zero(n)] + [
+            Subspace.from_vectors(n, [py.getrandbits(n) for _ in range(d)])
+            for d in (1, 4, 8, 11)
+        ]
+        for h in hs:
+            exact = brute_energy(f, h)
+            assert decompose._parseval_energy(spectrum, h, den) == exact
+            assert energy(f, h) == float(exact)
+        trace = find_regular_subspace(f, 0.1)
+        assert trace.succeeded and trace.final_report.is_regular
+        assert [rec.added_characters for rec in trace.iterations] == [(0b110000000,), (0b101,)]
+        for rec, h in zip(trace.iterations, trace_subspaces(trace)):
+            assert rec.energy == float(brute_energy(f, h))
+        assert trace.final_energy == float(brute_energy(f, trace.final_subspace))
+
+    @pytest.mark.parametrize("s, seed", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_trace_energies_bit_for_bit(self, s, seed):
+        f = Instance.generate(s, seed=seed).table
+        for eps in ("1/48", "1/16", "1/6"):
+            trace = find_regular_subspace(f, eps)
+            for rec, h in zip(trace.iterations, trace_subspaces(trace)):
+                assert energy(f, h) == rec.energy
+            assert energy(f, trace.final_subspace) == trace.final_energy
+
+    def test_s3_energies_correctly_rounded(self):
+        f = Instance.generate(3, seed=0).table
+        trace = find_regular_subspace(f, "1/48")
+        assert trace.iterations[0].energy == 0.25
+        for rec, h in zip(trace.iterations[:4], trace_subspaces(trace)):
+            assert rec.energy == float(brute_energy(f, h))
+
+    def test_gain_guard_is_exact(self, monkeypatch):
+        # energies k * step for the k-th subspace measured: a gain of
+        # exactly eps^3 fails the check, and one 10^-30 above it passes
+        f = Instance.generate(2, seed=1).table
+        eps = Fraction(1, 32)
+        for step, fails in ((eps**3, True), (eps**3 + Fraction(1, 10**30), False)):
+            calls = iter(range(100))
+            monkeypatch.setattr(decompose, "_parseval_energy",
+                                lambda *_: next(calls) * step)
+            if fails:
+                with pytest.raises(decompose.DecompositionError):
+                    find_regular_subspace(f, eps)
+            else:
+                assert find_regular_subspace(f, eps).succeeded
+
+    def test_monotone_under_refinement(self):
+        rng = random.Random(44)
+        for _ in range(30):
+            n = rng.randint(2, 10)
+            den = rng.choice([1, 3, 6, 255, 1 << 20])
+            counts = np.array([rng.randint(0, den) for _ in range(1 << n)])
+            f = FunctionTable.from_counts(n, counts, den)
+            rows = [rng.getrandbits(n) for _ in range(rng.randint(0, n))]
+            h = Subspace.from_vectors(n, rows)
+            finer = h.intersect(
+                Subspace.from_vectors(n, [rng.getrandbits(n)]).orthogonal_complement()
+            )
+            assert energy(f, finer) >= energy(f, h)
 
 
 class TestRefineStep:

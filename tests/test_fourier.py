@@ -7,6 +7,7 @@ also by hand, is (1/2, 1/4, 1/8, 1/8, 1/8, -1/8, 0, 0).
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from f2reglab import (
 )
 from f2reglab import fourier
 from f2reglab.gf2 import _echelon_stack, subspaces_of_dim
+from f2reglab.reports import emit_report
 
 S2_VALUES = [1.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.0]
 S2_SPECTRUM = [0.5, 0.25, 0.125, 0.125, 0.125, -0.125, 0.0, 0.0]
@@ -477,6 +479,141 @@ class TestDualWorst:
             self.assert_equal_on_every_coset(f, [Subspace.full(f.n)] * 2)
             table = fourier._dual_table(fourier._count_spectrum(f), np.zeros((1, 0), np.int64))
             assert np.array_equal(table[0, 0], fourier._count_spectrum(f)[1:])
+
+
+def assert_same_report(got, expected):
+    """Two regularity reports agree field for field, dtypes included."""
+    assert got.subspace == expected.subspace and got.epsilon == expected.epsilon
+    assert (got.total_cosets, got.regular_cosets) == (expected.total_cosets,
+                                                      expected.regular_cosets)
+    for field in ("witness_reps", "witness_etas", "witness_values"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert emit_report(got) == emit_report(expected)
+
+
+class TestDualReport:
+    """The report `find_regular_subspace` reads from a count table's full
+    transform equals `check_subspace_regularity` field for field: verdict,
+    witness cosets, characters with their tie-breaks, and values."""
+
+    EPS = ("1/48", "1/16", "1/6")
+
+    def assert_same(self, f, hs):
+        spectrum = fourier._count_spectrum(f)
+        for h in hs:
+            for eps in self.EPS:
+                got = fourier._dual_report(h, Fraction(eps), spectrum, f.denominator)
+                assert_same_report(got, check_subspace_regularity(f, h, eps))
+
+    def test_every_hyperplane_of_s2_and_s3(self, s3_table):
+        for f in (Instance.generate(2, seed=1).table, s3_table):
+            hyperplanes = [d.orthogonal_complement() for d in subspaces_of_dim(f.n, 1)]
+            assert len(hyperplanes) == (1 << f.n) - 1
+            self.assert_same(f, hyperplanes)
+
+    def test_random_subspaces_of_every_dimension(self, s3_table):
+        rng = random.Random(41)
+        for f in (Instance.generate(2, seed=1).table, s3_table):
+            n = f.n
+            hs = [Subspace.zero(n), Subspace.full(n)]
+            for codim in range(n + 1):
+                hs += [random_subspace_of_codim(n, codim, rng) for _ in range(4)]
+            assert {h.dim for h in hs} == set(range(n + 1))
+            self.assert_same(f, hs)
+
+    def test_irregular_and_regular_cosets_both_occur(self, s3_table):
+        spectrum = fourier._count_spectrum(s3_table)
+        h = Subspace.from_vectors(11, [793, 78])
+        report = fourier._dual_report(h, Fraction(1, 6), spectrum, s3_table.denominator)
+        assert 0 < report.irregular_cosets < report.total_cosets
+        assert_same_report(report, check_subspace_regularity(s3_table, h, "1/6"))
+
+
+def copied_regularity_report(h, eps, reps, table, den):
+    """The float-table oracle: the report as built before the verdict read
+    the transform in place, from a class-ordered copy of every row."""
+    total = reps.shape[0]
+    if h.dim == 0:
+        irregular = np.zeros(total, dtype=bool)
+        witness_etas, witness_values = np.empty(0, dtype=np.int64), np.empty(0)
+    else:
+        etas, z = fourier._class_maps(h)
+        magnitudes = table[:, z[1:]]
+        np.abs(magnitudes, out=magnitudes)
+        worst = np.argmax(magnitudes, axis=1)
+        worst_abs = magnitudes[np.arange(total), worst]
+        if table.dtype.kind == "f":
+            threshold = float(eps) * den
+        else:
+            threshold = eps.numerator * den // eps.denominator
+        irregular = worst_abs > threshold
+        rows, worst = np.flatnonzero(irregular), worst[irregular] + 1
+        witness_etas = etas[worst]
+        witness_values = fourier._signed(table[rows, z[worst]] / den, reps[rows], witness_etas)
+    return fourier.RegularityReport(
+        subspace=h,
+        epsilon=eps,
+        total_cosets=total,
+        regular_cosets=int(total - irregular.sum()),
+        witness_reps=reps[irregular],
+        witness_etas=witness_etas,
+        witness_values=witness_values,
+    )
+
+
+class TestFloatReportOracle:
+    """`_regularity_report` reads the verdict in place and copies only the
+    irregular rows; its reports equal the copying oracle's exactly."""
+
+    def assert_same(self, f, h, eps):
+        eps = Fraction(eps)
+        reps = h.coset_representative_array()
+        table, den = fourier._coset_transform(f, h.span_array(), reps)
+        expected = copied_regularity_report(h, eps, reps, table.copy(), den)
+        got, irregular = fourier._regularity_report(h, eps, reps, table, den)
+        assert_same_report(got, expected)
+        assert np.array_equal(reps[irregular], expected.witness_reps)
+        return got
+
+    def test_equal_weight_characters_tie_at_the_smallest_rep(self):
+        # independent characters with weights 1/2 or 1/4: every value and
+        # coefficient is a dyadic rational, so the ties are exact
+        n = 8
+        points = np.arange(1 << n, dtype=np.int64)
+        for etas in ([0b11, 0b101], [0b1100, 0b110000, 0b11000000, 0b11], [7, 56, 192, 129]):
+            hits = [(np.bitwise_count(points & e) & 1) == 0 for e in etas]
+            f = FunctionTable(n, np.mean(hits, axis=0))
+            weight = 0.5 / len(etas)
+            for h in (Subspace.full(n), Subspace.from_vectors(n, [1 << (n - 1)]),
+                      Subspace.from_vectors(n, [1, 2, 4, 8, 16])):
+                report = self.assert_same(f, h, "1/32")
+                if h.dim == n:
+                    # every character ties at weight; the smallest wins
+                    assert report.witness_etas.tolist() == [min(etas)]
+                    assert report.witness_values.tolist() == [weight]
+
+    def test_constant_tables(self):
+        for value in (0.0, 0.3, 1.0):
+            f = FunctionTable.constant(6, value)
+            for h in (Subspace.zero(6), Subspace.from_vectors(6, [5, 12]), Subspace.full(6)):
+                report = self.assert_same(f, h, 0.0)
+                assert report.is_regular and report.witness_etas.size == 0
+
+    def test_random_tables_with_none_some_or_all_cosets_irregular(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(12):
+            n = rng.randint(4, 10)
+            f = random_table(rng, n)
+            for codim in range(n + 1):
+                h = random_subspace_of_codim(n, codim, rng)
+                for eps in ("1/1000", "1/16", "1/6", "2/5"):
+                    report = self.assert_same(f, h, eps)
+                    k = report.irregular_cosets
+                    seen.add("none" if k == 0 else "all" if k == report.total_cosets
+                             else "some")
+        assert seen == {"none", "some", "all"}
 
 
 class TestNarrowTransforms:
