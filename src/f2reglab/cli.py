@@ -120,7 +120,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     table = read_table(args.in_path, dense_limit=args.dense_limit)
     h = _parse_basis(args.basis, table.n)
     eps = parse_epsilon(args.eps)
-    report = check_subspace_regularity(table, h, eps, dense_limit=args.dense_limit)
+    report = check_subspace_regularity(table, h, eps)
     _write(emit_report(report), args.out)
     return 0
 
@@ -134,7 +134,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         max_index_log2=args.max_index_log2,
         max_iterations=args.max_iterations,
         single_witness=args.single_witness,
-        dense_limit=args.dense_limit,
     )
     _write(emit_report(trace), args.out)
     if args.csv is not None:
@@ -153,7 +152,6 @@ def cmd_verify_lowerbound(args: argparse.Namespace) -> int:
         seed=args.seed,
         strict=args.strict,
         max_enumerated_codim=args.max_codim,
-        dense_limit=args.dense_limit,
     )
     _write(emit_report(report), args.out)
     return 0 if report.ok else 1
@@ -188,9 +186,7 @@ def cmd_round(args: argparse.Namespace) -> int:
     pairs = sample_pairs(table.n, args.pairs, args.seed, args.max_codim)
     rounded = round_to_binary(table, args.seed)
     # report first: a bad --max-codim or --tau must fail before --out is written
-    report = deviation_report(
-        table, rounded, args.tau, pairs, seed=args.seed, dense_limit=args.dense_limit
-    )
+    report = deviation_report(table, rounded, args.tau, pairs, seed=args.seed)
     if args.out is not None:
         write_table(args.out, rounded)
     _write(emit_report(report), args.report)
@@ -211,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         out_help: str = "report path (default stdout)",
     ) -> None:
         p.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT,
-                       help="refuse dense work above 2^LIMIT objects")
+                       help="refuse to read or build a table or xi family of more than "
+                            "2^LIMIT entries; spanning checks above dimension LIMIT are sampled")
         p.add_argument("--out", default=None, help=out_help)
         if seed:
             p.add_argument("--seed", type=int, default=0)

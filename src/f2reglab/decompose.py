@@ -36,14 +36,14 @@ from .fourier import (
     as_fraction,
     check_subspace_regularity,
 )
-from .gf2 import DEFAULT_DENSE_LIMIT, Subspace, check_dense
+from .gf2 import DEFAULT_DENSE_LIMIT, Subspace
 
 
 class DecompositionError(RuntimeError):
     """The energy-increment invariant failed during refinement."""
 
 
-def energy(f: FunctionTable, h: Subspace, dense_limit: int = DEFAULT_DENSE_LIMIT) -> float:
+def energy(f: FunctionTable, h: Subspace) -> float:
     """Mean over x of the squared mean of f over the coset of x.
 
     On a count table with denominator s this is the correctly rounded
@@ -52,8 +52,8 @@ def energy(f: FunctionTable, h: Subspace, dense_limit: int = DEFAULT_DENSE_LIMIT
     (s 2^n)^2, which by Parseval on the quotient equals the sum over
     H-perp of the squared full transform (`_parseval_energy`).
     """
-    reps = _pullback_reps(f, h, dense_limit)
-    points = reps[:, None] ^ h.span_array(dense_limit)[None, :]
+    reps = _pullback_reps(f, h)
+    points = reps[:, None] ^ h.span_array(f.n)[None, :]
     if f.counts is None:
         means = f.values[points].mean(axis=1)
         return float(np.square(means).mean())
@@ -81,7 +81,7 @@ def _parseval_energy(spectrum: np.ndarray, h: Subspace, denominator: int) -> Fra
     F (`_count_spectrum`): the sum of F(u)^2 over u in H-perp, over
     (s 2^n)^2 for the denominator s (Parseval over H-perp)."""
     scale = (denominator << h.n) ** 2
-    return Fraction(_square_sum(spectrum[h.orthogonal_complement().span_array()], scale), scale)
+    return Fraction(_square_sum(spectrum[h.orthogonal_complement().span_array(h.n)], scale), scale)
 
 
 def _refine(
@@ -149,7 +149,6 @@ def find_regular_subspace(
     max_index_log2: int = DEFAULT_DENSE_LIMIT,
     max_iterations: int | None = None,
     single_witness: bool = False,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> DecompositionTrace:
     """Iterate refinement from the full space until eps-regularity.
 
@@ -173,18 +172,17 @@ def find_regular_subspace(
 
     if f.counts is None:
         def scan(h: Subspace) -> RegularityReport:
-            return check_subspace_regularity(f, h, eps, dense_limit)
+            return check_subspace_regularity(f, h, eps)
 
         def measure(h: Subspace) -> float:
-            return energy(f, h, dense_limit)
+            return energy(f, h)
 
         gain_floor: "Fraction | float" = float(eps) ** 3 - 1e-12
     else:
-        check_dense(f.n, dense_limit, "spectrum entries")
         spectrum = _count_spectrum(f)
 
         def scan(h: Subspace) -> RegularityReport:
-            return _dual_report(h, eps, spectrum, f.denominator, dense_limit)
+            return _dual_report(h, eps, spectrum, f.denominator)
 
         def measure(h: Subspace) -> Fraction:
             return _parseval_energy(spectrum, h, f.denominator)

@@ -40,7 +40,6 @@ from functools import lru_cache
 import numpy as np
 
 from .gf2 import (
-    DEFAULT_DENSE_LIMIT,
     AffineSubspace,
     DimensionMismatchError,
     F2Vector,
@@ -48,7 +47,6 @@ from .gf2 import (
     _echelon_stack,
     _span_of_rows,
     _span_stack,
-    check_dense,
     parity64,
 )
 
@@ -285,12 +283,11 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def wht_full(f: FunctionTable, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+def wht_full(f: FunctionTable) -> np.ndarray:
     """Full spectrum: entry at index(eta) is E_x[f(x) * (-1)^<x, eta>].
 
     Runs in O(n 2^n) with the cache-blocked in-place transform `_fwht`.
     """
-    check_dense(f.n, dense_limit, "spectrum entries")
     out = f.values.copy()
     _fwht(out)
     out /= float(f.size)
@@ -307,7 +304,7 @@ def restricted_coefficient(f: FunctionTable, a: AffineSubspace, eta: F2Vector) -
     _check_table_coset(f, a)
     if eta.n != f.n:
         raise DimensionMismatchError(f"character n={eta.n} vs table n={f.n}")
-    points = a.element_array()
+    points = a.element_array(f.n)
     signs = 1.0 - 2.0 * parity64(points & np.int64(eta.bits))
     return float((f.values[points] * signs).mean())
 
@@ -493,9 +490,7 @@ def _dual_table(
     return table
 
 
-def restricted_spectrum(
-    f: FunctionTable, a: AffineSubspace, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> CosetSpectrum:
+def restricted_spectrum(f: FunctionTable, a: AffineSubspace) -> CosetSpectrum:
     """All class coefficients of f over the coset a at once.
 
     Pulls f back through the basis parameterization of the coset and
@@ -504,21 +499,20 @@ def restricted_spectrum(
     """
     _check_table_coset(f, a)
     h = a.subspace
-    check_dense(h.dim, dense_limit, "spectrum entries")
     rep = np.int64(a.representative.bits)
-    table, den = _coset_transform(f, h.span_array(dense_limit), rep[None])
+    table, den = _coset_transform(f, h.span_array(f.n), rep[None])
     etas, z = _class_maps(h)
     values = table[0, z].astype(np.float64, copy=False)
     values /= den
     return CosetSpectrum(coset=a, class_reps=etas, coefficients=_signed(values, rep, etas))
 
 
-def _pullback_reps(f: FunctionTable, h: Subspace, dense_limit: int) -> np.ndarray:
-    """Coset representatives of h after the guards on a full pullback."""
+def _pullback_reps(f: FunctionTable, h: Subspace) -> np.ndarray:
+    """Coset representatives of h, which must live in the table's F2^n;
+    a full pullback then has the table's 2^n entries."""
     if f.n != h.n:
         raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
-    check_dense(f.n, dense_limit, "pullback entries")
-    return h.coset_representative_array(dense_limit)
+    return h.coset_representative_array(f.n)
 
 
 def _threshold(eps: Fraction, den: int, kind: str) -> "int | float":
@@ -584,11 +578,7 @@ def _regularity_report(
 
 
 def _dual_report(
-    h: Subspace,
-    eps: Fraction,
-    spectrum: np.ndarray,
-    denominator: int,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
+    h: Subspace, eps: Fraction, spectrum: np.ndarray, denominator: int
 ) -> RegularityReport:
     """`check_subspace_regularity` of a count table on h, read from the
     table's full transform (`_count_spectrum`) instead of a pullback.
@@ -600,7 +590,7 @@ def _dual_report(
     order of the primal scan, so the verdict, the witness characters and
     their tie-breaks are the same.
     """
-    reps = h.coset_representative_array(dense_limit)
+    reps = h.coset_representative_array(h.n)
     if h.dim == 0:
         regular = np.zeros(reps.shape[0], dtype=bool)
         return _report(h, eps, reps, regular, np.empty(0, dtype=np.int64), np.empty(0))
@@ -619,16 +609,13 @@ def _dual_report(
 
 
 def check_subspace_regularity(
-    f: FunctionTable,
-    h: Subspace,
-    epsilon: "float | str | Fraction",
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
+    f: FunctionTable, h: Subspace, epsilon: "float | str | Fraction"
 ) -> RegularityReport:
     """Scan every coset of h and report the regularity verdict at eps.
 
     Verdicts on count tables compare integer numerators and are exact.
     """
     eps = as_fraction(epsilon)
-    reps = _pullback_reps(f, h, dense_limit)
-    table, den = _coset_transform(f, h.span_array(dense_limit), reps)
+    reps = _pullback_reps(f, h)
+    table, den = _coset_transform(f, h.span_array(f.n), reps)
     return _regularity_report(h, eps, reps, table, den)[0]

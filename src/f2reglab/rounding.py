@@ -28,14 +28,12 @@ from .fourier import (
     _poisson_numerators,
 )
 from .gf2 import (
-    DEFAULT_DENSE_LIMIT,
     AffineSubspace,
     DimensionMismatchError,
     F2Vector,
     Subspace,
     _cached_span,
     _span_of_rows,
-    check_dense,
     parity64,
 )
 from .rng import Stream, keyed_uniforms
@@ -136,7 +134,7 @@ def _lookup_coefficients(
     return [
         float(_poisson_numerators(
             spectrum,
-            coset.subspace.orthogonal_complement().span_array(),
+            coset.subspace.orthogonal_complement().span_array(t.n),
             np.int64(coset.representative.bits),
             np.int64(eta),
         )) / coset.size
@@ -183,7 +181,6 @@ def deviation_report(
     tau: float,
     pairs: "list[tuple[AffineSubspace, F2Vector | int]]",
     seed: int | None = None,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> RoundingReport:
     """Compare restricted coefficients of f and s over explicit pairs.
 
@@ -217,7 +214,6 @@ def deviation_report(
         if coset.size < threshold:
             skipped += 1
             continue
-        check_dense(coset.subspace.dim, dense_limit, "subspace elements")
         kept.append((coset, eta_bits))
 
     tables = (f, s)

@@ -27,6 +27,7 @@ one-at-a-time walk.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -43,12 +44,12 @@ from .fourier import (
     _pullback_reps,
     _regularity_report,
     _signed,
+    _threshold,
     _top_bits,
     as_fraction,
     check_subspace_regularity,
 )
 from .gf2 import (
-    DEFAULT_DENSE_LIMIT,
     BlockStructure,
     DenseLimitError,
     F2Vector,
@@ -56,7 +57,6 @@ from .gf2 import (
     _echelon_bases,
     _echelon_stack,
     _span_stack,
-    check_dense,
     reduce_array,
 )
 from .instance import Instance, XiFamily
@@ -71,17 +71,14 @@ def minimal_active_block(h: Subspace, blocks: BlockStructure) -> tuple[int, F2Ve
     """First block i where H has a vector with nonzero block i.
 
     Returns (i, v) with v a basis element realizing it; by minimality
-    every element of H vanishes on blocks before i.
+    every element of H vanishes on blocks before i.  The echelon basis
+    puts the lowest pivot, the lowest set bit of any element of H, in
+    its first row, so i is the block of that pivot and v is that row.
     """
     if h.dim == 0:
         raise ValueError("the zero subspace has no active block")
-    offsets = blocks.offsets
-    for i in range(1, blocks.s + 1):
-        mask = ((1 << blocks.dims[i - 1]) - 1) << offsets[i - 1]
-        for row in h.basis:
-            if row & mask:
-                return i, F2Vector(h.n, row)
-    raise AssertionError("nonzero subspace with all blocks zero")
+    v = h.basis[0]
+    return bisect_right(blocks.offsets, (v & -v).bit_length() - 1), F2Vector(h.n, v)
 
 
 def gamma_character(g: "F2Vector | int", i: int, xi: XiFamily) -> F2Vector:
@@ -176,7 +173,6 @@ def witness_scan(
     epsilon: "float | str | Fraction",
     xi: XiFamily,
     cross_check: bool = True,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
     _gamma_cache: dict | None = None,
 ) -> WitnessCertificate:
     """Build and validate the irregularity certificate of a nonzero H.
@@ -196,21 +192,15 @@ def witness_scan(
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
     eps = as_fraction(epsilon)
-    blocks = xi.blocks
-    i, v = minimal_active_block(h, blocks)
-    prefix_mask = (1 << blocks.offsets[i - 1]) - 1
-    assert all(row & prefix_mask == 0 for row in h.basis), "prefix not constant on cosets"
-    reps = _pullback_reps(f, h, dense_limit)
-
-    family = np.asarray(xi.families[i - 1], dtype=np.int64)
-    gammas = family[reps & np.int64(prefix_mask)] << np.int64(blocks.offsets[i - 1])
-    transform, denominator = _coset_transform(f, h.span_array(dense_limit), reps)
+    i, v = minimal_active_block(h, xi.blocks)
+    reps = _pullback_reps(f, h)
+    gammas = _gammas(np.array([h.basis]), reps[None], xi)[0]
+    transform, denominator = _coset_transform(f, h.span_array(f.n), reps)
     buckets = _buckets(h.basis, gammas)
     numerators = _signed(transform[np.arange(reps.shape[0]), buckets], reps, gammas)
     nontrivial = buckets != 0
     # coefficient > eps  <=>  numerator > floor(eps * denominator), as integers
-    above = numerators > eps.numerator * denominator // eps.denominator
-    certified = nontrivial & above
+    certified = nontrivial & (numerators > _threshold(eps, denominator, "i"))
 
     bad = Fraction(int((~nontrivial).sum()), reps.shape[0])
 
@@ -285,7 +275,6 @@ def _w_class_fractions(
     g: "F2Vector | int",
     i: int,
     xi: XiFamily,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> tuple[list[Fraction], Fraction]:
     """Exact gamma-coefficients over the cosets H+g+w, w in the tail
     span, plus the average (each distinct coset counted once)."""
@@ -297,9 +286,8 @@ def _w_class_fractions(
         raise ValueError("witness character is trivial on H (gamma in H-perp)")
     tail = w_subspace(xi.blocks, i)
     g_bits = g.bits if isinstance(g, F2Vector) else int(g)
-    check_dense(tail.dim, dense_limit, "tail translates")
-    reps = np.unique(reduce_array(tail.span_array(dense_limit) ^ np.int64(g_bits), h))
-    transform, denominator = _coset_transform(f, h.span_array(dense_limit), reps)
+    reps = np.unique(reduce_array(tail.span_array(f.n) ^ np.int64(g_bits), h))
+    transform, denominator = _coset_transform(f, h.span_array(f.n), reps)
     numerators = _signed(transform[:, bucket], reps, gamma)
     values = [Fraction(int(m), denominator) for m in numerators]
     average = Fraction(sum(values), len(values))
@@ -312,14 +300,13 @@ def w_average_coefficient(
     g: "F2Vector | int",
     i: int,
     xi: XiFamily,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> Fraction:
     """Average gamma-coefficient over the tail translates of H+g.
 
     For instance tables this is an exact rational; the construction
     makes it exactly 1/(2s) whenever gamma is nontrivial for H.
     """
-    _, average = _w_class_fractions(f, h, g, i, xi, dense_limit)
+    _, average = _w_class_fractions(f, h, g, i, xi)
     return average
 
 
@@ -329,14 +316,13 @@ def corollary_fraction(
     g: "F2Vector | int",
     i: int,
     xi: XiFamily,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> Fraction:
     """Fraction of tail translates whose gamma-coefficient exceeds 1/(4s).
 
     Asserts the averaging consequence: the fraction itself must exceed
     1/(4s).
     """
-    values, _ = _w_class_fractions(f, h, g, i, xi, dense_limit)
+    values, _ = _w_class_fractions(f, h, g, i, xi)
     threshold = Fraction(1, 4 * f.denominator)
     fraction = Fraction(sum(1 for v in values if v > threshold), len(values))
     if not fraction > threshold:
@@ -522,11 +508,11 @@ def _certify_duals(
     worst = np.abs(table, out=table).max(axis=2) >> c
 
     denominator = f.denominator << (n - c)
-    threshold = eps.numerator * denominator // eps.denominator
+    threshold = _threshold(eps, denominator, "i")
     certified = (buckets != 0) & (numerators > threshold)
     irregular = worst > threshold
     # a count of the 2^c cosets exceeds eps * 2^c iff it exceeds limit
-    limit = eps.numerator * reps.shape[1] // eps.denominator
+    limit = _threshold(eps, reps.shape[1], "i")
     certified_count = certified.sum(axis=1)
     irregular_count = irregular.sum(axis=1)
     passed = (
@@ -546,7 +532,6 @@ def exhaustive_lowerbound_check(
     seed: int = 0,
     strict: bool = True,
     max_enumerated_codim: int = 1,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> LowerBoundReport:
     """Verify that only the zero subspace is eps-regular for an instance.
 
@@ -580,9 +565,8 @@ def exhaustive_lowerbound_check(
         raise DenseLimitError(f"subspace enumeration is limited to n <= 4, got {n}")
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
-    check_dense(n, dense_limit, "pullback entries")
 
-    zero_regular = check_subspace_regularity(f, Subspace.zero(n), eps, dense_limit).is_regular
+    zero_regular = check_subspace_regularity(f, Subspace.zero(n), eps).is_regular
     if strict and not zero_regular:
         raise ClaimViolationError("the zero subspace failed its regularity check")
     spectrum = _count_spectrum(f)
@@ -599,12 +583,12 @@ def exhaustive_lowerbound_check(
         for basis in rows[~passed].tolist():
             h = Subspace._from_echelon(n, tuple(basis))
             try:
-                witness_scan(f, h, eps, xi=inst.xi, dense_limit=dense_limit)
+                witness_scan(f, h, eps, xi=inst.xi)
                 certified += 1
             except ClaimViolationError as exc:
                 if strict:
                     raise
-                if check_subspace_regularity(f, h, eps, dense_limit).is_regular:
+                if check_subspace_regularity(f, h, eps).is_regular:
                     regular_nonzero.append(tuple(h.basis))
                 else:
                     failures.append(

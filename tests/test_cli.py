@@ -1,12 +1,14 @@
 """CLI driver: subcommands, file format, exit codes, determinism."""
 
 import hashlib
+import inspect
 import json
 import struct
 
 import numpy as np
 import pytest
 
+import f2reglab
 from f2reglab import FunctionTable, instance, read_table, write_table
 from f2reglab.cli import main, parse_epsilon
 from f2reglab.tableio import (
@@ -387,6 +389,31 @@ class TestGuards:
             "--eps", "1/48", "--dense-limit", "5",
         )
         assert code == 2 and "dense limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--basis", "1", "--eps", "1/48", "--dense-limit", "5"],
+        ["decompose", "--eps", "1/48", "--dense-limit", "5"],
+        ["round", "--tau", "0.5", "--dense-limit", "5"],
+        ["verify-lowerbound", "--s", "3", "--dense-limit", "10"],
+    ])
+    def test_dense_limit_refusals_exit_2(self, tmp_path, capsys, argv):
+        # the table commands refuse the n = 11 table at read time, and
+        # verify-lowerbound gets an instance without a dense table
+        table_path = tmp_path / "f.f2fn"
+        run_cli(capsys, "gen", "--s", "3", "--seed", "1", "--out", str(table_path))
+        if argv[0] != "verify-lowerbound":
+            argv = [argv[0], "--in", str(table_path)] + argv[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "dense" in err
+
+    @pytest.mark.parametrize("name", [
+        "wht_full", "restricted_spectrum", "check_subspace_regularity", "energy",
+        "find_regular_subspace", "witness_scan", "w_average_coefficient",
+        "corollary_fraction", "exhaustive_lowerbound_check", "deviation_report",
+    ])
+    def test_table_consumers_take_no_dense_limit(self, name):
+        # the limit is checked where tables and enumerations are created
+        assert "dense_limit" not in inspect.signature(getattr(f2reglab, name)).parameters
 
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -14,7 +14,6 @@ import pytest
 
 from f2reglab import (
     AffineSubspace,
-    DenseLimitError,
     F2Vector,
     FunctionTable,
     Instance,
@@ -104,10 +103,6 @@ class TestWhtFull:
             assert np.max(
                 np.abs(wht_full(avg) - (wht_full(f) + wht_full(g)) / 2.0)
             ) < 1e-12
-
-    def test_memory_guard(self):
-        with pytest.raises(DenseLimitError):
-            wht_full(FunctionTable.constant(8, 0.5), dense_limit=6)
 
 
 def radix2_butterfly(a: np.ndarray) -> np.ndarray:

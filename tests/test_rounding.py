@@ -9,7 +9,6 @@ import pytest
 
 from f2reglab import (
     AffineSubspace,
-    DenseLimitError,
     DimensionMismatchError,
     F2Vector,
     FunctionTable,
@@ -247,17 +246,6 @@ class TestDeviationReportGuards:
         f = float_table(6, 1)
         with pytest.raises(ValueError, match="tau"):
             deviation_report(f, round_to_binary(f, 1), tau, [])
-
-    @pytest.mark.parametrize("binary_f", [False, True])
-    def test_dense_limit_on_both_paths(self, binary_f):
-        f = float_table(12, 1)
-        if binary_f:
-            f = round_to_binary(f, 3)
-        pairs = [(AffineSubspace(Subspace.full(12)), 5)]
-        with pytest.raises(DenseLimitError, match="2\\^12 subspace elements"):
-            deviation_report(f, round_to_binary(f, 2), 0.5, pairs, dense_limit=11)
-        report = deviation_report(f, round_to_binary(f, 2), 0.5, pairs, dense_limit=12)
-        assert len(report.records) == 1
 
 
 class TestRegularityPreservedSpotCheck:
