@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .decompose import DecompositionError, find_regular_subspace
 from .fourier import check_subspace_regularity
-from .gf2 import DEFAULT_DENSE_LIMIT, DenseLimitError, F2Vector, Subspace
+from .gf2 import DEFAULT_DENSE_LIMIT, DenseLimitError, F2Vector, Subspace, check_dense
 from .instance import (
     Instance,
     RetryLimitError,
@@ -28,7 +28,7 @@ from .instance import (
     manifest,
 )
 from .reports import emit_report, spanning_check_dict
-from .rounding import deviation_report, round_to_binary, sample_pairs
+from .rounding import deviation_report, round_to_binary, sample_pairs, size_threshold
 from .tableio import TableFormatError, read_table, write_table
 from .witness import ClaimViolationError, exhaustive_lowerbound_check
 
@@ -83,10 +83,7 @@ def _instance(args: argparse.Namespace) -> Instance:
 def cmd_gen(args: argparse.Namespace) -> int:
     inst = _instance(args)
     if args.out is not None:
-        if inst.table is None:
-            raise DenseLimitError(
-                f"s={args.s} has n too large for a dense table; omit --out"
-            )
+        check_dense(inst.n, args.dense_limit, "table entries")
         write_table(args.out, inst.table)
     _write(emit_report(manifest(inst)), args.manifest)
     return 0
@@ -143,6 +140,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify_lowerbound(args: argparse.Namespace) -> int:
     inst = _instance(args)
+    check_dense(inst.n, args.dense_limit, "table entries")
     eps = _resolve_epsilon(args)
     report = exhaustive_lowerbound_check(
         inst,
@@ -183,9 +181,11 @@ def cmd_spanning(args: argparse.Namespace) -> int:
 
 def cmd_round(args: argparse.Namespace) -> int:
     table = read_table(args.in_path, dense_limit=args.dense_limit)
+    # a bad --tau, then a bad --max-codim, fails before any draw and so
+    # before --out is written
+    size_threshold(table.n, args.tau)
     pairs = sample_pairs(table.n, args.pairs, args.seed, args.max_codim)
     rounded = round_to_binary(table, args.seed)
-    # report first: a bad --max-codim or --tau must fail before --out is written
     report = deviation_report(table, rounded, args.tau, pairs, seed=args.seed)
     if args.out is not None:
         write_table(args.out, rounded)

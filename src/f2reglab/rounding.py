@@ -12,7 +12,10 @@ Deviation reports read the coefficients of a rounded table exactly: one
 full integer transform of its 0/1 counts serves every pair, each by a
 Poisson-sum lookup of 2^codim entries.  A float source table keeps the
 defining mean over the coset's gathered values, in the same summation
-order as a one-array mean, so report bytes do not depend on the path.
+order as a one-array mean, so report bytes do not depend on the path:
+the coset is gathered a few grid rows of 2^12 points at a time, each
+row summed on its own, and since numpy sums a 2^d array pairwise by
+halving, the row sums added by a halving tree are that same sum.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .rng import Stream, keyed_uniforms
 _ROUNDING_TAG = "rounding"
 # Basis rows in the inner, contiguous factor of a gathered coset.
 _SPLIT = 12
+# Points gathered at once: whole grid rows, sized to stay in cache.
+_CHUNK_POINTS = 1 << 15
 
 
 def round_to_binary(f: FunctionTable, seed: int) -> FunctionTable:
@@ -108,6 +113,10 @@ class RoundingReport:
 
 
 def size_threshold(n: int, tau: float) -> float:
+    """The smallest coset size a deviation scan keeps, 4 n^2 / tau^2;
+    tau must be finite and positive."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     return 4.0 * n * n / (tau * tau)
 
 
@@ -151,27 +160,40 @@ def _gathered_coefficients(
 ) -> np.ndarray:
     """Defining means of the tables over the kept pairs, shape (pairs, tables).
 
-    A coset's points, in `element_array` order, are the outer xor of the
-    span of its basis rows from _SPLIT on (plus the representative) with
-    the span of its first _SPLIT rows, and their signs are the outer
-    product of the two halves' signs; both are exact, so every product
-    and every mean has the bits of the one-array computation.
+    A coset's points, in `element_array` order, form a grid: row i is
+    the span of its first _SPLIT basis rows xored with entry i of the
+    span of the rest (plus the representative), so a point's sign is
+    its row's high-half sign times its column's low-half sign.  Rows
+    are gathered _CHUNK_POINTS at a time, multiplied by the low-half
+    signs and summed per row; the row sums are multiplied by the
+    high-half signs and added by a halving tree.  numpy sums a
+    contiguous 2^d array pairwise, halving it down to 128-entry blocks,
+    so each 2^_SPLIT-point row is one subtree of that sum and the tree
+    over the rows is the rest of it.  A +-1 factor commutes with a
+    rounded sum up to the sign of a zero, which `initial=0.0` and the
+    final `0.0 +` normalise as the one-array mean's zero start does:
+    every coefficient has the bits of the defining mean.
     """
-    largest = max(coset.size for coset, _ in kept)
-    points = np.empty(largest, dtype=np.int64)
-    signs, gathered = np.empty(largest), np.empty(largest)
     out = np.empty((len(kept), len(tables)))
     for k, (coset, eta) in enumerate(kept):
         basis = coset.subspace.basis
         high = _span_of_rows(basis[_SPLIT:]) ^ np.int64(coset.representative.bits)
         low = _cached_span(basis[:_SPLIT])
-        p, sg, g = points[: coset.size], signs[: coset.size], gathered[: coset.size]
-        np.bitwise_xor.outer(high, low, out=p.reshape(high.size, low.size))
-        np.multiply.outer(_signs(high, eta), _signs(low, eta), out=sg.reshape(high.size, low.size))
-        for j, t in enumerate(tables):
-            np.take(t.values, p, out=g)
-            g *= sg
-            out[k, j] = g.mean()
+        low_signs = _signs(low, eta)
+        step = max(1, _CHUNK_POINTS // low.size)
+        sums = np.empty((len(tables), high.size))
+        for i in range(0, high.size, step):
+            points = np.bitwise_xor.outer(high[i : i + step], low)
+            for j, t in enumerate(tables):
+                # a fresh chunk: with out=, take's bounds-checking mode
+                # would gather into a copy of out and copy back
+                gathered = np.take(t.values, points)
+                gathered *= low_signs
+                np.add.reduce(gathered, axis=1, initial=0.0, out=sums[j, i : i + step])
+        sums *= _signs(high, eta)
+        while sums.shape[1] > 1:
+            sums = sums[:, 0::2] + sums[:, 1::2]
+        out[k] = (0.0 + sums[:, 0]) / coset.size
     return out
 
 
@@ -193,10 +215,12 @@ def deviation_report(
       The mean of 0/+-1 products is an exactly summed integer over the
       coset size, so numerator / size is the same float (and never
       -0.0, as the mean is not);
-    * any other table gathers each coset's values into buffers sized to
-      the largest kept coset, multiplies by the signs and takes the
-      mean, over the same products in the same order as the one-array
-      mean.
+    * any other table gathers each coset's values a few 2^12-point grid
+      rows at a time (about 2^15 points, so a chunk stays in cache),
+      sums each row's signed values, and adds the row sums by a halving
+      tree: the same products, added in the same order as the pairwise
+      sum of the one-array mean, so the same float
+      (`_gathered_coefficients` gives the argument).
 
     Pairs must live in F2^n with characters below 2^n, and tau must be
     finite and positive; every pair is checked before any work.
@@ -204,8 +228,6 @@ def deviation_report(
     if f.n != s.n:
         raise DimensionMismatchError(f"table dimensions differ: {f.n} vs {s.n}")
     tau = float(tau)
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
     threshold = size_threshold(f.n, tau)
     kept: list[tuple[AffineSubspace, int]] = []
     skipped = 0
@@ -252,7 +274,16 @@ def sample_pairs(
     seed: int,
     max_codim: int,
 ) -> list[tuple[AffineSubspace, F2Vector]]:
-    """Seeded random (coset, character) pairs with codimension <= max_codim."""
+    """Seeded random (coset, character) pairs with codimension <= max_codim.
+
+    max_codim must be at most n: no subspace of F2^n has a larger
+    codimension, so its draws would be retried forever.
+    """
+    if max_codim > n:
+        raise ValueError(
+            f"max_codim {max_codim} exceeds n = {n}: "
+            f"no subspace of F2^{n} has that codimension"
+        )
     stream = Stream(seed, "rounding/pairs")
     pairs: list[tuple[AffineSubspace, F2Vector]] = []
     while len(pairs) < count:

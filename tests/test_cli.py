@@ -335,6 +335,19 @@ class TestSpanningRound:
         assert code == 2 and out == "" and "bound" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("max_codim", ["12", "1000000"])
+    def test_round_max_codim_above_n_exit_2(self, tmp_path, capsys, max_codim):
+        # no subspace of F2^11 has codimension 12: refused before any draw
+        table_path = tmp_path / "f.f2fn"
+        run_cli(capsys, "gen", "--s", "3", "--seed", "1", "--out", str(table_path))
+        out_path = tmp_path / "s.f2fn"
+        code, out, err = run_cli(
+            capsys, "round", "--in", str(table_path), "--tau", "0.5",
+            "--seed", "5", "--out", str(out_path), "--max-codim", max_codim,
+        )
+        assert code == 2 and out == "" and "exceeds n = 11" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("tau", ["0", "-1", "nan"])
     def test_round_bad_tau_exit_2(self, tmp_path, capsys, tau):
         table_path = tmp_path / "f.f2fn"
@@ -395,16 +408,24 @@ class TestGuards:
         ["decompose", "--eps", "1/48", "--dense-limit", "5"],
         ["round", "--tau", "0.5", "--dense-limit", "5"],
         ["verify-lowerbound", "--s", "3", "--dense-limit", "10"],
+        ["gen", "--s", "3", "--dense-limit", "10"],
     ])
     def test_dense_limit_refusals_exit_2(self, tmp_path, capsys, argv):
         # the table commands refuse the n = 11 table at read time, and
-        # verify-lowerbound gets an instance without a dense table
+        # verify-lowerbound and gen --out refuse the instance's table, all
+        # with the same message naming n and the limit
         table_path = tmp_path / "f.f2fn"
         run_cli(capsys, "gen", "--s", "3", "--seed", "1", "--out", str(table_path))
-        if argv[0] != "verify-lowerbound":
+        gen_out = tmp_path / "g.f2fn"
+        if argv[0] == "gen":
+            argv = argv + ["--out", str(gen_out)]
+        elif argv[0] != "verify-lowerbound":
             argv = [argv[0], "--in", str(table_path)] + argv[1:]
+        limit = argv[argv.index("--dense-limit") + 1]
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and "dense" in err
+        assert code == 2 and out == ""
+        assert f"materializing 2^11 table entries exceeds the dense limit 2^{limit}" in err
+        assert not gen_out.exists()
 
     @pytest.mark.parametrize("name", [
         "wht_full", "restricted_spectrum", "check_subspace_regularity", "energy",

@@ -22,7 +22,7 @@ from f2reglab import (
     wht_full,
 )
 from f2reglab.gf2 import parity64
-from f2reglab.rounding import round_point, size_threshold
+from f2reglab.rounding import _SPLIT, round_point, size_threshold
 
 # frozen: rounding the two-block instance table with this seed keeps
 # every nonzero subspace irregular at half the instance's design level
@@ -126,6 +126,11 @@ class TestDeviationReport:
         assert [(p[0], p[1].bits) for p in a] == [(p[0], p[1].bits) for p in b]
         assert all(p[0].size >= 1 << 9 for p in a)
 
+    def test_sampled_codim_at_most_n(self):
+        assert {p[0].subspace.dim for p in sample_pairs(3, 40, seed=1, max_codim=3)} == {0, 1, 2, 3}
+        with pytest.raises(ValueError, match="exceeds n = 8"):
+            sample_pairs(8, 20, seed=1, max_codim=9)
+
 
 def defining_mean_values(f, s, tau, pairs):
     """Oracle: the per-pair loop deviation_report replaced, with a fresh
@@ -216,6 +221,61 @@ class TestDeviationValuesBitEqual:
         assert record.f_value == record.s_value == 0.0
         assert not math.copysign(1.0, record.f_value) < 0
         assert not math.copysign(1.0, record.s_value) < 0
+
+    def test_n18_coset_dims_across_chunks(self):
+        # dims 12..18 give 1 to 64 grid rows: one partial chunk of the
+        # 8-row chunks, one full chunk, and 2 to 8 chunks
+        f, g = float_table(18, 20), float_table(18, 21)
+        pairs = pairs_of_every_dim(18, 22)[12:]
+        report = assert_bit_equal_to_oracle(f, round_to_binary(f, 23), 64.0, pairs)
+        assert [r.size for r in report.records] == [1 << d for d in range(12, 19)]
+        assert_bit_equal_to_oracle(f, g, 64.0, pairs)
+
+    def test_float_and_sixths_gathered_in_one_call(self):
+        counts = np.random.default_rng(24).integers(0, 7, 1 << 18).astype(np.uint8)
+        sixths = FunctionTable.from_counts(18, counts, 6)
+        pairs = pairs_of_every_dim(18, 25)[9:]
+        assert_bit_equal_to_oracle(float_table(18, 26), sixths, 64.0, pairs)
+
+    @pytest.mark.parametrize("levels, weights", [
+        ([0.0, 0.5], [0.9, 0.1]),
+        ([0.0, 0.25, 0.5, 1.0], [0.7, 0.1, 0.1, 0.1]),
+        ([0.5], [1.0]),
+    ])
+    def test_zero_heavy_tables_cancel_exactly(self, levels, weights):
+        # dyadic values make many row sums exact zeros of either sign
+        rng = np.random.default_rng(27)
+        f = FunctionTable(16, rng.choice(levels, size=1 << 16, p=weights))
+        g = FunctionTable(16, rng.choice(levels, size=1 << 16, p=weights))
+        pairs = pairs_of_every_dim(16, 28)
+        pairs += [(coset, 0) for coset, _ in pairs]
+        assert_bit_equal_to_oracle(f, g, 64.0, pairs)
+        assert_bit_equal_to_oracle(f, round_to_binary(g, 29), 64.0, pairs)
+
+    def test_row_tree_is_numpy_mean(self):
+        # pins numpy's pairwise summation, which halves a contiguous 2^k
+        # array into 128-entry blocks: per-row sums of 2^_SPLIT entries,
+        # added by a halving tree from a zero start, are its mean bit for
+        # bit, signed zeros included
+        rng = np.random.default_rng(30)
+        for k in range(21):
+            for kind in ("float", "zeros", "mixed"):
+                a = rng.random(1 << k) * rng.choice([-1.0, 1.0], size=1 << k)
+                if kind == "zeros":
+                    a = np.copysign(0.0, a)
+                elif kind == "mixed":
+                    a[rng.random(1 << k) < 0.5] = -0.0
+                sums = np.add.reduce(a.reshape(-1, min(a.size, 1 << _SPLIT)), axis=1, initial=0.0)
+                while sums.size > 1:
+                    sums = sums[0::2] + sums[1::2]
+                expected = np.float64(a.mean())
+                assert ((0.0 + sums[0]) / a.size).tobytes() == expected.tobytes(), (k, kind)
+                if k:
+                    # the kernel on the same magnitudes, over the full space
+                    # in counting order under a random character
+                    t = FunctionTable(k, np.abs(a))
+                    eta = int(rng.integers(0, 1 << k))
+                    assert_bit_equal_to_oracle(t, t, 64.0, [(AffineSubspace(Subspace.full(k)), eta)])
 
 
 class TestDeviationReportGuards:
