@@ -23,6 +23,7 @@ from .instance import (
     Instance,
     RetryLimitError,
     TowerOverflowError,
+    block_dims,
     eval_count,
     generate_spanning_family,
     manifest,
@@ -80,10 +81,21 @@ def _instance(args: argparse.Namespace) -> Instance:
     )
 
 
+def _check_table_fits(args: argparse.Namespace) -> None:
+    """Refuse an instance table over the dense limit before generating
+    the instance: n follows from the block dims alone.  When the xi
+    entries of the last block are over the limit too, generation refuses
+    them first, with its own message."""
+    sums = block_dims(args.s).prefix_sums
+    if len(sums) == args.s + 1 and sums[-2] <= args.dense_limit:
+        check_dense(sums[-1], args.dense_limit, "table entries")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.out is not None:
+        _check_table_fits(args)
     inst = _instance(args)
     if args.out is not None:
-        check_dense(inst.n, args.dense_limit, "table entries")
         write_table(args.out, inst.table)
     _write(emit_report(manifest(inst)), args.manifest)
     return 0
@@ -139,8 +151,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_lowerbound(args: argparse.Namespace) -> int:
+    _check_table_fits(args)
     inst = _instance(args)
-    check_dense(inst.n, args.dense_limit, "table entries")
     eps = _resolve_epsilon(args)
     report = exhaustive_lowerbound_check(
         inst,

@@ -29,6 +29,7 @@ import numpy as np
 from .fourier import (
     FunctionTable,
     RegularityReport,
+    _block_rows,
     _count_dtype,
     _count_spectrum,
     _dual_report,
@@ -53,11 +54,18 @@ def energy(f: FunctionTable, h: Subspace) -> float:
     H-perp of the squared full transform (`_parseval_energy`).
     """
     reps = _pullback_reps(f, h)
-    points = reps[:, None] ^ h.span_array(f.n)[None, :]
-    if f.counts is None:
-        means = f.values[points].mean(axis=1)
-        return float(np.square(means).mean())
-    sums = f.counts[points].sum(axis=1, dtype=_count_dtype(f.denominator, h.dim))
+    span, step = h.span_array(f.n), _block_rows(h.dim)
+    exact = f.counts is not None
+    sums = np.empty(reps.shape[0], _count_dtype(f.denominator, h.dim) if exact else np.float64)
+    # a block of cosets at a time; each row is still reduced on its own
+    for start in range(0, reps.shape[0], step):
+        points = reps[start : start + step, None] ^ span
+        if exact:
+            sums[start : start + step] = f.counts[points].sum(axis=1, dtype=sums.dtype)
+        else:
+            sums[start : start + step] = f.values[points].mean(axis=1)
+    if not exact:
+        return float(np.square(sums).mean())
     scale = (f.denominator << f.n) ** 2
     return float(Fraction(_square_sum(sums, scale) * reps.shape[0], scale))
 

@@ -11,15 +11,17 @@ Three private kernels compute coset coefficients:
 
 * `_coset_transform` pulls f back through the basis parameterization of
   H over the requested cosets and runs one batched size-2^dim transform.
-  `check_subspace_regularity`, `restricted_spectrum`, `witness_scan`
-  and the tail-translate averages of `witness` read their coefficients
-  from it.
+  `check_subspace_regularity` and `witness_scan` read their coefficients
+  from it a block of cosets at a time (`_regularity_scan`: at most
+  _CHUNK entries, or one row of a larger coset), and `restricted_spectrum`
+  and the tail-translate averages of `witness` over their few cosets.
 * `_dual_table` reads every coset's numerator at every nontrivial class
   of a stack of subspaces from the count table's one full transform, by
   Poisson summation over H-perp (a gather and codim(H) butterfly
   stages).  The lower-bound walk certifies its stacks from it, and
   `find_regular_subspace` scans each round of a count table's
-  decomposition with it at the canonical class reps (`_dual_report`).
+  decomposition with it at the canonical class reps, a chunk of at most
+  _CHUNK entries (or one class) at a time (`_dual_report`).
 * `_poisson_numerators` reads single (coset, character) numerators from
   that full transform; rounding deviation reports use it.
 
@@ -248,12 +250,11 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     same adds and subtracts in the same order, and only the schedule is
     blocked for the cache:
 
-    * an array of at most _CHUNK elements runs the radix-4 passes of
-      `_butterflies` directly;
-    * a larger one is cut into contiguous blocks of _CHUNK elements made
-      of whole runs of length min(size, _CHUNK), and each block runs all
-      its stages while it stays in the cache (`_block`); short transform
-      axes with many rows get contiguous operands from the transpose;
+    * the array is cut into contiguous blocks of at most _CHUNK elements
+      made of whole runs of length min(size, _CHUNK), and each block runs
+      all its stages while it stays in the cache (`_block`); short
+      transform axes with many rows get contiguous operands from the
+      transpose, also in an array of a single block;
     * a transform axis longer than _CHUNK then runs its remaining stages,
       which pair the blocks of one row, on column slabs of about _CHUNK
       elements of the row viewed as (size / _CHUNK, _CHUNK).
@@ -265,13 +266,10 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     size = a.shape[-1]
     if size < 2:
         return a
-    if a.size <= _CHUNK:
-        _butterflies(a, 1, size)
-        return a
     length = min(size, _CHUNK)
     runs = a.reshape(-1, length)
     step = _CHUNK // length
-    buf = np.empty(_CHUNK, dtype=a.dtype)
+    buf = np.empty(min(a.size, _CHUNK), dtype=a.dtype)
     for i in range(0, runs.shape[0], step):
         _block(runs[i : i + step], length, buf)
     if size > _CHUNK:
@@ -381,6 +379,7 @@ def _coset_transform(
     else:
         table = f.counts[index].astype(_count_dtype(f.denominator, dim))
         den = f.denominator << dim
+    del index  # one row may have 2^n entries: free the index before the transform
     _fwht(table)
     return table, den
 
@@ -552,29 +551,55 @@ def _report(
     )
 
 
-def _regularity_report(
-    h: Subspace, eps: Fraction, reps: np.ndarray, table: np.ndarray, den: int
-) -> tuple[RegularityReport, np.ndarray]:
-    """Regularity report of h from the transform rows of all its cosets
-    (`_coset_transform`), with the per-coset irregular mask.
+def _block_rows(dim: int) -> int:
+    """Rows of 2^dim entries per block of a scan: at most _CHUNK entries,
+    or one row when a row is longer."""
+    return max(1, _CHUNK >> dim)
+
+
+def _regularity_scan(
+    f: FunctionTable,
+    h: Subspace,
+    eps: Fraction,
+    reps: np.ndarray,
+    buckets: "np.ndarray | None" = None,
+) -> tuple[RegularityReport, np.ndarray, "np.ndarray | None"]:
+    """Regularity report of h at eps over the cosets reps[r] + H, with the
+    per-coset irregular mask, from their transform rows
+    (`_coset_transform`) taken a block at a time (`_block_rows`).  Only
+    per-coset results outlive a block.
 
     The verdict reads each row's largest nontrivial magnitude in place.
-    Only the irregular rows are copied, in class order, to find their
-    worst nontrivial class: the one of largest coefficient magnitude,
-    the smallest representative on ties.
+    Only a block's irregular rows are copied, in class order, to find
+    their worst nontrivial class: the one of largest coefficient
+    magnitude, the smallest representative on ties.  Given a transform
+    bucket per coset, the scan also returns each row's (unsigned) entry
+    there, read from the same block.
     """
     irregular = np.zeros(reps.shape[0], dtype=bool)
-    if h.dim:
-        irregular = _largest_magnitude(table[:, 1:]) > _threshold(eps, den, table.dtype.kind)
-    rows = np.flatnonzero(irregular)
-    witness_etas, witness_values = np.empty(0, dtype=np.int64), np.empty(0)
-    if rows.size:
-        etas, z = _class_maps(h)
-        magnitudes = table[rows[:, None], z[1:]]
-        worst = np.argmax(np.abs(magnitudes, out=magnitudes), axis=1) + 1
-        witness_etas = etas[worst]
-        witness_values = _signed(table[rows, z[worst]] / den, reps[rows], witness_etas)
-    return _report(h, eps, reps, irregular, witness_etas, witness_values), irregular
+    witness_etas, witness_values, entries = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
+    span, step, z = h.span_array(f.n), _block_rows(h.dim), None
+    # the zero subspace has no nontrivial class: every coset is regular
+    for start in range(0, reps.shape[0] if h.dim else 0, step):
+        block = reps[start : start + step]
+        table, den = _coset_transform(f, span, block)
+        if buckets is not None:
+            entries.append(table[np.arange(block.shape[0]), buckets[start : start + step]])
+        bad = _largest_magnitude(table[:, 1:]) > _threshold(eps, den, table.dtype.kind)
+        irregular[start : start + step] = bad
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            if z is None:
+                etas, z = _class_maps(h)
+            magnitudes = table[rows[:, None], z[1:]]
+            worst = np.argmax(np.abs(magnitudes, out=magnitudes), axis=1) + 1
+            witness_etas.append(etas[worst])
+            witness_values.append(_signed(table[rows, z[worst]] / den, block[rows], etas[worst]))
+        del table  # before the next block is gathered
+    report = _report(
+        h, eps, reps, irregular, np.concatenate(witness_etas), np.concatenate(witness_values)
+    )
+    return report, irregular, np.concatenate(entries) if entries else None
 
 
 def _dual_report(
@@ -586,9 +611,13 @@ def _dual_report(
     `_dual_table` gathers the spectrum over H-perp at the canonical class
     reps (those of `_class_maps(h)`, H-perp's coset representatives) and
     runs c = codim(h) butterfly stages, in place of the pullback's n - c:
-    every coset's numerators at every nontrivial class, in the class
-    order of the primal scan, so the verdict, the witness characters and
-    their tie-breaks are the same.
+    every coset's numerators at the nontrivial classes, in the class
+    order of the primal scan.  The classes are taken in ascending chunks
+    of `_block_rows(c)`, a fixed span of the low free positions of
+    H-perp XOR each subset of the high ones, and each coset keeps its
+    largest magnitude, the signed entry there and the first class that
+    reaches it; a later chunk wins only when strictly larger, so the
+    verdict, the witness characters and their tie-breaks are the same.
     """
     reps = h.coset_representative_array(h.n)
     if h.dim == 0:
@@ -596,16 +625,27 @@ def _dual_report(
         return _report(h, eps, reps, regular, np.empty(0, dtype=np.int64), np.empty(0))
     c = h.n - h.dim
     perp = h.orthogonal_complement()
-    etas = perp.coset_representative_array(h.n)
     duals = _echelon_stack(np.array([perp.basis], np.int64), h.n, top=True)[0]
-    table = _dual_table(spectrum, duals, etas[None, 1:])[0]
+    units, bits = [1 << p for p in perp.free_positions], _block_rows(c).bit_length() - 1
+    low = _span_of_rows(units[:bits])
+    cosets = np.arange(reps.shape[0])
+    best = np.full(reps.shape[0], -1, dtype=spectrum.dtype)
+    value, worst = np.zeros_like(best), np.zeros(reps.shape[0], dtype=np.int64)
+    for k, high in enumerate(_span_of_rows(units[bits:])):
+        classes = low[1:] if k == 0 else low ^ high
+        if not classes.size:
+            continue
+        table = _dual_table(spectrum, duals, classes[None])[0]
+        magnitudes = np.abs(table)
+        col = magnitudes.argmax(axis=1)
+        better = magnitudes[cosets, col] > best
+        col = col[better]
+        best[better] = magnitudes[better, col]
+        value[better] = table[better, col]
+        worst[better] = classes[col]
     den = denominator << h.dim
-    irregular = _largest_magnitude(table) >> c > _threshold(eps, den, "i")
-    rows = np.flatnonzero(irregular)
-    magnitudes = table[rows]
-    worst = np.argmax(np.abs(magnitudes, out=magnitudes), axis=1)
-    witness_values = (table[rows, worst] >> c) / den
-    return _report(h, eps, reps, irregular, etas[worst + 1], witness_values)
+    irregular = best >> c > _threshold(eps, den, "i")
+    return _report(h, eps, reps, irregular, worst[irregular], (value[irregular] >> c) / den)
 
 
 def check_subspace_regularity(
@@ -615,7 +655,4 @@ def check_subspace_regularity(
 
     Verdicts on count tables compare integer numerators and are exact.
     """
-    eps = as_fraction(epsilon)
-    reps = _pullback_reps(f, h)
-    table, den = _coset_transform(f, h.span_array(f.n), reps)
-    return _regularity_report(h, eps, reps, table, den)[0]
+    return _regularity_scan(f, h, as_fraction(epsilon), _pullback_reps(f, h))[0]

@@ -364,9 +364,14 @@ def enumerate_all_subspaces(n: int) -> Iterator[Subspace]:
 
 
 def _span_of_rows(rows: Sequence[int]) -> np.ndarray:
-    span = np.zeros(1, dtype=np.int64)
+    """All 2^len(rows) subset XORs of the rows, entry k XORing those
+    selected by the bits of k, filled in place in one array."""
+    span = np.empty(1 << len(rows), dtype=np.int64)
+    span[0] = 0
+    k = 1
     for r in rows:
-        span = np.concatenate([span, span ^ np.int64(r)])
+        np.bitwise_xor(span[:k], np.int64(r), out=span[k : 2 * k])
+        k *= 2
     return span
 
 

@@ -42,7 +42,7 @@ from .fourier import (
     _count_spectrum,
     _dual_table,
     _pullback_reps,
-    _regularity_report,
+    _regularity_scan,
     _signed,
     _threshold,
     _top_bits,
@@ -183,11 +183,11 @@ def witness_scan(
     its exact coset transform at the bucket of its gamma, and gamma is
     nontrivial exactly when that bucket is nonzero.  Every scan is
     cross-checked: it builds the regularity report from the same
-    transform, requires every certified coset to be irregular there,
-    raises when the report is regular, and spot-checks certified
-    coefficients against the defining mean.  cross_check and
-    _gamma_cache are accepted for callers that still pass them and are
-    ignored.
+    transform blocks (`_regularity_scan`), requires every certified
+    coset to be irregular there, raises when the report is regular, and
+    spot-checks certified coefficients against the defining mean.
+    cross_check and _gamma_cache are accepted for callers that still
+    pass them and are ignored.
     """
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
@@ -195,16 +195,16 @@ def witness_scan(
     i, v = minimal_active_block(h, xi.blocks)
     reps = _pullback_reps(f, h)
     gammas = _gammas(np.array([h.basis]), reps[None], xi)[0]
-    transform, denominator = _coset_transform(f, h.span_array(f.n), reps)
     buckets = _buckets(h.basis, gammas)
-    numerators = _signed(transform[np.arange(reps.shape[0]), buckets], reps, gammas)
+    report, irregular, entries = _regularity_scan(f, h, eps, reps, buckets)
+    numerators = _signed(entries, reps, gammas)
+    denominator = f.denominator << h.dim
     nontrivial = buckets != 0
     # coefficient > eps  <=>  numerator > floor(eps * denominator), as integers
     certified = nontrivial & (numerators > _threshold(eps, denominator, "i"))
 
     bad = Fraction(int((~nontrivial).sum()), reps.shape[0])
 
-    report, irregular = _regularity_report(h, eps, reps, transform, denominator)
     cert = WitnessCertificate(
         subspace=h,
         epsilon=eps,

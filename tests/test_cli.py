@@ -427,6 +427,34 @@ class TestGuards:
         assert f"materializing 2^11 table entries exceeds the dense limit 2^{limit}" in err
         assert not gen_out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--s", "4", "--out"],
+        ["verify-lowerbound", "--s", "4"],
+    ])
+    def test_s4_table_refused_before_generation(self, tmp_path, capsys, monkeypatch, argv):
+        # n = 267 follows from the block dims, so the guard runs before
+        # the instance, with its 10^6-sample spanning check, is generated
+        def generate(*args, **kwargs):
+            raise AssertionError("the instance was generated")
+
+        monkeypatch.setattr(f2reglab.Instance, "generate", generate)
+        out_path = tmp_path / "x.f2fn"
+        if argv[0] == "gen":
+            argv = argv + [str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "materializing 2^267 table entries exceeds the dense limit 2^26" in err
+        assert not out_path.exists()
+
+    def test_xi_family_over_the_limit_refused_by_generation(self, tmp_path, capsys):
+        # block 3 needs 2^3 xi entries: generation refuses those first
+        out_path = tmp_path / "x.f2fn"
+        code, out, err = run_cli(
+            capsys, "gen", "--s", "3", "--dense-limit", "2", "--out", str(out_path)
+        )
+        assert code == 2 and out == "" and not out_path.exists()
+        assert "materializing 2^3 xi entries for block 3 exceeds the dense limit 2^2" in err
+
     @pytest.mark.parametrize("name", [
         "wht_full", "restricted_spectrum", "check_subspace_regularity", "energy",
         "find_regular_subspace", "witness_scan", "w_average_coefficient",

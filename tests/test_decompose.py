@@ -75,6 +75,31 @@ class TestEnergy:
             assert f.mean() ** 2 - 1e-12 <= e <= float(np.square(f.values).mean()) + 1e-12
 
 
+    @pytest.mark.parametrize("chunk", [fourier._CHUNK, 16])
+    def test_blocks_of_cosets_equal_the_whole_table(self, monkeypatch, chunk):
+        # every coset is reduced on its own, so blocks of several rows, or
+        # of one row longer than a block, keep the float bits
+        monkeypatch.setattr(fourier, "_CHUNK", chunk)
+        rng = random.Random(44)
+        for n in (5, 9, 12):
+            f = random_table(rng, n)
+            counts = FunctionTable.from_counts(
+                n, np.array([rng.randint(0, 7) for _ in range(1 << n)]), 7
+            )
+            for dim in range(n + 1):
+                h = Subspace.zero(n)
+                while h.dim < dim:
+                    h = Subspace.from_vectors(n, h.basis + (rng.getrandbits(n),))
+                assert energy(f, h) == whole_table_energy(f, h)
+                assert energy(counts, h) == float(brute_energy(counts, h))
+
+
+def whole_table_energy(f: FunctionTable, h: Subspace) -> float:
+    """The float energy with every coset gathered at once."""
+    points = h.coset_representative_array()[:, None] ^ h.span_array()[None, :]
+    return float(np.square(f.values[points].mean(axis=1)).mean())
+
+
 def brute_energy(f: FunctionTable, h: Subspace) -> Fraction:
     """Exact energy of a count table by the definition: the mean over the
     cosets of the squared exact coset mean."""

@@ -7,6 +7,7 @@ also by hand, is (1/2, 1/4, 1/8, 1/8, 1/8, -1/8, 0, 0).
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,8 @@ from f2reglab import (
     Instance,
     Subspace,
     check_subspace_regularity,
+    energy,
+    find_regular_subspace,
     restricted_coefficient,
     restricted_spectrum,
     round_to_binary,
@@ -524,6 +527,35 @@ class TestDualReport:
         assert 0 < report.irregular_cosets < report.total_cosets
         assert_same_report(report, check_subspace_regularity(s3_table, h, "1/6"))
 
+    def test_classes_in_chunks_of_16(self, s3_table, small_chunk):
+        # 2^11 classes of the full space come in 128 chunks, and a coset of
+        # a codim-c subspace reads 16 >> c classes per chunk
+        rng = random.Random(42)
+        spectrum = fourier._count_spectrum(s3_table)
+        hs = [Subspace.full(11)] + [random_subspace_of_codim(11, c, rng) for c in range(1, 12)]
+        for h in hs:
+            for eps in self.EPS:
+                got = fourier._dual_report(h, Fraction(eps), spectrum, s3_table.denominator)
+                assert_same_report(got, whole_table_report(s3_table, h, eps))
+
+    def test_tie_across_a_chunk_boundary(self, small_chunk):
+        # f = (2 + chi_a + chi_b) / 4: every coset meets both characters
+        # at magnitude 1/4, in classes that fall in different chunks, and
+        # the smaller class rep, in the earlier chunk, wins
+        n, a, b = 8, 0b11, 0b10000001
+        points = np.arange(1 << n, dtype=np.int64)
+        signs = [1 - 2 * (np.bitwise_count(points & e) & 1) for e in (a, b)]
+        f = FunctionTable.from_counts(n, 2 + signs[0] + signs[1], 4)
+        spectrum = fourier._count_spectrum(f)
+        units = [1 << j for j in range(n)]
+        for h in (Subspace.full(n), Subspace.from_vectors(n, units[:6] + units[7:]),
+                  Subspace.from_vectors(n, units[:2] + units[4:6] + units[7:])):
+            got = fourier._dual_report(h, Fraction(1, 8), spectrum, f.denominator)
+            assert got.irregular_cosets == got.total_cosets
+            assert set(np.abs(got.witness_values).tolist()) == {0.25}
+            assert set(got.witness_etas.tolist()) == {h.orthogonal_complement().reduce(a)}
+            assert_same_report(got, whole_table_report(f, h, "1/8"))
+
 
 def copied_regularity_report(h, eps, reps, table, den):
     """The float-table oracle: the report as built before the verdict read
@@ -557,18 +589,39 @@ def copied_regularity_report(h, eps, reps, table, den):
     )
 
 
+def whole_table_report(f, h, eps):
+    """`copied_regularity_report` over the whole-table transform: every
+    coset row gathered at once and run through the radix-2 oracle."""
+    reps = h.coset_representative_array()
+    index = reps[:, None] ^ h.span_array()[None, :]
+    if f.counts is None:
+        table, den = f.values[index], 1 << h.dim
+    else:
+        table, den = f.counts[index].astype(np.int64), f.denominator << h.dim
+    return copied_regularity_report(h, Fraction(eps), reps, radix2_butterfly(table), den)
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    """Scan blocks and class chunks of 16 entries, so every scan of a
+    larger table spans several of them."""
+    monkeypatch.setattr(fourier, "_CHUNK", 16)
+
+
 class TestFloatReportOracle:
-    """`_regularity_report` reads the verdict in place and copies only the
-    irregular rows; its reports equal the copying oracle's exactly."""
+    """`check_subspace_regularity` reads the verdict in place, a block of
+    cosets at a time, and copies only the irregular rows; its reports
+    equal the copying oracle's on the whole-table transform exactly, at
+    the default block size and with blocks of 16 entries, where rows
+    longer than a block run one at a time."""
 
     def assert_same(self, f, h, eps):
-        eps = Fraction(eps)
-        reps = h.coset_representative_array()
-        table, den = fourier._coset_transform(f, h.span_array(), reps)
-        expected = copied_regularity_report(h, eps, reps, table.copy(), den)
-        got, irregular = fourier._regularity_report(h, eps, reps, table, den)
+        expected = whole_table_report(f, h, eps)
+        got = check_subspace_regularity(f, h, eps)
         assert_same_report(got, expected)
-        assert np.array_equal(reps[irregular], expected.witness_reps)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(fourier, "_CHUNK", 16)
+            assert_same_report(check_subspace_regularity(f, h, eps), expected)
         return got
 
     def test_equal_weight_characters_tie_at_the_smallest_rep(self):
@@ -609,6 +662,67 @@ class TestFloatReportOracle:
                     seen.add("none" if k == 0 else "all" if k == report.total_cosets
                              else "some")
         assert seen == {"none", "some", "all"}
+
+    def test_count_tables_of_every_dimension(self, s3_table):
+        rng = random.Random(44)
+        rounded = round_to_binary(FunctionTable(9, np.random.default_rng(9).random(1 << 9)), 3)
+        for f in (Instance.generate(2, seed=1).table, s3_table, rounded):
+            for codim in range(f.n + 1):
+                h = random_subspace_of_codim(f.n, codim, rng)
+                for eps in ("1/48", "1/6"):
+                    self.assert_same(f, h, eps)
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes a call allocates at its peak above the usage it starts from,
+    as tracemalloc (which numpy reports its arrays to) sees them."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanMemory:
+    """Scans of an n = 20 table work in blocks of at most _CHUNK entries
+    (one row when a coset is larger): besides per-coset results they
+    hold a few blocks, far below the 8 * 2^n bytes of the float table.
+    A whole-table gather and transform would take about twice that."""
+
+    N = 20
+    TABLE = 8 << N
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        n = self.N
+        smooth = FunctionTable(n, 0.2 + 0.6 * np.random.default_rng(20).random(1 << n))
+        points = np.arange(1 << n, dtype=np.int64)
+        counts = np.zeros(1 << n, dtype=np.uint8)
+        for weight, chi in zip((3, 2, 1), (0b1011, 0b110 << 8, (1 << (n - 1)) | 3)):
+            counts += np.uint8(weight) * ((np.bitwise_count(points & chi) & 1) == 0)
+        return smooth, FunctionTable.from_counts(n, counts, 6)
+
+    def subspace(self, dim):
+        return random_subspace_of_codim(self.N, self.N - dim, random.Random(dim))
+
+    @pytest.mark.parametrize("dim, fraction", [(4, 1 / 2), (10, 1 / 4), (17, 1 / 2)])
+    def test_check_subspace_regularity(self, tables, dim, fraction):
+        # dim 4: 2^16 cosets, most of them irregular, with their witnesses;
+        # dim 17: rows of 2^17 entries, one at a time, and the span of H
+        h = self.subspace(dim)
+        assert traced_peak(check_subspace_regularity, tables[0], h, "1/16") < fraction * self.TABLE
+
+    def test_energy_of_a_count_table(self, tables):
+        assert traced_peak(energy, tables[1], self.subspace(10)) < self.TABLE / 8
+
+    def test_find_regular_subspace_on_a_count_table(self, tables):
+        # the decomposition keeps the count spectrum (int32 here) for all
+        # rounds; each round's scan reads it in chunks of classes
+        spectrum = fourier._count_spectrum(tables[1]).nbytes
+        peak = traced_peak(find_regular_subspace, tables[1], "1/10")
+        assert peak < spectrum + self.TABLE / 4
 
 
 class TestNarrowTransforms:

@@ -29,10 +29,11 @@ from f2reglab import (
     w_subspace,
     witness_scan,
 )
-from f2reglab import witness
+from f2reglab import fourier, witness
 from f2reglab.cli import main as cli_main
 from f2reglab.fourier import _count_spectrum
 from f2reglab.gf2 import _echelon_stack, subspaces_of_dim
+from f2reglab.reports import emit_report
 from f2reglab.rng import Stream
 from f2reglab.witness import (
     _STACK_ENTRIES,
@@ -351,6 +352,25 @@ class TestWitnessScan:
         plain = FunctionTable(3, inst2.table.values)
         with pytest.raises(ValueError):
             witness_scan(plain, Subspace.from_vectors(3, [1]), "1/32", inst2.xi)
+
+    def test_blocks_of_16_entries_give_the_same_certificate(self, inst3, monkeypatch):
+        # the numerators and the report come from the same transform
+        # blocks; many small blocks read the same entries as one large one.
+        # Subspaces inside blocks 2 and 3 give cosets different gammas.
+        rng = random.Random(13)
+        hs = [random_nonzero_subspace(11, rng) for _ in range(4)] + [Subspace.full(11)]
+        for low, dims in ((1, (1, 2)), (3, (1, 2, 3, 5, 8))):
+            hs += [Subspace.from_vectors(11, [rng.getrandbits(11 - low) << low
+                                              for _ in range(d)]) for d in dims]
+        expected = [witness_scan(inst3.table, h, "1/48", inst3.xi) for h in hs]
+        monkeypatch.setattr(fourier, "_CHUNK", 16)
+        for h, want in zip(hs, expected):
+            got = witness_scan(inst3.table, h, "1/48", inst3.xi)
+            for name in ("reps", "gammas", "numerators", "certified"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert emit_report(got) == emit_report(want)
+            assert emit_report(got.regularity_report) == emit_report(want.regularity_report)
 
     def test_float_eps_with_a_large_denominator(self, inst3):
         # Fraction(0.02) has denominator 2^58; scaling numerators by it
