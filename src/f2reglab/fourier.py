@@ -9,24 +9,23 @@ by its member with all H-perp pivot coordinates zero.
 
 Three private kernels compute coset coefficients:
 
+* `_dual_table` reads every coset's numerator at chosen classes for a
+  stack of subspaces from a count table's one full integer transform
+  (`_count_spectrum`) by Poisson summation over H-perp: a gather and
+  codim(H) butterfly stages.  Every verdict and certificate on a count
+  table comes from it: `check_subspace_regularity` and the decomposition
+  rounds read it a chunk of classes at a time (`_dual_report`), and
+  `witness_scan` and the lower-bound walk certify from it.
 * `_coset_transform` pulls f back through the basis parameterization of
-  H over the requested cosets and runs one batched size-2^dim transform.
-  `check_subspace_regularity` and `witness_scan` read their coefficients
-  from it a block of cosets at a time (`_regularity_scan`: at most
-  _CHUNK entries, or one row of a larger coset), and `restricted_spectrum`
-  and the tail-translate averages of `witness` over their few cosets.
-* `_dual_table` reads every coset's numerator at every nontrivial class
-  of a stack of subspaces from the count table's one full transform, by
-  Poisson summation over H-perp (a gather and codim(H) butterfly
-  stages).  The lower-bound walk certifies its stacks from it, and
-  `find_regular_subspace` scans each round of a count table's
-  decomposition with it at the canonical class reps, a chunk of at most
-  _CHUNK entries (or one class) at a time (`_dual_report`).
+  H over the requested cosets and runs one batched size-2^dim transform:
+  float tables are scanned with it a block of cosets at a time
+  (`_regularity_scan`), and `restricted_spectrum` and the tail-translate
+  averages of `witness` read their few cosets of any table from it.
 * `_poisson_numerators` reads single (coset, character) numerators from
-  that full transform; rounding deviation reports use it.
+  the full integer transform for rounding deviation reports.
 
 Count tables transform their integer numerators, so their coefficients
-are exact ratios and their regularity verdicts compare integers; other
+are exact ratios and their regularity verdicts compare integers; float
 tables transform their float values.  A coset restriction is regular at
 level eps when every nontrivial class coefficient has absolute value at
 most eps; a subspace is regular when at least a (1 - eps) fraction of
@@ -46,7 +45,6 @@ from .gf2 import (
     DimensionMismatchError,
     F2Vector,
     Subspace,
-    _echelon_stack,
     _span_of_rows,
     _span_stack,
     parity64,
@@ -514,19 +512,10 @@ def _pullback_reps(f: FunctionTable, h: Subspace) -> np.ndarray:
     return h.coset_representative_array(f.n)
 
 
-def _threshold(eps: Fraction, den: int, kind: str) -> "int | float":
-    """eps scaled by den, the bound a coset's largest nontrivial
-    magnitude must not exceed: floor(eps * den) for integer numerators,
-    which is exact, and eps * den for float ones, a power-of-two scaling
-    of the float comparison."""
-    if kind == "f":
-        return float(eps) * den
+def _threshold(eps: Fraction, den: int) -> int:
+    """floor(eps * den), exact: an integer numerator over den exceeds eps
+    exactly when it exceeds this bound."""
     return eps.numerator * den // eps.denominator
-
-
-def _largest_magnitude(table: np.ndarray) -> np.ndarray:
-    """Largest |entry| of each row, without an absolute-value copy."""
-    return np.maximum(table.max(axis=1), -table.min(axis=1))
 
 
 def _report(
@@ -558,34 +547,25 @@ def _block_rows(dim: int) -> int:
 
 
 def _regularity_scan(
-    f: FunctionTable,
-    h: Subspace,
-    eps: Fraction,
-    reps: np.ndarray,
-    buckets: "np.ndarray | None" = None,
-) -> tuple[RegularityReport, np.ndarray, "np.ndarray | None"]:
-    """Regularity report of h at eps over the cosets reps[r] + H, with the
-    per-coset irregular mask, from their transform rows
-    (`_coset_transform`) taken a block at a time (`_block_rows`).  Only
-    per-coset results outlive a block.
-
-    The verdict reads each row's largest nontrivial magnitude in place.
-    Only a block's irregular rows are copied, in class order, to find
-    their worst nontrivial class: the one of largest coefficient
-    magnitude, the smallest representative on ties.  Given a transform
-    bucket per coset, the scan also returns each row's (unsigned) entry
-    there, read from the same block.
+    f: FunctionTable, h: Subspace, eps: Fraction, reps: np.ndarray
+) -> RegularityReport:
+    """Regularity report of a float table on h at eps over the cosets
+    reps[r] + H, from their transform rows (`_coset_transform`) a block
+    at a time (`_block_rows`); only per-coset results outlive a block.
+    Each row's largest nontrivial magnitude is compared in place with
+    eps * 2^dim, and only irregular rows are copied, in class order, to
+    find their worst class: the largest magnitude, the smallest rep on
+    ties.
     """
     irregular = np.zeros(reps.shape[0], dtype=bool)
-    witness_etas, witness_values, entries = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
+    witness_etas, witness_values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     span, step, z = h.span_array(f.n), _block_rows(h.dim), None
     # the zero subspace has no nontrivial class: every coset is regular
     for start in range(0, reps.shape[0] if h.dim else 0, step):
         block = reps[start : start + step]
         table, den = _coset_transform(f, span, block)
-        if buckets is not None:
-            entries.append(table[np.arange(block.shape[0]), buckets[start : start + step]])
-        bad = _largest_magnitude(table[:, 1:]) > _threshold(eps, den, table.dtype.kind)
+        # each row's largest nontrivial magnitude, without an abs copy
+        bad = np.maximum(table[:, 1:].max(axis=1), -table[:, 1:].min(axis=1)) > float(eps) * den
         irregular[start : start + step] = bad
         rows = np.flatnonzero(bad)
         if rows.size:
@@ -596,37 +576,34 @@ def _regularity_scan(
             witness_etas.append(etas[worst])
             witness_values.append(_signed(table[rows, z[worst]] / den, block[rows], etas[worst]))
         del table  # before the next block is gathered
-    report = _report(
+    return _report(
         h, eps, reps, irregular, np.concatenate(witness_etas), np.concatenate(witness_values)
     )
-    return report, irregular, np.concatenate(entries) if entries else None
 
 
 def _dual_report(
     h: Subspace, eps: Fraction, spectrum: np.ndarray, denominator: int
 ) -> RegularityReport:
-    """`check_subspace_regularity` of a count table on h, read from the
-    table's full transform (`_count_spectrum`) instead of a pullback.
+    """Regularity report of a count table on h at eps from its full
+    integer transform (`_count_spectrum`), for `check_subspace_regularity`
+    and each decomposition round.
 
     `_dual_table` gathers the spectrum over H-perp at the canonical class
-    reps (those of `_class_maps(h)`, H-perp's coset representatives) and
-    runs c = codim(h) butterfly stages, in place of the pullback's n - c:
-    every coset's numerators at the nontrivial classes, in the class
-    order of the primal scan.  The classes are taken in ascending chunks
-    of `_block_rows(c)`, a fixed span of the low free positions of
-    H-perp XOR each subset of the high ones, and each coset keeps its
-    largest magnitude, the signed entry there and the first class that
-    reaches it; a later chunk wins only when strictly larger, so the
-    verdict, the witness characters and their tie-breaks are the same.
+    reps (`_class_maps(h)`) and runs c = codim(h) butterfly stages.  The
+    classes come in ascending chunks of `_block_rows(c)`, a fixed span of
+    the low free positions of H-perp XOR each subset of the high ones;
+    each coset keeps its largest magnitude, the signed entry there and
+    the first class that reaches it, and a later chunk wins only when
+    strictly larger, so ties go to the smallest rep, as in the float scan.
     """
     reps = h.coset_representative_array(h.n)
     if h.dim == 0:
         regular = np.zeros(reps.shape[0], dtype=bool)
         return _report(h, eps, reps, regular, np.empty(0, dtype=np.int64), np.empty(0))
     c = h.n - h.dim
-    perp = h.orthogonal_complement()
-    duals = _echelon_stack(np.array([perp.basis], np.int64), h.n, top=True)[0]
-    units, bits = [1 << p for p in perp.free_positions], _block_rows(c).bit_length() - 1
+    duals = np.array([h._dual_rows()], np.int64)
+    units = [1 << p for p in h.orthogonal_complement().free_positions]
+    bits = _block_rows(c).bit_length() - 1
     low = _span_of_rows(units[:bits])
     cosets = np.arange(reps.shape[0])
     best = np.full(reps.shape[0], -1, dtype=spectrum.dtype)
@@ -644,15 +621,18 @@ def _dual_report(
         value[better] = table[better, col]
         worst[better] = classes[col]
     den = denominator << h.dim
-    irregular = best >> c > _threshold(eps, den, "i")
+    irregular = best >> c > _threshold(eps, den)
     return _report(h, eps, reps, irregular, worst[irregular], (value[irregular] >> c) / den)
 
 
 def check_subspace_regularity(
     f: FunctionTable, h: Subspace, epsilon: "float | str | Fraction"
 ) -> RegularityReport:
-    """Scan every coset of h and report the regularity verdict at eps.
-
-    Verdicts on count tables compare integer numerators and are exact.
-    """
-    return _regularity_scan(f, h, as_fraction(epsilon), _pullback_reps(f, h))[0]
+    """Scan every coset of h and report the regularity verdict at eps:
+    exact, from the integer transform, on count tables (`_dual_report`),
+    and from the pullback on float tables (`_regularity_scan`)."""
+    reps = _pullback_reps(f, h)
+    eps = as_fraction(epsilon)
+    if f.counts is None:
+        return _regularity_scan(f, h, eps, reps)
+    return _dual_report(h, eps, _count_spectrum(f), f.denominator)

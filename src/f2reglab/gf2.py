@@ -186,15 +186,17 @@ class Subspace:
 
     def orthogonal_complement(self) -> "Subspace":
         """All characters vanishing on this subspace."""
+        return Subspace._from_echelon(self.n, _echelon_rows(self._dual_rows()))
+
+    def _dual_rows(self) -> list[int]:
+        """The orthogonal complement's basis in top-pivot echelon form: for
+        each free position f, ascending, e_f plus e_p for every pivot p
+        whose row has bit f (above p), so f is that row's top bit alone."""
         piv = self.pivots
-        rows = []
-        for f in self.free_positions:
-            w = 1 << f
-            for p, r in zip(piv, self.basis):
-                if (r >> f) & 1:
-                    w |= 1 << p
-            rows.append(w)
-        return Subspace._from_echelon(self.n, _echelon_rows(rows))
+        return [
+            (1 << f) | sum(((r >> f) & 1) << p for p, r in zip(piv, self.basis))
+            for f in self.free_positions
+        ]
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection via duals: (H1^perp + H2^perp)^perp."""

@@ -12,17 +12,16 @@ which rules out eps-regularity of H.
 Instance tables carry exact integer numerators, so every comparison in
 a certificate is exact rational arithmetic: a coefficient over a coset
 of dimension d is (sum of signed counts) / (s * 2^d), and thresholds
-arrive as fractions.  The numerators are read from the same exact coset
-transform that the regularity report is built from; floating point
-appears only in the spot checks against the defining mean.
+arrive as fractions.  The numerators and the regularity reports are read
+from the table's one exact full transform by Poisson summation over
+H-perp (`fourier._dual_table`); floating point appears only in the spot
+checks against the defining mean.
 
 `witness_scan` certifies one subspace.  The lower-bound walk certifies
-runs of equal-dimension subspaces in stacks, each from the duals of its
-subspaces and the table's one exact full transform (Poisson summation
-over H-perp): that yields the same certificates, verdicts and checks for
-every subspace of the stack at once, and any subspace that fails a check
-is scanned again on its own, so reports and exceptions match the
-one-at-a-time walk.
+runs of equal-dimension subspaces in stacks given by their duals, with
+the same certificates, verdicts and checks for every subspace of the
+stack at once; a subspace that fails a check is certified again on its
+own, so reports and exceptions match the one-at-a-time walk.
 """
 
 from __future__ import annotations
@@ -38,16 +37,18 @@ from .fourier import (
     FunctionTable,
     RegularityReport,
     _buckets,
+    _class_maps,
     _coset_transform,
+    _count_dtype,
     _count_spectrum,
+    _dual_report,
     _dual_table,
     _pullback_reps,
-    _regularity_scan,
+    _report,
     _signed,
     _threshold,
     _top_bits,
     as_fraction,
-    check_subspace_regularity,
 )
 from .gf2 import (
     BlockStructure,
@@ -179,38 +180,54 @@ def witness_scan(
 
     Raises ClaimViolationError when the certified fraction fails to
     exceed eps (which would contradict the lower-bound construction for
-    eps up to 1/(16 s)).  The numerator of each coset is the entry of
-    its exact coset transform at the bucket of its gamma, and gamma is
-    nontrivial exactly when that bucket is nonzero.  Every scan is
-    cross-checked: it builds the regularity report from the same
-    transform blocks (`_regularity_scan`), requires every certified
-    coset to be irregular there, raises when the report is regular, and
-    spot-checks certified coefficients against the defining mean.
-    cross_check and _gamma_cache are accepted for callers that still
-    pass them and are ignored.
+    eps up to 1/(16 s)).  The certificate and its regularity report are
+    read from the count table's exact full transform (`_count_spectrum`)
+    by Poisson summation over H-perp, as in the lower-bound walk.  Every
+    scan is cross-checked: certified cosets must be irregular in the
+    report, the report must not be regular, and certified coefficients
+    are spot-checked against the defining mean.  cross_check and
+    _gamma_cache are accepted for callers that still pass them and are
+    ignored.
     """
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
-    eps = as_fraction(epsilon)
+    return _certificate(f, _count_spectrum(f), h, as_fraction(epsilon), xi)
+
+
+def _certificate(
+    f: FunctionTable, spectrum: np.ndarray, h: Subspace, eps: Fraction, xi: XiFamily
+) -> WitnessCertificate:
+    """`witness_scan` of h, given the table's full transform.
+
+    One `_dual_table` at every canonical class rep (`_class_maps`, the
+    trivial class first) gives the report as `_dual_report` does, and the
+    numerator at gamma: (-1)^<r, gamma ^ eta> times the entry at the rep
+    eta of gamma's class.
+    """
     i, v = minimal_active_block(h, xi.blocks)
     reps = _pullback_reps(f, h)
     gammas = _gammas(np.array([h.basis]), reps[None], xi)[0]
-    buckets = _buckets(h.basis, gammas)
-    report, irregular, entries = _regularity_scan(f, h, eps, reps, buckets)
-    numerators = _signed(entries, reps, gammas)
+    etas, z = _class_maps(h)
+    c = f.n - h.dim
+    table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), etas[None])[0] >> c
+    classes = np.argsort(z)[_buckets(h.basis, gammas)]  # gamma's class
+    numerators = _signed(table[np.arange(reps.shape[0]), classes], reps, gammas ^ etas[classes])
+    numerators = numerators.astype(_count_dtype(f.denominator, h.dim), copy=False)
     denominator = f.denominator << h.dim
-    nontrivial = buckets != 0
     # coefficient > eps  <=>  numerator > floor(eps * denominator), as integers
-    certified = nontrivial & (numerators > _threshold(eps, denominator, "i"))
-
-    bad = Fraction(int((~nontrivial).sum()), reps.shape[0])
+    threshold = _threshold(eps, denominator)
+    certified = (classes != 0) & (numerators > threshold)
+    magnitudes = np.abs(table[:, 1:])
+    irregular = magnitudes.max(axis=1) > threshold
+    worst = magnitudes.argmax(axis=1)[irregular] + 1
+    report = _report(h, eps, reps, irregular, etas[worst], table[irregular, worst] / denominator)
 
     cert = WitnessCertificate(
         subspace=h,
         epsilon=eps,
         block_index=i,
         vector=v,
-        bad_fraction=bad,
+        bad_fraction=Fraction(int((classes == 0).sum()), reps.shape[0]),
         reps=reps,
         gammas=gammas,
         numerators=numerators,
@@ -508,11 +525,11 @@ def _certify_duals(
     worst = np.abs(table, out=table).max(axis=2) >> c
 
     denominator = f.denominator << (n - c)
-    threshold = _threshold(eps, denominator, "i")
+    threshold = _threshold(eps, denominator)
     certified = (buckets != 0) & (numerators > threshold)
     irregular = worst > threshold
     # a count of the 2^c cosets exceeds eps * 2^c iff it exceeds limit
-    limit = _threshold(eps, reps.shape[1], "i")
+    limit = _threshold(eps, reps.shape[1])
     certified_count = certified.sum(axis=1)
     irregular_count = irregular.sum(axis=1)
     passed = (
@@ -546,11 +563,11 @@ def exhaustive_lowerbound_check(
     subspaces are collected in the report (informational large-eps runs).
 
     The walk certifies consecutive subspaces of one dimension in stacks
-    of at most _STACK_ENTRIES table entries, every stack from its duals
-    and the one full transform of the table that the call computes
-    (`_certify_duals`).  A subspace that fails any check there is scanned
-    again by `witness_scan`, in walk order, which raises or records the
-    failure exactly as a one-at-a-time walk would.
+    of at most _STACK_ENTRIES table entries from their duals and the one
+    full transform of the table that the call computes (`_certify_duals`),
+    which also gives every regularity verdict.  A subspace that fails a
+    check there is certified again on its own, in walk order, which
+    raises or records the failure exactly as a one-at-a-time walk would.
     """
     if inst.table is None:
         raise ValueError("lower-bound scans need a dense instance table")
@@ -566,10 +583,10 @@ def exhaustive_lowerbound_check(
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
 
-    zero_regular = check_subspace_regularity(f, Subspace.zero(n), eps).is_regular
+    spectrum = _count_spectrum(f)
+    zero_regular = _dual_report(Subspace.zero(n), eps, spectrum, f.denominator).is_regular
     if strict and not zero_regular:
         raise ClaimViolationError("the zero subspace failed its regularity check")
-    spectrum = _count_spectrum(f)
 
     certified = 0
     failures: list[dict] = []
@@ -583,12 +600,12 @@ def exhaustive_lowerbound_check(
         for basis in rows[~passed].tolist():
             h = Subspace._from_echelon(n, tuple(basis))
             try:
-                witness_scan(f, h, eps, xi=inst.xi)
+                _certificate(f, spectrum, h, eps, inst.xi)
                 certified += 1
             except ClaimViolationError as exc:
                 if strict:
                     raise
-                if check_subspace_regularity(f, h, eps).is_regular:
+                if _dual_report(h, eps, spectrum, f.denominator).is_regular:
                     regular_nonzero.append(tuple(h.basis))
                 else:
                     failures.append(

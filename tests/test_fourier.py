@@ -491,18 +491,22 @@ def assert_same_report(got, expected):
 
 
 class TestDualReport:
-    """The report `find_regular_subspace` reads from a count table's full
-    transform equals `check_subspace_regularity` field for field: verdict,
-    witness cosets, characters with their tie-breaks, and values."""
+    """The report of a count table read from its full transform
+    (`_dual_report`, which `check_subspace_regularity` and each round of
+    `find_regular_subspace` return) equals the copying oracle on the
+    whole-table pullback field for field: verdict, witness cosets,
+    characters with their tie-breaks, and values."""
 
     EPS = ("1/48", "1/16", "1/6")
 
     def assert_same(self, f, hs):
         spectrum = fourier._count_spectrum(f)
         for h in hs:
+            reps, table, den = whole_table(f, h)
             for eps in self.EPS:
                 got = fourier._dual_report(h, Fraction(eps), spectrum, f.denominator)
-                assert_same_report(got, check_subspace_regularity(f, h, eps))
+                expected = copied_regularity_report(h, Fraction(eps), reps, table, den)
+                assert_same_report(got, expected)
 
     def test_every_hyperplane_of_s2_and_s3(self, s3_table):
         for f in (Instance.generate(2, seed=1).table, s3_table):
@@ -525,7 +529,8 @@ class TestDualReport:
         h = Subspace.from_vectors(11, [793, 78])
         report = fourier._dual_report(h, Fraction(1, 6), spectrum, s3_table.denominator)
         assert 0 < report.irregular_cosets < report.total_cosets
-        assert_same_report(report, check_subspace_regularity(s3_table, h, "1/6"))
+        assert_same_report(report, whole_table_report(s3_table, h, "1/6"))
+        assert_same_report(check_subspace_regularity(s3_table, h, "1/6"), report)
 
     def test_classes_in_chunks_of_16(self, s3_table, small_chunk):
         # 2^11 classes of the full space come in 128 chunks, and a coset of
@@ -589,16 +594,22 @@ def copied_regularity_report(h, eps, reps, table, den):
     )
 
 
-def whole_table_report(f, h, eps):
-    """`copied_regularity_report` over the whole-table transform: every
-    coset row gathered at once and run through the radix-2 oracle."""
+def whole_table(f, h):
+    """The whole-table transform: every coset row of h gathered at once
+    and run through the radix-2 oracle, with the reps and the scale."""
     reps = h.coset_representative_array()
     index = reps[:, None] ^ h.span_array()[None, :]
     if f.counts is None:
         table, den = f.values[index], 1 << h.dim
     else:
         table, den = f.counts[index].astype(np.int64), f.denominator << h.dim
-    return copied_regularity_report(h, Fraction(eps), reps, radix2_butterfly(table), den)
+    return reps, radix2_butterfly(table), den
+
+
+def whole_table_report(f, h, eps):
+    """`copied_regularity_report` over the whole-table transform."""
+    reps, table, den = whole_table(f, h)
+    return copied_regularity_report(h, Fraction(eps), reps, table, den)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from f2reglab import (
     ClaimViolationError,
     DenseLimitError,
     F2Vector,
+    FunctionTable,
     Instance,
     Subspace,
     bad_fraction,
@@ -91,21 +92,59 @@ def certify(f, hs, eps, xi):
     return got
 
 
+def pullback_certificate(f, h, eps, xi):
+    """The oracle of the certificates that `_certify_duals` and
+    `witness_scan` read from the full transform, built from the pullback
+    transform of every coset of h (`_coset_transform`): each coset's
+    gamma (`gamma_character` of its prefix), numerator at gamma, and
+    whether its largest nontrivial magnitude exceeds eps; and whether the
+    certificate passes its checks, with the spot checks read from the
+    defining mean (`restricted_coefficient`).  Returns the numerators,
+    the certified and irregular masks, and that verdict."""
+    eps, n = Fraction(eps), f.n
+    i, _ = minimal_active_block(h, xi.blocks)
+    lo = xi.blocks.offsets[i - 1]
+    prefixes = np.array([gamma_character(p, i, xi).bits for p in range(1 << lo)])
+    reps = h.coset_representative_array()
+    gammas = prefixes[reps & ((1 << lo) - 1)].astype(np.int64)
+    table, den = fourier._coset_transform(f, h.span_array(), reps)
+    buckets = fourier._buckets(h.basis, gammas)
+    numerators = fourier._signed(table[np.arange(reps.size), buckets], reps, gammas)
+    bound = eps.numerator * den // eps.denominator
+    certified = (buckets != 0) & (numerators > bound)
+    irregular = np.abs(table[:, 1:]).max(axis=1) > bound
+    rows = np.flatnonzero(certified)
+    spot = all(
+        abs(restricted_coefficient(f, AffineSubspace(h, F2Vector(n, int(reps[r]))),
+                                   F2Vector(n, int(gammas[r]))) - numerators[r] / den) <= 1e-9
+        for r in rows[:: max(1, rows.size // 4)][:4]
+    )
+    limit = eps.numerator * reps.size // eps.denominator
+    passed = bool(
+        certified.sum() > limit and irregular.sum() > limit
+        and not (certified & ~irregular).any() and spot
+    )
+    return numerators, certified, irregular, passed
+
+
 def assert_stack_matches_scans(f, hs, eps, xi):
-    """The oracle of `_certify_duals`: each subspace's irregular coset count
-    from check_subspace_regularity, and its certified count and verdict
-    from witness_scan, which raises exactly where the stack fails a check."""
+    """The oracle of `_certify_duals` and of witness_scan: each subspace's
+    certified and irregular coset counts and its verdict from the
+    pullback certificate, and witness_scan raises exactly where the
+    verdict fails and otherwise certifies the same cosets with the same
+    numerators."""
     certified, irregular, passed = certify(f, hs, eps, xi)
     for k, h in enumerate(hs):
-        report = check_subspace_regularity(f, h, eps)
-        assert irregular[k] == report.irregular_cosets
+        numerators, expected, bad, ok = pullback_certificate(f, h, eps, xi)
+        assert (certified[k], irregular[k], passed[k]) == (expected.sum(), bad.sum(), ok)
         try:
             cert = witness_scan(f, h, eps, xi)
         except ClaimViolationError:
-            assert not passed[k]
+            assert not ok
             continue
-        assert certified[k] == cert.certified_cosets
-        assert passed[k] and not report.is_regular
+        assert ok and cert.regularity_report.irregular_cosets == bad.sum()
+        assert np.array_equal(cert.numerators, numerators)
+        assert np.array_equal(cert.certified, expected)
 
 
 def random_nonzero_subspace(n, rng):
@@ -347,16 +386,14 @@ class TestWitnessScan:
             witness_scan(inst2.table, Subspace.from_vectors(3, [1]), "3/4", inst2.xi)
 
     def test_needs_exact_counts(self, inst2):
-        from f2reglab import FunctionTable
-
         plain = FunctionTable(3, inst2.table.values)
         with pytest.raises(ValueError):
             witness_scan(plain, Subspace.from_vectors(3, [1]), "1/32", inst2.xi)
 
     def test_blocks_of_16_entries_give_the_same_certificate(self, inst3, monkeypatch):
-        # the numerators and the report come from the same transform
-        # blocks; many small blocks read the same entries as one large one.
-        # Subspaces inside blocks 2 and 3 give cosets different gammas.
+        # the scans' block and chunk size must not change a certificate or
+        # its report.  Subspaces inside blocks 2 and 3 give cosets
+        # different gammas.
         rng = random.Random(13)
         hs = [random_nonzero_subspace(11, rng) for _ in range(4)] + [Subspace.full(11)]
         for low, dims in ((1, (1, 2)), (3, (1, 2, 3, 5, 8))):
@@ -381,6 +418,69 @@ class TestWitnessScan:
         assert as_float.ok and exact.ok
         assert np.array_equal(as_float.certified, exact.certified)
         assert np.array_equal(as_float.numerators, exact.numerators)
+
+
+def report_digest(report, sha):
+    """Feed every field of a regularity report, dtypes included, to sha."""
+    sha.update(emit_report(report).encode())
+    for a in (report.witness_reps, report.witness_etas, report.witness_values):
+        sha.update(str(a.dtype).encode() + a.tobytes())
+
+
+def certificate_digest(cert, sha):
+    """Feed a certificate, its full per-coset arrays and its report to sha."""
+    sha.update(emit_report(cert).encode())
+    for a in (cert.reps, cert.gammas, cert.numerators, cert.certified):
+        sha.update(str(a.dtype).encode() + a.tobytes())
+    report_digest(cert.regularity_report, sha)
+
+
+STRUCTURED_S3_SHA = "61db4a804372eccc3f6b8b645c3df849b8517259da5ebed063b8820b8d957778"
+
+
+class TestCountTablesReadTheSpectrum:
+    """Count tables get every report and certificate from their full
+    transform.  With the pullback scan and transform patched to raise, the
+    checks and certificates of every nonzero subspace of s = 2 and of one
+    subspace of each dimension of s = 3, and a structured walk, give the
+    bytes pinned from the pullback path; a float table still reaches the
+    pullback scan."""
+
+    @pytest.fixture
+    def no_pullback(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pullback ran")
+
+        monkeypatch.setattr(fourier, "_regularity_scan", refuse)
+        monkeypatch.setattr(fourier, "_coset_transform", refuse)
+        monkeypatch.setattr(witness, "_coset_transform", refuse)
+
+    def test_reports_and_certificates_pinned(self, inst2, inst3, no_pullback):
+        stream = Stream(18, "one-per-dim")
+        cases = [(inst2, "1/32", h) for h in enumerate_all_subspaces(3)]
+        cases += [(inst3, "1/48", Subspace.zero(11))]
+        cases += [(inst3, "1/48", _random_subspace(11, d, stream)) for d in range(1, 12)]
+        sha = hashlib.sha256()
+        for inst, eps, h in cases:
+            report_digest(check_subspace_regularity(inst.table, h, eps), sha)
+            if h.dim:
+                certificate_digest(witness_scan(inst.table, h, eps, inst.xi), sha)
+        assert sha.hexdigest() == (
+            "16d71677367a0e9a7c80d117bf99e7352fe02aebaa973133ed2f69b204dd64d3"
+        )
+
+    def test_structured_walk_pinned(self, no_pullback, capsys):
+        code = cli_main([
+            "verify-lowerbound", "--s", "3", "--mode", "structured",
+            "--random-per-dim", "200", "--seed", "0",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == STRUCTURED_S3_SHA
+
+    def test_float_tables_reach_the_pullback(self, no_pullback):
+        f = FunctionTable(11, np.random.default_rng(18).random(1 << 11))
+        with pytest.raises(AssertionError, match="pullback ran"):
+            check_subspace_regularity(f, Subspace.from_vectors(11, [1, 6]), "1/48")
 
 
 class TestLowerBoundCheck:
@@ -692,9 +792,7 @@ class TestStackedWalk:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "61db4a804372eccc3f6b8b645c3df849b8517259da5ebed063b8820b8d957778"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == STRUCTURED_S3_SHA
 
     def test_exhaustive_non_strict_report_bytes_pinned(self, capsys):
         # the 15 regular nonzero subspaces in walk order, per_dim_checked[0] == 1
