@@ -455,36 +455,32 @@ def _dual_table(
     form (`_echelon_stack(..., top=True)`): row i has the highest set bit
     t_i, ascending in i, and no other row has bit t_i.  classes (1, K)
     lists one representative of each nontrivial class mod D for every
-    subspace of the stack; by default each subspace gets its own off-top
-    classes, the nonzero members of F2^n with every t_i clear, ascending:
-    the (n - c)-bit numbers 1, 2, ... with a zero bit inserted at each
-    t_i.  For each class rep eta, gathering spectrum[eta ^ u] over u in
-    span(D) and running one size-2^c transform gives 2^c times the
-    numerator at eta of every coset at once (Poisson summation; the
-    transform runs across the gathered rows of classes): entry j belongs
-    to the coset whose representative carries the bits of j at
-    t_1..t_c, which is H's j-th canonical representative.  Returns shape
-    (B, 2^c, K): [b, j, k] is 2^c times the numerator of coset j at the
-    k-th class rep.  The entries and every partial sum of the transform
-    are at most denominator * 2^n in magnitude, so they stay exact in the
-    spectrum's dtype.
+    subspace of the stack; by default subspace b gets its own off-top
+    classes from its own top bits, the nonzero members of F2^n with every
+    t_i of duals[b] clear, ascending: the (n - c)-bit numbers 1, 2, ...
+    with a zero bit inserted at each t_i.  For each class rep eta,
+    gathering spectrum[eta ^ u] over u in span(D) and running one
+    size-2^c transform gives 2^c times the numerator at eta of every
+    coset at once (Poisson summation): entry j belongs to the coset whose
+    representative carries the bits of j at t_1..t_c, which is H's j-th
+    canonical representative.  The gather is class-major, (2^c, B, K),
+    so every butterfly stage pairs contiguous rows of B * K entries; the
+    result is its (B, 2^c, K) view: [b, j, k] is 2^c times the numerator
+    of coset j of subspace b at its k-th class rep.  The entries and
+    every partial sum of the transform are at most denominator * 2^n in
+    magnitude, so they stay exact in the spectrum's dtype.
     """
     c = duals.shape[1]
     if classes is None:
-        n = spectrum.shape[-1].bit_length() - 1
-        tops, inverse = np.unique(_top_bits(duals), axis=0, return_inverse=True)
-        classes = np.arange(1, 1 << (n - c), dtype=np.int64)[None, :]
-        for t in tops.T:
-            t = t[:, None]
-            classes = ((classes >> t) << (t + 1)) | (classes & ((1 << t) - 1))
-        # the (B, K) rows of classes live only inside the gather: held
-        # through the butterflies, they slowed the lower-bound walk by
-        # about a third (heap reuse of its many stack-sized arrays)
-        table = spectrum[_span_stack(duals)[:, :, None] ^ classes[inverse.ravel(), None, :]]
-    else:
-        table = spectrum[_span_stack(duals)[:, :, None] ^ classes[:, None, :]]
-    _butterflies(table, 1, 1 << c, table.shape[2])
-    return table
+        classes = np.arange(1, spectrum.size >> c, dtype=np.int64)[None, :]
+        for t in _top_bits(duals).T[:, :, None]:
+            classes = classes + (classes & -(1 << t))  # a zero bit at t
+    table = spectrum[_span_stack(duals, classes)]
+    # held through the butterflies, the (B, K) classes slowed the lower-bound
+    # walk by about a third (heap reuse of its many stack-sized arrays)
+    del classes
+    _butterflies(table, 1, 1 << c, table.shape[1] * table.shape[2])
+    return table.transpose(1, 0, 2)
 
 
 def restricted_spectrum(f: FunctionTable, a: AffineSubspace) -> CosetSpectrum:

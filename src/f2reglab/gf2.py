@@ -377,12 +377,18 @@ def _span_of_rows(rows: Sequence[int]) -> np.ndarray:
     return span
 
 
-def _span_stack(rows: np.ndarray) -> np.ndarray:
-    """Spans of a (B, d) stack of basis rows, shape (B, 2^d), each in
-    basis-coefficient counting order as `_span_of_rows` lists it."""
-    span = np.zeros((rows.shape[0], 1), dtype=np.int64)
-    for row in rows.T:
-        span = np.concatenate([span, span ^ row[:, None]], axis=1)
+def _span_stack(rows: np.ndarray, start: "np.ndarray | int" = 0) -> np.ndarray:
+    """start + span of each of a (B, d) stack of basis rows, filled in place
+    in one (2^d, B, ...) array: [j, b] is start[b] XOR the j-th element of
+    span(rows[b]) in the order of `_span_of_rows`.  start is 0, a rep per
+    subspace (B,) or K points per subspace (B, K), giving (2^d, B, K)."""
+    start = np.asarray(start)
+    span = np.empty((1 << rows.shape[1], rows.shape[0]) + start.shape[1:], dtype=np.int64)
+    span[0] = start
+    k = 1
+    for row in rows.T.reshape(rows.shape[::-1] + (1,) * (start.ndim - 1)):
+        np.bitwise_xor(span[:k], row, out=span[k : 2 * k])
+        k *= 2
     return span
 
 

@@ -29,11 +29,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .fourier import (
+    _LOW,
     FunctionTable,
     RegularityReport,
     _buckets,
@@ -270,18 +272,31 @@ def _spot_checks(
     subspace checks the certified rows r[::max(1, len(r) // 4)][:4]: the
     mean of f(x) (-1)^<x, gamma> over the coset must equal
     numerator / denominator to within 1e-9.
+
+    The mean reads f.values at every point of the coset.  A certified
+    gamma is nontrivial on H, so it pairs to 1 with a first basis row b_j;
+    adding b_j to the other rows that do and moving it last gives a basis
+    whose coset listing (`_span_stack` from the rep) has the sign
+    (-1)^<rep, gamma> on its first half and the opposite on its second.
     """
+    passed = np.ones(rows.shape[0], dtype=bool)
     count = certified.sum(axis=1)
     offsets = np.arange(4) * np.maximum(1, count // 4)[:, None]
-    take = offsets < count[:, None]
     sub, row = np.nonzero(certified)
-    pick = ((np.cumsum(count) - count)[:, None] + offsets)[take]
+    if not sub.size:
+        return passed
+    pick = ((np.cumsum(count) - count)[:, None] + offsets)[offsets < count[:, None]]
     sub, row = sub[pick], row[pick]
-    coset = _span_stack(rows[sub]) ^ reps[sub, row][:, None]
-    signs = 1.0 - 2.0 * (np.bitwise_count(coset & gammas[sub, row][:, None]) & 1)
-    value = (f.values[coset] * signs).mean(axis=1)
+    basis, rep, gamma = rows[sub], reps[sub, row], gammas[sub, row]
+    pairs = np.bitwise_count(basis & gamma[:, None]) & 1
+    j = pairs.argmax(axis=1)
+    b_j = basis[np.arange(sub.size), j]
+    basis ^= pairs * b_j[:, None]
+    basis[np.arange(sub.size), j] = basis[:, -1]
+    basis[:, -1] = b_j
+    halves = f.values[_span_stack(basis, rep)].reshape(2, -1, sub.size).sum(axis=1)
+    value = _signed((halves[0] - halves[1]) / (1 << rows.shape[1]), rep, gamma)
     wrong = np.abs(value - numerators[sub, row] / denominator) > 1e-9
-    passed = np.ones(rows.shape[0], dtype=bool)
     passed[sub[wrong]] = False
     return passed
 
@@ -477,7 +492,8 @@ def _gammas(rows: np.ndarray, reps: np.ndarray, xi: XiFamily) -> np.ndarray:
         lo = blocks.offsets[i - 1]
         prefix = np.int64((1 << lo) - 1)
         sel = active == i
-        assert not (rows[sel] & prefix).any(), "prefix not constant on cosets"
+        if (rows[sel] & prefix).any():
+            raise ValueError("prefix not constant on cosets")
         family = np.asarray(xi.families[i - 1], dtype=np.int64)
         gammas[sel] = family[reps[sel] & prefix] << np.int64(lo)
     return gammas
@@ -515,14 +531,16 @@ def _certify_duals(
     c = duals.shape[1]
     tops = _top_bits(duals)
     rows = _perp_stack(duals, tops, n)
-    reps = _span_stack(1 << tops)
+    reps = np.ascontiguousarray(_span_stack(1 << tops).T)
     gammas = _gammas(rows, reps, xi)
     table = _dual_table(spectrum, duals)
     buckets = _buckets(rows.T[:, :, None], gammas)
     # a trivial gamma (bucket 0) reads the last class; `certified` drops it
     numerators = np.take_along_axis(table, buckets[..., None] - 1, axis=2)[..., 0] >> c
     _signed(numerators, reps, gammas)
-    worst = np.abs(table, out=table).max(axis=2) >> c
+    # numpy reduces short rows slowly: fold rows of a few classes one at a time
+    magnitudes = np.moveaxis(np.abs(table, out=table), 2, 0)
+    worst = (reduce(np.maximum, magnitudes) if len(magnitudes) < _LOW else magnitudes.max(0)) >> c
 
     denominator = f.denominator << (n - c)
     threshold = _threshold(eps, denominator)

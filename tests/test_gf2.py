@@ -296,9 +296,25 @@ class TestEnumerateAllSubspaces:
                 # the top form is the low form of the bit-reversed rows, reversed back
                 flipped = sorted(reverse(v, n) for v in _echelon_rows(reverse(v, n) for v in r))
                 assert top[k, : rank[k]].tolist() == flipped
-            spans = _span_stack(low)
-            for k in range(0, 300, 37):
-                assert np.array_equal(spans[k], _span_of_rows(low[k].tolist()))
+            # one column per subspace: its span, or its translates by start
+            start = np.array([rng.getrandbits(n) for _ in range(300)], dtype=np.int64)
+            points = np.array([[rng.getrandbits(n) for _ in range(3)] for _ in range(300)])
+            spans, cosets = _span_stack(low), _span_stack(low, start)
+            translates = _span_stack(low, points)
+            assert spans.shape == cosets.shape == (1 << m, 300)
+            assert translates.shape == (1 << m, 300, 3)
+            for k in range(300):
+                span = _span_of_rows(low[k].tolist())
+                assert np.array_equal(spans[:, k], span)
+                assert np.array_equal(cosets[:, k], span ^ start[k])
+                assert np.array_equal(translates[:, k], span[:, None] ^ points[k])
+        # no subspaces, and subspaces of dimension 0
+        assert _span_stack(np.zeros((0, 3), np.int64)).shape == (8, 0)
+        assert _span_stack(np.zeros((0, 3), np.int64), np.zeros((0, 5), np.int64)).shape == (8, 0, 5)
+        assert _span_stack(np.zeros((0, 0), np.int64), np.zeros(0, np.int64)).shape == (1, 0)
+        points = _span_stack(np.zeros((2, 0), np.int64), np.array([5, 9]))
+        assert points.tolist() == [[5, 9]]
+        assert _span_stack(np.zeros((2, 0), np.int64)).tolist() == [[0, 0]]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_basis_arrays_follow_the_echelon_form_loop(self, n, monkeypatch):

@@ -215,6 +215,17 @@ class TestGammaCharacter:
             for _ in range(20):
                 assert gamma_character(rng.getrandbits(11), i, inst3.xi).bits != 0
 
+    def test_stacked_gammas_refuse_a_prefix_that_varies_on_cosets(self, inst3):
+        # the first row puts the active block at block 3 (offset 3), and
+        # the second has bit 0 below it, so prefixes are not constant on
+        # cosets; the check raises under python -O too
+        reps = np.arange(4, dtype=np.int64)[None]
+        good = witness._gammas(np.array([[1 << 3, 1 << 4]]), reps, inst3.xi)
+        assert np.array_equal(good, [[inst3.xi.entry(3, p) << 3 for p in range(4)]])
+        for rows in ([[1 << 3, 1]], [[1 << 3, 1 << 4], [1 << 5, 0b110]]):
+            with pytest.raises(ValueError, match="prefix not constant on cosets"):
+                witness._gammas(np.array(rows), np.zeros((len(rows), 4), np.int64), inst3.xi)
+
 
 class TestBadFraction:
     def test_canonical_s2_values(self, inst2):
@@ -741,6 +752,43 @@ class TestStackedWalk:
             with pytest.raises(ClaimViolationError, match="defining mean"):
                 witness_scan(bad, h, eps, inst3.xi)
             assert not _certify_duals(bad, spectrum, duals[k : k + 1], eps, inst3.xi)[3][0]
+
+    def test_spot_check_means_equal_restricted_coefficient(self, inst3):
+        # the half-split mean of every picked coset equals the defining
+        # mean within 1e-12: checks pass when numerator / denominator
+        # sits 1e-9 - 1e-12 off it on either side, and fail at 1e-9 + 1e-12.
+        # Gammas pair to 1 with several basis rows where the dim allows;
+        # the first subspace of each stack certifies no coset
+        f, n, rng = inst3.table, inst3.n, random.Random(19)
+        stream = Stream(19, "spot-oracle")
+        for dim in range(1, n + 1):
+            hs = [_random_subspace(n, dim, stream) for _ in range(5)]
+            reps = np.array([h.coset_representative_array() for h in hs])
+            gammas = np.zeros_like(reps)
+            certified = np.zeros(reps.shape, dtype=bool)
+            means = np.zeros(reps.shape)
+            for b, h in enumerate(hs[1:], 1):
+                for r in rng.sample(range(reps.shape[1]), min(reps.shape[1], 9)):
+                    while True:
+                        gamma = rng.getrandbits(n)
+                        pairs = sum((bin(gamma & row).count("1") & 1) for row in h.basis)
+                        if pairs >= min(dim, 3):
+                            break
+                    certified[b, r], gammas[b, r] = True, gamma
+                    coset = AffineSubspace(h, F2Vector(n, int(reps[b, r])))
+                    means[b, r] = restricted_coefficient(f, coset, F2Vector(n, gamma))
+            for delta, ok in ((1e-9 - 1e-12, True), (1e-9 + 1e-12, False)):
+                for signed in (delta, -delta):
+                    passed = witness._spot_checks(
+                        f, rows_of(hs), reps, gammas, means + signed, 1, certified
+                    )
+                    assert passed.tolist() == [True] + [ok] * 4, (dim, signed)
+        # a stack with no certified coset at all passes every subspace
+        hs = [_random_subspace(n, 4, stream) for _ in range(3)]
+        reps = np.array([h.coset_representative_array() for h in hs])
+        none = np.zeros(reps.shape, dtype=bool)
+        passed = witness._spot_checks(f, rows_of(hs), reps, reps, reps, 1, none)
+        assert passed.tolist() == [True] * 3
 
     def test_s3_structured_walk_matches_oracle(self, inst3, monkeypatch):
         # 70 per dimension: one full stack and a short one for every dim
