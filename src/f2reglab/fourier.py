@@ -7,22 +7,22 @@ signed coset mean); the nontrivial spectrum of a coset is indexed by the
 classes of F2^n modulo H-perp, and each class is represented canonically
 by its member with all H-perp pivot coordinates zero.
 
-Three private kernels compute coset coefficients:
+Two private kernels compute coset coefficients:
 
-* `_dual_table` reads every coset's numerator at chosen classes for a
-  stack of subspaces from a count table's one full integer transform
+* `_dual_table` reads every coset's numerator at chosen characters for
+  a stack of subspaces from a count table's one full integer transform
   (`_count_spectrum`) by Poisson summation over H-perp: a gather and
-  codim(H) butterfly stages.  Every verdict and certificate on a count
-  table comes from it: `check_subspace_regularity` and the decomposition
-  rounds read it a chunk of classes at a time (`_dual_report`), and
-  `witness_scan` and the lower-bound walk certify from it.
+  codim(H) butterfly stages.  Every verdict, certificate and rounding
+  lookup on a count table comes from it: `check_subspace_regularity`
+  and the decomposition rounds read it a chunk of classes at a time
+  (`_dual_report`), `witness_scan` and the lower-bound walk certify
+  from it, and deviation reports read a rounded table's coefficients
+  from it.
 * `_coset_transform` pulls f back through the basis parameterization of
   H over the requested cosets and runs one batched size-2^dim transform:
   float tables are scanned with it a block of cosets at a time
   (`_regularity_scan`), and `restricted_spectrum` and the tail-translate
   averages of `witness` read their few cosets of any table from it.
-* `_poisson_numerators` reads single (coset, character) numerators from
-  the full integer transform for rounding deviation reports.
 
 Count tables transform their integer numerators, so their coefficients
 are exact ratios and their regularity verdicts compare integers; float
@@ -416,28 +416,6 @@ def _signed(values: np.ndarray, reps: np.ndarray, etas: np.ndarray) -> np.ndarra
     return np.multiply(values, signs, out=values)
 
 
-def _poisson_numerators(
-    spectrum: np.ndarray, dual_span: np.ndarray, reps: np.ndarray, etas: np.ndarray
-) -> np.ndarray:
-    """Coset numerators of a count table read from its full transform.
-
-    spectrum is the integer `_fwht` of the counts over all of F2^n
-    (`_count_spectrum`), and dual_span lists D = H-perp, |D| = 2^c, along
-    its last axis (a stack passes one span per subspace, broadcasting
-    against reps and etas).  By Poisson summation over D, the numerator
-    of the coset reps[k] + H at etas[k] (the sum over the coset of
-    counts(x) (-1)^<x, eta>) is
-    2^-c * sum over u in D of (-1)^<reps[k], u> spectrum[etas[k] ^ u].
-    The division is exact, so this equals the signed `_coset_transform`
-    entry (-1)^<r, eta> T[r, bucket(eta)], at 2^c lookups per entry; the
-    sum runs in int64.
-    """
-    reps, etas = np.broadcast_arrays(reps, etas)
-    terms = spectrum[etas[..., None] ^ dual_span]
-    _signed(terms, reps[..., None], dual_span)
-    return terms.sum(axis=-1, dtype=np.int64) >> (dual_span.shape[-1].bit_length() - 1)
-
-
 def _top_bits(rows: np.ndarray) -> np.ndarray:
     """Position of the highest set bit of each positive entry (below 2^53,
     where float64 holds it exactly)."""
@@ -454,11 +432,13 @@ def _dual_table(
     duals is a (B, c) stack of bases of D = H-perp in top-pivot echelon
     form (`_echelon_stack(..., top=True)`): row i has the highest set bit
     t_i, ascending in i, and no other row has bit t_i.  classes (1, K)
-    lists one representative of each nontrivial class mod D for every
-    subspace of the stack; by default subspace b gets its own off-top
-    classes from its own top bits, the nonzero members of F2^n with every
-    t_i of duals[b] clear, ascending: the (n - c)-bit numbers 1, 2, ...
-    with a zero bit inserted at each t_i.  For each class rep eta,
+    or (B, K) lists K characters for every subspace of the stack: any
+    members of F2^n, trivial ones (0 and members of D) and several
+    members of one class included.  By default subspace b gets its own
+    off-top classes from its own top bits, one representative of each
+    nontrivial class mod D: the nonzero members of F2^n with every t_i
+    of duals[b] clear, ascending, the (n - c)-bit numbers 1, 2, ...
+    with a zero bit inserted at each t_i.  For each character eta,
     gathering spectrum[eta ^ u] over u in span(D) and running one
     size-2^c transform gives 2^c times the numerator at eta of every
     coset at once (Poisson summation): entry j belongs to the coset whose
@@ -466,7 +446,7 @@ def _dual_table(
     canonical representative.  The gather is class-major, (2^c, B, K),
     so every butterfly stage pairs contiguous rows of B * K entries; the
     result is its (B, 2^c, K) view: [b, j, k] is 2^c times the numerator
-    of coset j of subspace b at its k-th class rep.  The entries and
+    of coset j of subspace b at its k-th character.  The entries and
     every partial sum of the transform are at most denominator * 2^n in
     magnitude, so they stay exact in the spectrum's dtype.
     """

@@ -82,6 +82,18 @@ def _as_bits(v: "F2Vector | int") -> int:
     return v.bits if isinstance(v, F2Vector) else int(v)
 
 
+def _checked_bits(v: "F2Vector | int", n: int, what: str) -> int:
+    """The encoding of v, after checking that it lives in a table's F2^n."""
+    if isinstance(v, F2Vector):
+        if v.n != n:
+            raise DimensionMismatchError(f"{what} n={v.n} vs table n={n}")
+        return v.bits
+    bits = int(v)
+    if not 0 <= bits < (1 << n):
+        raise ValueError(f"{what} {bits} out of range for n={n}")
+    return bits
+
+
 def _echelon_rows(rows: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon basis (pivot = lowest set bit) of the span."""
     pivot_rows: dict[int, int] = {}

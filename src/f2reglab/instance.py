@@ -428,13 +428,19 @@ class XiFamily:
     def s(self) -> int:
         return self.blocks.s
 
+    def family(self, i: int) -> tuple[int, ...]:
+        """The family xi_i of block i, which must lie in 1..s."""
+        if not 1 <= i <= self.s:
+            raise ValueError(f"block index i={i} out of range 1..s for s={self.s}")
+        return self.families[i - 1]
+
     def entry(self, i: int, prefix: int) -> int:
         """Block-local encoding of xi_i at the given prefix encoding."""
-        return self.families[i - 1][prefix]
+        return self.family(i)[prefix]
 
     def entry_for(self, i: int, x: "F2Vector | int") -> int:
         """xi_i evaluated at the prefix of a full vector x."""
-        return self.entry(i, self.blocks.prefix(x, i))
+        return self.family(i)[self.blocks.prefix(x, i)]
 
 
 def build_xi(
@@ -484,8 +490,8 @@ def eval_count(xi: XiFamily, x: "F2Vector | int") -> int:
     bits = x.bits if isinstance(x, F2Vector) else int(x)
     blocks = xi.blocks
     count = 0
-    for i in range(1, blocks.s + 1):
-        if parity(blocks.block(bits, i) & xi.entry_for(i, bits)) == 0:
+    for i, family in enumerate(xi.families, start=1):
+        if parity(blocks.block(bits, i) & family[blocks.prefix(bits, i)]) == 0:
             count += 1
     return count
 

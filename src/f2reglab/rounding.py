@@ -10,7 +10,8 @@ least 4 n^2 / tau^2 except with probability 2 exp(-tau^2 |A| / 2) per
 
 Deviation reports read the coefficients of a rounded table exactly: one
 full integer transform of its 0/1 counts serves every pair, each by a
-Poisson-sum lookup of 2^codim entries.  A float source table keeps the
+Poisson-sum lookup of 2^codim entries and codim butterfly stages
+(`fourier._dual_table`).  A float source table keeps the
 defining mean over the coset's gathered values, in the same summation
 order as a one-array mean, so report bytes do not depend on the path:
 the coset is gathered a few grid rows of 2^12 points at a time, each
@@ -28,7 +29,7 @@ import numpy as np
 from .fourier import (
     FunctionTable,
     _count_spectrum,
-    _poisson_numerators,
+    _dual_table,
 )
 from .gf2 import (
     AffineSubspace,
@@ -36,6 +37,7 @@ from .gf2 import (
     F2Vector,
     Subspace,
     _cached_span,
+    _checked_bits,
     _span_of_rows,
     parity64,
 )
@@ -124,31 +126,24 @@ def _pair_bits(coset: AffineSubspace, eta: "F2Vector | int", n: int) -> int:
     """The character's encoding, after checking the pair lives in F2^n."""
     if coset.n != n:
         raise DimensionMismatchError(f"coset n={coset.n} vs table n={n}")
-    if isinstance(eta, F2Vector):
-        if eta.n != n:
-            raise DimensionMismatchError(f"character n={eta.n} vs table n={n}")
-        return eta.bits
-    bits = int(eta)
-    if not 0 <= bits < (1 << n):
-        raise ValueError(f"character {bits} out of range for n={n}")
-    return bits
+    return _checked_bits(eta, n, "character")
 
 
 def _lookup_coefficients(
     t: FunctionTable, kept: "list[tuple[AffineSubspace, int]]"
 ) -> list[float]:
     """Coefficients of a 0/1 count table, each an exact Poisson-sum lookup
-    in one full transform of its counts."""
+    in one full transform of its counts: the `_dual_table` entry at eta
+    of the coset whose index j carries the canonical representative's
+    bits at H's free positions, the top bits of its duals."""
     spectrum = _count_spectrum(t)
-    return [
-        float(_poisson_numerators(
-            spectrum,
-            coset.subspace.orthogonal_complement().span_array(t.n),
-            np.int64(coset.representative.bits),
-            np.int64(eta),
-        )) / coset.size
-        for coset, eta in kept
-    ]
+    values = []
+    for coset, eta in kept:
+        h, rep = coset.subspace, coset.representative.bits
+        j = sum(((rep >> p) & 1) << k for k, p in enumerate(h.free_positions))
+        table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), np.array([[eta]]))
+        values.append(float(table[0, j, 0] >> (t.n - h.dim)) / coset.size)
+    return values
 
 
 def _signs(points: np.ndarray, eta: int) -> np.ndarray:
@@ -211,7 +206,8 @@ def deviation_report(
 
     * a 0/1 count table (denominator 1, as `round_to_binary` returns)
       is transformed once, and each pair's integer numerator is read
-      from that transform by Poisson summation (`_poisson_numerators`).
+      from that transform by Poisson summation (`_dual_table` at the
+      pair's character, one entry per coset of its subspace).
       The mean of 0/+-1 products is an exactly summed integer over the
       coset size, so numerator / size is the same float (and never
       -0.0, as the mean is not);

@@ -39,14 +39,12 @@ from .fourier import (
     FunctionTable,
     RegularityReport,
     _buckets,
-    _class_maps,
     _coset_transform,
     _count_dtype,
     _count_spectrum,
     _dual_report,
     _dual_table,
     _pullback_reps,
-    _report,
     _signed,
     _threshold,
     _top_bits,
@@ -57,6 +55,7 @@ from .gf2 import (
     DenseLimitError,
     F2Vector,
     Subspace,
+    _checked_bits,
     _echelon_bases,
     _echelon_stack,
     _span_stack,
@@ -114,12 +113,10 @@ def bad_fraction(
     which for sampled spanning families signals a defective xi family.
     """
     bound = as_fraction(bound)
-    blocks = xi.blocks
+    family = xi.family(i)
     dual = h.orthogonal_complement()
-    lo = blocks.offsets[i - 1]
-    total = len(xi.families[i - 1])
-    bad = sum(1 for p in range(total) if dual.contains(xi.entry(i, p) << lo))
-    fraction = Fraction(bad, total)
+    lo = xi.blocks.offsets[i - 1]
+    fraction = Fraction(sum(1 for e in family if dual.contains(e << lo)), len(family))
     if fraction > bound:
         raise ClaimViolationError(
             f"bad fraction {fraction} exceeds {bound} for block {i} "
@@ -201,35 +198,33 @@ def _certificate(
 ) -> WitnessCertificate:
     """`witness_scan` of h, given the table's full transform.
 
-    One `_dual_table` at every canonical class rep (`_class_maps`, the
-    trivial class first) gives the report as `_dual_report` does, and the
-    numerator at gamma: (-1)^<r, gamma ^ eta> times the entry at the rep
-    eta of gamma's class.
+    The report is `_dual_report`'s.  Each coset's numerator at gamma is
+    its entry in one `_dual_table` at the distinct gammas themselves, so
+    it needs no sign correction; the stacked walk (`_certify_duals`)
+    reads canonical class reps instead, which keeps this its oracle.
     """
     i, v = minimal_active_block(h, xi.blocks)
     reps = _pullback_reps(f, h)
     gammas = _gammas(np.array([h.basis]), reps[None], xi)[0]
-    etas, z = _class_maps(h)
+    distinct, column = np.unique(gammas, return_inverse=True)
     c = f.n - h.dim
-    table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), etas[None])[0] >> c
-    classes = np.argsort(z)[_buckets(h.basis, gammas)]  # gamma's class
-    numerators = _signed(table[np.arange(reps.shape[0]), classes], reps, gammas ^ etas[classes])
+    table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), distinct[None])[0]
+    numerators = table[np.arange(reps.shape[0]), column] >> c
     numerators = numerators.astype(_count_dtype(f.denominator, h.dim), copy=False)
     denominator = f.denominator << h.dim
+    trivial = _buckets(h.basis, gammas) == 0
     # coefficient > eps  <=>  numerator > floor(eps * denominator), as integers
-    threshold = _threshold(eps, denominator)
-    certified = (classes != 0) & (numerators > threshold)
-    magnitudes = np.abs(table[:, 1:])
-    irregular = magnitudes.max(axis=1) > threshold
-    worst = magnitudes.argmax(axis=1)[irregular] + 1
-    report = _report(h, eps, reps, irregular, etas[worst], table[irregular, worst] / denominator)
+    certified = ~trivial & (numerators > _threshold(eps, denominator))
+    report = _dual_report(h, eps, spectrum, f.denominator)
+    irregular = np.zeros(reps.shape[0], dtype=bool)
+    irregular[np.searchsorted(reps, report.witness_reps)] = True  # reps ascend
 
     cert = WitnessCertificate(
         subspace=h,
         epsilon=eps,
         block_index=i,
         vector=v,
-        bad_fraction=Fraction(int((classes == 0).sum()), reps.shape[0]),
+        bad_fraction=Fraction(int(trivial.sum()), reps.shape[0]),
         reps=reps,
         gammas=gammas,
         numerators=numerators,
@@ -312,12 +307,12 @@ def _w_class_fractions(
     span, plus the average (each distinct coset counted once)."""
     if f.counts is None:
         raise ValueError("exact coefficient scans need count tables")
-    gamma = np.int64(gamma_character(g, i, xi).bits)
+    g_bits = _checked_bits(g, f.n, "translate")
+    gamma = np.int64(gamma_character(g_bits, i, xi).bits)
     bucket = int(_buckets(h.basis, np.array([gamma]))[0])
     if bucket == 0:
         raise ValueError("witness character is trivial on H (gamma in H-perp)")
     tail = w_subspace(xi.blocks, i)
-    g_bits = g.bits if isinstance(g, F2Vector) else int(g)
     reps = np.unique(reduce_array(tail.span_array(f.n) ^ np.int64(g_bits), h))
     transform, denominator = _coset_transform(f, h.span_array(f.n), reps)
     numerators = _signed(transform[:, bucket], reps, gamma)
@@ -579,6 +574,8 @@ def exhaustive_lowerbound_check(
     regularity check and carry a valid witness certificate.  With
     strict=True any failure raises; otherwise failures and regular
     subspaces are collected in the report (informational large-eps runs).
+    max_enumerated_codim must lie in 0..n-1 and random_per_dim must not
+    be negative; both are checked before the table is transformed.
 
     The walk certifies consecutive subspaces of one dimension in stacks
     of at most _STACK_ENTRIES table entries from their duals and the one
@@ -598,6 +595,12 @@ def exhaustive_lowerbound_check(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive" and n > 4:
         raise DenseLimitError(f"subspace enumeration is limited to n <= 4, got {n}")
+    if not 0 <= max_enumerated_codim < n:  # codim n would list {0}
+        raise ValueError(
+            f"max_enumerated_codim {max_enumerated_codim} out of range 0..{n - 1} for n = {n}"
+        )
+    if random_per_dim < 0:
+        raise ValueError(f"random_per_dim must be non-negative, got {random_per_dim}")
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
 

@@ -464,6 +464,17 @@ class TestGuards:
         # the limit is checked where tables and enumerations are created
         assert "dense_limit" not in inspect.signature(getattr(f2reglab, name)).parameters
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--s", "2", "--mode", "structured", "--max-codim", "3"],
+         "max_enumerated_codim 3 out of range 0..2 for n = 3"),
+        (["--s", "2", "--random-per-dim", "-5"], "random_per_dim must be non-negative, got -5"),
+        (["--s", "2", "--max-codim", "-3"], "max_enumerated_codim -3 out of range 0..2"),
+        (["--s", "3", "--max-codim", "99"], "max_enumerated_codim 99 out of range 0..10 for n = 11"),
+    ])
+    def test_lowerbound_walk_bounds_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify-lowerbound", *argv)
+        assert code == 2 and out == "" and message in err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

@@ -364,11 +364,11 @@ def transform_numerators(f, h, reps, etas):
     return fourier._signed(table[:, buckets], reps[:, None], etas[None, :])
 
 
-def poisson_numerators(f, h, reps, etas):
-    spectrum = fourier._fwht(f.counts.astype(np.int64))
-    return fourier._poisson_numerators(
-        spectrum, h.orthogonal_complement().span_array(), reps[:, None], etas[None, :]
-    )
+def dual_numerators(spectrum, h, etas):
+    """`_dual_table` of h at the explicit characters etas: entry [k, j]
+    is the numerator over h's k-th canonical coset at etas[j]."""
+    duals = np.array([h._dual_rows()], np.int64)
+    return fourier._dual_table(spectrum, duals, etas[None])[0] >> duals.shape[1]
 
 
 def random_subspace_of_codim(n, codim, rng):
@@ -379,14 +379,16 @@ def random_subspace_of_codim(n, codim, rng):
 
 
 class TestPoissonNumerators:
-    """The Poisson-sum lookup equals the coset transform, exactly."""
+    """The Poisson-sum read of `_dual_table` at explicit characters, any
+    member of F2^n (trivial ones and several members of one class
+    included), equals the coset transform, exactly."""
 
     def assert_equal_on_every_coset(self, f, h, etas):
+        spectrum = fourier._count_spectrum(f)
         reps = h.coset_representative_array()
-        expected = transform_numerators(f, h, reps, etas)
-        got = poisson_numerators(f, h, reps, etas)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, expected)
+        got = dual_numerators(spectrum, h, etas)
+        assert got.dtype == spectrum.dtype
+        assert np.array_equal(got, transform_numerators(f, h, reps, etas))
 
     def test_every_hyperplane_of_s2(self):
         f = Instance.generate(2, seed=1).table
@@ -411,14 +413,16 @@ class TestPoissonNumerators:
             self.assert_equal_on_every_coset(f, h, etas)
 
     def test_broadcasts_pairs(self, s3_table):
-        # one (rep, eta) per entry, as deviation reports read them
+        # one (rep, eta) pair per coset, as deviation reports read them: the
+        # coset's entry is the one whose index carries the rep's bits at
+        # the free positions of H
         h = random_subspace_of_codim(11, 3, random.Random(26))
         reps = h.coset_representative_array()
         etas = np.arange(reps.size, dtype=np.int64) * 37 % (1 << 11)
-        spectrum = fourier._fwht(s3_table.counts.astype(np.int64))
-        got = fourier._poisson_numerators(
-            spectrum, h.orthogonal_complement().span_array(), reps, etas
-        )
+        table = dual_numerators(fourier._count_spectrum(s3_table), h, etas)
+        index = [sum(((int(r) >> p) & 1) << k for k, p in enumerate(h.free_positions))
+                 for r in reps]
+        got = table[index, np.arange(reps.size)]
         full = transform_numerators(s3_table, h, reps, etas)
         assert np.array_equal(got, np.diagonal(full))
 

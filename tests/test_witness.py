@@ -13,6 +13,7 @@ from f2reglab import (
     AffineSubspace,
     ClaimViolationError,
     DenseLimitError,
+    DimensionMismatchError,
     F2Vector,
     FunctionTable,
     Instance,
@@ -255,6 +256,48 @@ class TestBadFraction:
     def test_basis_block_weight_two_meets_bound_exactly(self, inst3):
         h = Subspace.from_vectors(11, [(1 << 3) | (1 << 4)])
         assert bad_fraction(h, 3, inst3.xi) == Fraction(3, 4)
+
+
+class TestBlockIndexGuard:
+    """A block index outside 1..s is refused by name, not read from the
+    wrong family (i = 0 would read block s) or failed with a bare
+    IndexError."""
+
+    @pytest.mark.parametrize("i", [0, 4, -1])
+    def test_out_of_range_block_refused(self, inst3, i):
+        h = Subspace.from_vectors(11, [8])
+        calls = [
+            lambda: bad_fraction(h, i, inst3.xi),
+            lambda: gamma_character(5, i, inst3.xi),
+            lambda: inst3.xi.entry(i, 0),
+            lambda: inst3.xi.entry_for(i, 5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"block index i={i} out of range 1..s for s=3"):
+                call()
+
+    def test_edge_blocks_accepted(self, inst3):
+        assert gamma_character(5, 1, inst3.xi) == F2Vector(11, 1)
+        assert inst3.xi.entry(3, 7) == inst3.xi.families[2][7]
+
+
+class TestTranslateGuard:
+    """The translate g of the tail averages must live in the table's
+    F2^n, as deviation reports check their characters."""
+
+    @pytest.mark.parametrize("fn", [w_average_coefficient, corollary_fraction])
+    def test_translate_outside_the_table_refused(self, inst3, fn):
+        h = Subspace.from_vectors(11, [8])
+        with pytest.raises(DimensionMismatchError, match="translate n=12 vs table n=11"):
+            fn(inst3.table, h, F2Vector(12, 0), 3, inst3.xi)
+        for g in (-8, 2048):
+            with pytest.raises(ValueError, match=f"translate {g} out of range for n=11"):
+                fn(inst3.table, h, g, 3, inst3.xi)
+
+    def test_translates_in_range_accepted(self, inst3):
+        h = Subspace.from_vectors(11, [8])
+        for g in (0, F2Vector(11, 0), 2040):  # prefix 0: gamma = e4, not in H-perp
+            assert w_average_coefficient(inst3.table, h, g, 3, inst3.xi) == Fraction(1, 6)
 
 
 class TestAverageCoefficient:
@@ -563,6 +606,36 @@ class TestLowerBoundCheck:
     def test_strict_failure_raises(self, inst2):
         with pytest.raises(ClaimViolationError):
             exhaustive_lowerbound_check(inst2, Fraction(1, 2), strict=True)
+
+    @pytest.mark.parametrize("mode", ["structured", "sampled", "exhaustive"])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_enumerated_codim": 3}, "max_enumerated_codim 3 out of range 0..2 for n = 3"),
+        ({"max_enumerated_codim": 99}, "max_enumerated_codim 99 out of range 0..2"),
+        ({"max_enumerated_codim": -3}, "max_enumerated_codim -3 out of range 0..2"),
+        ({"random_per_dim": -5}, "random_per_dim must be non-negative, got -5"),
+    ])
+    def test_walk_bounds_refused_before_the_spectrum(
+        self, inst2, monkeypatch, mode, kwargs, message
+    ):
+        # codim n would enumerate {0}, whose duals break the gamma lookup
+        def refuse(f):
+            raise AssertionError("spectrum computed")
+
+        monkeypatch.setattr(witness, "_count_spectrum", refuse)
+        with pytest.raises(ValueError, match=message):
+            exhaustive_lowerbound_check(inst2, "1/32", mode=mode, **kwargs)
+
+    def test_walk_bound_edges_accepted(self, inst2):
+        # codim n - 1 lists the lines, so with the hyperplanes and the full
+        # space the structured walk meets every nonzero subspace of F2^3
+        report = exhaustive_lowerbound_check(
+            inst2, "1/32", mode="structured", random_per_dim=0, max_enumerated_codim=2
+        )
+        assert report.ok and report.checked == 15 and report.per_dim_checked == (0, 7, 7, 1)
+        report = exhaustive_lowerbound_check(
+            inst2, "1/32", mode="structured", random_per_dim=0, max_enumerated_codim=0
+        )
+        assert report.ok and report.checked == 1
 
 
 class TestCrossCheckAgainstRegularityReport:
