@@ -17,7 +17,7 @@ Two private kernels compute coset coefficients:
   and the decomposition rounds read it a chunk of classes at a time
   (`_dual_report`), `witness_scan` and the lower-bound walk certify
   from it, and deviation reports read a rounded table's coefficients
-  from it.
+  from it one coset at a time (`_coset_numerator`).
 * `_coset_transform` pulls f back through the basis parameterization of
   H over the requested cosets and runs one batched size-2^dim transform:
   float tables are scanned with it a block of cosets at a time
@@ -461,6 +461,17 @@ def _dual_table(
     del classes
     _butterflies(table, 1, 1 << c, table.shape[1] * table.shape[2])
     return table.transpose(1, 0, 2)
+
+
+def _coset_numerator(spectrum: np.ndarray, coset: AffineSubspace, eta: int) -> int:
+    """Numerator of one coset at one character, read from a count table's
+    full transform: its `_dual_table` entry at eta, in the row that carries
+    the canonical representative's bits at H's free positions (the top
+    bits of H's duals), which is H's canonical coset index."""
+    h, rep = coset.subspace, coset.representative.bits
+    table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), np.array([[eta]]))
+    j = sum(((rep >> p) & 1) << k for k, p in enumerate(h.free_positions))
+    return int(table[0, j, 0]) >> (h.n - h.dim)
 
 
 def restricted_spectrum(f: FunctionTable, a: AffineSubspace) -> CosetSpectrum:

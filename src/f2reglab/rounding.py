@@ -11,12 +11,13 @@ least 4 n^2 / tau^2 except with probability 2 exp(-tau^2 |A| / 2) per
 Deviation reports read the coefficients of a rounded table exactly: one
 full integer transform of its 0/1 counts serves every pair, each by a
 Poisson-sum lookup of 2^codim entries and codim butterfly stages
-(`fourier._dual_table`).  A float source table keeps the
-defining mean over the coset's gathered values, in the same summation
-order as a one-array mean, so report bytes do not depend on the path:
-the coset is gathered a few grid rows of 2^12 points at a time, each
-row summed on its own, and since numpy sums a 2^d array pairwise by
-halving, the row sums added by a halving tree are that same sum.
+(`fourier._coset_numerator`, one `_dual_table` entry).  A float source
+table keeps the defining mean over the coset's gathered values, in the
+same summation order as a one-array mean, so report bytes do not depend
+on the path: the coset is gathered a few grid rows of 2^12 points at a
+time, each row summed on its own, and since numpy sums a 2^d array
+pairwise by halving, the row sums added by a halving tree are that same
+sum.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from .fourier import (
     FunctionTable,
+    _coset_numerator,
     _count_spectrum,
-    _dual_table,
 )
 from .gf2 import (
     AffineSubspace,
@@ -122,30 +123,6 @@ def size_threshold(n: int, tau: float) -> float:
     return 4.0 * n * n / (tau * tau)
 
 
-def _pair_bits(coset: AffineSubspace, eta: "F2Vector | int", n: int) -> int:
-    """The character's encoding, after checking the pair lives in F2^n."""
-    if coset.n != n:
-        raise DimensionMismatchError(f"coset n={coset.n} vs table n={n}")
-    return _checked_bits(eta, n, "character")
-
-
-def _lookup_coefficients(
-    t: FunctionTable, kept: "list[tuple[AffineSubspace, int]]"
-) -> list[float]:
-    """Coefficients of a 0/1 count table, each an exact Poisson-sum lookup
-    in one full transform of its counts: the `_dual_table` entry at eta
-    of the coset whose index j carries the canonical representative's
-    bits at H's free positions, the top bits of its duals."""
-    spectrum = _count_spectrum(t)
-    values = []
-    for coset, eta in kept:
-        h, rep = coset.subspace, coset.representative.bits
-        j = sum(((rep >> p) & 1) << k for k, p in enumerate(h.free_positions))
-        table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), np.array([[eta]]))
-        values.append(float(table[0, j, 0] >> (t.n - h.dim)) / coset.size)
-    return values
-
-
 def _signs(points: np.ndarray, eta: int) -> np.ndarray:
     return 1.0 - 2.0 * parity64(points & np.int64(eta))
 
@@ -206,8 +183,8 @@ def deviation_report(
 
     * a 0/1 count table (denominator 1, as `round_to_binary` returns)
       is transformed once, and each pair's integer numerator is read
-      from that transform by Poisson summation (`_dual_table` at the
-      pair's character, one entry per coset of its subspace).
+      from that transform by Poisson summation (`_coset_numerator`:
+      the coset's entry in `_dual_table` at the pair's character).
       The mean of 0/+-1 products is an exactly summed integer over the
       coset size, so numerator / size is the same float (and never
       -0.0, as the mean is not);
@@ -228,7 +205,9 @@ def deviation_report(
     kept: list[tuple[AffineSubspace, int]] = []
     skipped = 0
     for coset, eta in pairs:
-        eta_bits = _pair_bits(coset, eta, f.n)
+        if coset.n != f.n:
+            raise DimensionMismatchError(f"coset n={coset.n} vs table n={f.n}")
+        eta_bits = _checked_bits(eta, f.n, "character")
         if coset.size < threshold:
             skipped += 1
             continue
@@ -240,7 +219,9 @@ def deviation_report(
     values = np.empty((len(kept), 2))
     if kept:
         for j in lookup:
-            values[:, j] = _lookup_coefficients(tables[j], kept)
+            spectrum = _count_spectrum(tables[j])
+            values[:, j] = [_coset_numerator(spectrum, c, eta) / c.size for c, eta in kept]
+            del spectrum  # held through the gather, it raised peak RSS at n = 20 by 8 MB
         if gather:
             values[:, gather] = _gathered_coefficients([tables[j] for j in gather], kept)
     records = tuple(

@@ -194,14 +194,17 @@ def witness_scan(
 
 
 def _certificate(
-    f: FunctionTable, spectrum: np.ndarray, h: Subspace, eps: Fraction, xi: XiFamily
+    f: FunctionTable, spectrum: np.ndarray, h: Subspace, eps: Fraction, xi: XiFamily,
+    report: "RegularityReport | None" = None,
 ) -> WitnessCertificate:
     """`witness_scan` of h, given the table's full transform.
 
-    The report is `_dual_report`'s.  Each coset's numerator at gamma is
-    its entry in one `_dual_table` at the distinct gammas themselves, so
-    it needs no sign correction; the stacked walk (`_certify_duals`)
-    reads canonical class reps instead, which keeps this its oracle.
+    The report is `_dual_report`'s, built here unless the caller holds it
+    (the walk reads it again when a certificate fails).  Each coset's
+    numerator at gamma is its entry in one `_dual_table` at the distinct
+    gammas themselves, so it needs no sign correction; the stacked walk
+    (`_certify_duals`) reads canonical class reps instead, which keeps
+    this its oracle.
     """
     i, v = minimal_active_block(h, xi.blocks)
     reps = _pullback_reps(f, h)
@@ -215,7 +218,8 @@ def _certificate(
     trivial = _buckets(h.basis, gammas) == 0
     # coefficient > eps  <=>  numerator > floor(eps * denominator), as integers
     certified = ~trivial & (numerators > _threshold(eps, denominator))
-    report = _dual_report(h, eps, spectrum, f.denominator)
+    if report is None:
+        report = _dual_report(h, eps, spectrum, f.denominator)
     irregular = np.zeros(reps.shape[0], dtype=bool)
     irregular[np.searchsorted(reps, report.witness_reps)] = True  # reps ascend
 
@@ -574,8 +578,9 @@ def exhaustive_lowerbound_check(
     regularity check and carry a valid witness certificate.  With
     strict=True any failure raises; otherwise failures and regular
     subspaces are collected in the report (informational large-eps runs).
-    max_enumerated_codim must lie in 0..n-1 and random_per_dim must not
-    be negative; both are checked before the table is transformed.
+    random_per_dim must not be negative, and in structured mode, the only
+    one that reads it, max_enumerated_codim must lie in 0..n-1; both are
+    checked before the table is transformed.
 
     The walk certifies consecutive subspaces of one dimension in stacks
     of at most _STACK_ENTRIES table entries from their duals and the one
@@ -595,7 +600,7 @@ def exhaustive_lowerbound_check(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive" and n > 4:
         raise DenseLimitError(f"subspace enumeration is limited to n <= 4, got {n}")
-    if not 0 <= max_enumerated_codim < n:  # codim n would list {0}
+    if mode == "structured" and not 0 <= max_enumerated_codim < n:  # codim n lists {0}
         raise ValueError(
             f"max_enumerated_codim {max_enumerated_codim} out of range 0..{n - 1} for n = {n}"
         )
@@ -620,13 +625,14 @@ def exhaustive_lowerbound_check(
         certified += int(passed.sum())
         for basis in rows[~passed].tolist():
             h = Subspace._from_echelon(n, tuple(basis))
+            report = _dual_report(h, eps, spectrum, f.denominator)
             try:
-                _certificate(f, spectrum, h, eps, inst.xi)
+                _certificate(f, spectrum, h, eps, inst.xi, report)
                 certified += 1
             except ClaimViolationError as exc:
                 if strict:
                     raise
-                if _dual_report(h, eps, spectrum, f.denominator).is_regular:
+                if report.is_regular:
                     regular_nonzero.append(tuple(h.basis))
                 else:
                     failures.append(

@@ -468,12 +468,21 @@ class TestGuards:
         (["--s", "2", "--mode", "structured", "--max-codim", "3"],
          "max_enumerated_codim 3 out of range 0..2 for n = 3"),
         (["--s", "2", "--random-per-dim", "-5"], "random_per_dim must be non-negative, got -5"),
-        (["--s", "2", "--max-codim", "-3"], "max_enumerated_codim -3 out of range 0..2"),
+        (["--s", "2", "--mode", "structured", "--max-codim", "-3"],
+         "max_enumerated_codim -3 out of range 0..2"),
         (["--s", "3", "--max-codim", "99"], "max_enumerated_codim 99 out of range 0..10 for n = 11"),
+        (["--s", "1", "--mode", "structured"], "max_enumerated_codim 1 out of range 0..0"),
     ])
     def test_lowerbound_walk_bounds_exit_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "verify-lowerbound", *argv)
         assert code == 2 and out == "" and message in err
+
+    def test_lowerbound_s1_defaults_exit_0(self, capsys):
+        # auto mode walks F2^1 exhaustively; --max-codim only bounds the
+        # structured walk, so its default of 1 is not refused here
+        code, out, _ = run_cli(capsys, "verify-lowerbound", "--s", "1")
+        report = json.loads(out)
+        assert code == 0 and report["ok"] and report["mode"] == "exhaustive"
 
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

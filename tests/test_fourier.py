@@ -413,16 +413,15 @@ class TestPoissonNumerators:
             self.assert_equal_on_every_coset(f, h, etas)
 
     def test_broadcasts_pairs(self, s3_table):
-        # one (rep, eta) pair per coset, as deviation reports read them: the
-        # coset's entry is the one whose index carries the rep's bits at
-        # the free positions of H
+        # one (rep, eta) pair per coset, as deviation reports read them
+        # (`_coset_numerator`); each rep is given off its canonical form
         h = random_subspace_of_codim(11, 3, random.Random(26))
         reps = h.coset_representative_array()
         etas = np.arange(reps.size, dtype=np.int64) * 37 % (1 << 11)
-        table = dual_numerators(fourier._count_spectrum(s3_table), h, etas)
-        index = [sum(((int(r) >> p) & 1) << k for k, p in enumerate(h.free_positions))
-                 for r in reps]
-        got = table[index, np.arange(reps.size)]
+        spectrum = fourier._count_spectrum(s3_table)
+        cosets = [AffineSubspace(h, F2Vector(11, int(r) ^ h.basis[k % h.dim]))
+                  for k, r in enumerate(reps)]
+        got = [fourier._coset_numerator(spectrum, a, int(e)) for a, e in zip(cosets, etas)]
         full = transform_numerators(s3_table, h, reps, etas)
         assert np.array_equal(got, np.diagonal(full))
 

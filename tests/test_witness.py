@@ -607,12 +607,12 @@ class TestLowerBoundCheck:
         with pytest.raises(ClaimViolationError):
             exhaustive_lowerbound_check(inst2, Fraction(1, 2), strict=True)
 
-    @pytest.mark.parametrize("mode", ["structured", "sampled", "exhaustive"])
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"max_enumerated_codim": 3}, "max_enumerated_codim 3 out of range 0..2 for n = 3"),
-        ({"max_enumerated_codim": 99}, "max_enumerated_codim 99 out of range 0..2"),
-        ({"max_enumerated_codim": -3}, "max_enumerated_codim -3 out of range 0..2"),
-        ({"random_per_dim": -5}, "random_per_dim must be non-negative, got -5"),
+    @pytest.mark.parametrize("mode, kwargs, message", [
+        ("structured", {"max_enumerated_codim": 3}, "max_enumerated_codim 3 out of range 0..2"),
+        ("structured", {"max_enumerated_codim": 99}, "max_enumerated_codim 99 out of range 0..2"),
+        ("structured", {"max_enumerated_codim": -3}, "max_enumerated_codim -3 out of range 0..2"),
+        *[(mode, {"random_per_dim": -5}, "random_per_dim must be non-negative, got -5")
+          for mode in ("structured", "sampled", "exhaustive")],
     ])
     def test_walk_bounds_refused_before_the_spectrum(
         self, inst2, monkeypatch, mode, kwargs, message
@@ -624,6 +624,21 @@ class TestLowerBoundCheck:
         monkeypatch.setattr(witness, "_count_spectrum", refuse)
         with pytest.raises(ValueError, match=message):
             exhaustive_lowerbound_check(inst2, "1/32", mode=mode, **kwargs)
+
+    @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+    @pytest.mark.parametrize("max_codim", [-3, 3, 99])
+    def test_max_codim_ignored_outside_structured_mode(self, inst2, mode, max_codim):
+        # only the structured walk enumerates codimensions
+        kwargs = {"mode": mode, "random_per_dim": 20}
+        got = exhaustive_lowerbound_check(inst2, "1/32", max_enumerated_codim=max_codim, **kwargs)
+        want = exhaustive_lowerbound_check(inst2, "1/32", **kwargs)
+        assert emit_report(got) == emit_report(want)
+
+    def test_s1_default_arguments_walk_exhaustively(self):
+        # n = 1: auto picks the exhaustive walk, which ignores the default
+        # max_enumerated_codim of 1 (out of range for structured mode)
+        report = exhaustive_lowerbound_check(Instance.generate(1, seed=0), "1/16")
+        assert report.ok and report.mode == "exhaustive" and report.per_dim_checked == (1, 1)
 
     def test_walk_bound_edges_accepted(self, inst2):
         # codim n - 1 lists the lines, so with the hyperplanes and the full
