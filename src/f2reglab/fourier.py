@@ -425,9 +425,8 @@ def _top_bits(rows: np.ndarray) -> np.ndarray:
 def _dual_table(
     spectrum: np.ndarray, duals: np.ndarray, classes: "np.ndarray | None" = None
 ) -> np.ndarray:
-    """Numerators of every coset of B subspaces H at their nontrivial
-    classes, read from the full transform of a count table through their
-    duals.
+    """Numerators of every coset of B subspaces H at chosen characters,
+    read from the full transform of a count table through their duals.
 
     duals is a (B, c) stack of bases of D = H-perp in top-pivot echelon
     form (`_echelon_stack(..., top=True)`): row i has the highest set bit
@@ -435,10 +434,10 @@ def _dual_table(
     or (B, K) lists K characters for every subspace of the stack: any
     members of F2^n, trivial ones (0 and members of D) and several
     members of one class included.  By default subspace b gets its own
-    off-top classes from its own top bits, one representative of each
-    nontrivial class mod D: the nonzero members of F2^n with every t_i
-    of duals[b] clear, ascending, the (n - c)-bit numbers 1, 2, ...
-    with a zero bit inserted at each t_i.  For each character eta,
+    off-top classes from its own top bits, one representative of every
+    class mod D, the trivial class 0 first: the members of F2^n with
+    every t_i of duals[b] clear, ascending, the (n - c)-bit numbers
+    0, 1, ... with a zero bit inserted at each t_i.  For each character eta,
     gathering spectrum[eta ^ u] over u in span(D) and running one
     size-2^c transform gives 2^c times the numerator at eta of every
     coset at once (Poisson summation): entry j belongs to the coset whose
@@ -452,7 +451,7 @@ def _dual_table(
     """
     c = duals.shape[1]
     if classes is None:
-        classes = np.arange(1, spectrum.size >> c, dtype=np.int64)[None, :]
+        classes = np.arange(spectrum.size >> c, dtype=np.int64)[None, :]
         for t in _top_bits(duals).T[:, :, None]:
             classes = classes + (classes & -(1 << t))  # a zero bit at t
     table = spectrum[_span_stack(duals, classes)]

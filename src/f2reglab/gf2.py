@@ -15,8 +15,8 @@ above a configurable limit instead of attempting huge allocations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -299,13 +299,11 @@ class BlockStructure:
     def n(self) -> int:
         return sum(self.dims)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        """Prefix sums D_0 = 0, D_i = d_1 + ... + d_i."""
-        out = [0]
-        for d in self.dims:
-            out.append(out[-1] + d)
-        return tuple(out)
+        """Prefix sums D_0 = 0, D_i = d_1 + ... + d_i, built once per
+        instance (the block, prefix and witness lookups read them often)."""
+        return (0, *accumulate(self.dims))
 
     def block(self, x: "F2Vector | int", i: int) -> int:
         """Bits of block i (1-based) of x, as a d_i-bit integer."""

@@ -17,11 +17,11 @@ from the table's one exact full transform by Poisson summation over
 H-perp (`fourier._dual_table`); floating point appears only in the spot
 checks against the defining mean.
 
-`witness_scan` certifies one subspace.  The lower-bound walk certifies
-runs of equal-dimension subspaces in stacks given by their duals, with
-the same certificates, verdicts and checks for every subspace of the
-stack at once; a subspace that fails a check is certified again on its
-own, so reports and exceptions match the one-at-a-time walk.
+One certifier, `_certify_duals`, reads the certificates and checks of a
+stack of equal-dimension subspaces given by their duals.  The
+lower-bound walk runs it on stacks of consecutive subspaces and reports
+a failing subspace from the stack's own verdicts; `witness_scan` runs it
+on a stack of one.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .fourier import (
     _count_spectrum,
     _dual_report,
     _dual_table,
-    _pullback_reps,
     _signed,
     _threshold,
     _top_bits,
@@ -53,6 +52,7 @@ from .fourier import (
 from .gf2 import (
     BlockStructure,
     DenseLimitError,
+    DimensionMismatchError,
     F2Vector,
     Subspace,
     _checked_bits,
@@ -179,51 +179,34 @@ def witness_scan(
 
     Raises ClaimViolationError when the certified fraction fails to
     exceed eps (which would contradict the lower-bound construction for
-    eps up to 1/(16 s)).  The certificate and its regularity report are
-    read from the count table's exact full transform (`_count_spectrum`)
-    by Poisson summation over H-perp, as in the lower-bound walk.  Every
-    scan is cross-checked: certified cosets must be irregular in the
-    report, the report must not be regular, and certified coefficients
+    eps up to 1/(16 s)).  The certificate is `_certify_duals` on the
+    one-subspace stack of H's duals, read from the count table's exact
+    full transform (`_count_spectrum`), as in the lower-bound walk.
+    Every scan is cross-checked: certified cosets must also be irregular
+    in the `_dual_report` regularity report, and certified coefficients
     are spot-checked against the defining mean.  cross_check and
     _gamma_cache are accepted for callers that still pass them and are
     ignored.
     """
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
-    return _certificate(f, _count_spectrum(f), h, as_fraction(epsilon), xi)
-
-
-def _certificate(
-    f: FunctionTable, spectrum: np.ndarray, h: Subspace, eps: Fraction, xi: XiFamily,
-    report: "RegularityReport | None" = None,
-) -> WitnessCertificate:
-    """`witness_scan` of h, given the table's full transform.
-
-    The report is `_dual_report`'s, built here unless the caller holds it
-    (the walk reads it again when a certificate fails).  Each coset's
-    numerator at gamma is its entry in one `_dual_table` at the distinct
-    gammas themselves, so it needs no sign correction; the stacked walk
-    (`_certify_duals`) reads canonical class reps instead, which keeps
-    this its oracle.
-    """
     i, v = minimal_active_block(h, xi.blocks)
-    reps = _pullback_reps(f, h)
-    gammas = _gammas(np.array([h.basis]), reps[None], xi)[0]
-    distinct, column = np.unique(gammas, return_inverse=True)
-    c = f.n - h.dim
-    table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), distinct[None])[0]
-    numerators = table[np.arange(reps.shape[0]), column] >> c
-    numerators = numerators.astype(_count_dtype(f.denominator, h.dim), copy=False)
-    denominator = f.denominator << h.dim
-    trivial = _buckets(h.basis, gammas) == 0
-    # coefficient > eps  <=>  numerator > floor(eps * denominator), as integers
-    certified = ~trivial & (numerators > _threshold(eps, denominator))
-    if report is None:
-        report = _dual_report(h, eps, spectrum, f.denominator)
+    if f.n != h.n:
+        raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
+    eps = as_fraction(epsilon)
+    spectrum = _count_spectrum(f)
+    duals = np.array([h._dual_rows()], np.int64)
+    _, reps, gammas, numerators, certified, trivial, _, checks = (
+        a[0] for a in _certify_duals(f, spectrum, duals, eps, xi)
+    )
+    report = _dual_report(h, eps, spectrum, f.denominator)
     irregular = np.zeros(reps.shape[0], dtype=bool)
     irregular[np.searchsorted(reps, report.witness_reps)] = True  # reps ascend
-
-    cert = WitnessCertificate(
+    checks[0] &= not (certified & ~irregular).any()
+    reason = _failure(checks, int(certified.sum()), reps.shape[0], eps, h.basis)
+    if reason:
+        raise ClaimViolationError(reason)
+    return WitnessCertificate(
         subspace=h,
         epsilon=eps,
         block_index=i,
@@ -231,27 +214,29 @@ def _certificate(
         bad_fraction=Fraction(int(trivial.sum()), reps.shape[0]),
         reps=reps,
         gammas=gammas,
-        numerators=numerators,
-        denominator=denominator,
+        numerators=numerators.astype(_count_dtype(f.denominator, h.dim), copy=False),
+        denominator=f.denominator << h.dim,
         certified=certified,
         cross_checked=True,
         regularity_report=report,
     )
-    if (certified & ~irregular).any():
-        raise ClaimViolationError("certified coset not irregular in the regularity report")
-    if report.is_regular and cert.ok:
-        raise ClaimViolationError("certificate contradicts the regularity report")
-    if not _spot_checks(
-        f, np.array([h.basis]), reps[None], gammas[None], numerators[None],
-        denominator, certified[None],
-    )[0]:
-        raise ClaimViolationError("defining mean and exact coefficient disagree")
-    if not cert.ok:
-        raise ClaimViolationError(
-            f"witness fraction {cert.irregular_fraction} is not above {eps} "
-            f"for subspace with basis {h.basis}"
+
+
+def _failure(
+    checks: np.ndarray, certified: int, total: int, eps: Fraction, basis: tuple
+) -> "str | None":
+    """Message of the first of a certificate's three `_certify_duals`
+    checks that fails, or None when all pass."""
+    if not checks[0]:
+        return "certified coset not irregular in the regularity report"
+    if not checks[1]:
+        return "defining mean and exact coefficient disagree"
+    if not checks[2]:
+        return (
+            f"witness fraction {Fraction(certified, total)} is not above {eps} "
+            f"for subspace with basis {basis}"
         )
-    return cert
+    return None
 
 
 def _spot_checks(
@@ -438,12 +423,10 @@ def _perp_stack(basis: np.ndarray, pivots: np.ndarray, n: int) -> np.ndarray:
     """
     count, k = basis.shape
     columns = np.arange(n, dtype=np.int64)
-    full = np.broadcast_to(1 << columns, (count, n)).copy()
-    keep = np.ones((count, n), dtype=bool)
-    for i in range(k):
-        full |= ((basis[:, i, None] >> columns) & 1) << pivots[:, i, None]
-        keep &= columns != pivots[:, i, None]
-    return full[keep].reshape(count, n - k)
+    # row i's bits land at its own pivot, so a sum over i is their OR
+    moved = (((basis[:, :, None] >> columns) & 1) << pivots[:, :, None]).sum(axis=1)
+    keep = (columns != pivots[:, :, None]).all(axis=1)
+    return ((1 << columns) | moved)[keep].reshape(count, n - k)
 
 
 def _walk(
@@ -504,8 +487,8 @@ def _certify_duals(
     duals: np.ndarray,
     eps: Fraction,
     xi: XiFamily,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """witness_scan and the walk's checks on B nonzero subspaces H of
+) -> tuple[np.ndarray, ...]:
+    """The certificates and checks of B nonzero subspaces H of
     codimension c, given by their duals, a (B, c) top-pivot echelon stack
     of bases of H-perp, from the count table's full transform
     (`_count_spectrum`).
@@ -513,18 +496,21 @@ def _certify_duals(
     With t_1 < ... < t_c the duals' top bits, H's canonical coset
     representatives are the vectors carried by the t_i, its echelon
     basis is `_perp_stack` of the duals at the t_i, and `_dual_table`
-    gives every coset's numerator at every nontrivial class.  H's pivots
-    are the other bits, so the bucket k of gamma carries the bits of
-    gamma's class rep at those pivots: k == 0 means gamma is trivial on
-    H, and otherwise the rep is the table's class k - 1.  Coset reps live
-    on the t_i and class reps off them, so the numerator at gamma is
-    (-1)^<r, gamma> times the class rep's.
+    gives every coset's numerator at every class.  H's pivots are the
+    other bits, so the bucket k of gamma carries the bits of gamma's
+    class rep at those pivots, and the rep is the table's class k (k == 0
+    means gamma is trivial on H).  Coset reps live on the t_i and class
+    reps off them, so the numerator at gamma is (-1)^<r, gamma> times the
+    class rep's.
 
-    Returns H's (B, n - c) echelon bases and, per subspace, the certified
-    and the irregular coset counts and whether every check passed: the
-    certificate is ok, certified cosets are irregular, the report is not
-    regular (which also rules out a regular report beside an ok
-    certificate), and the certificate passes `_spot_checks`.
+    Returns H's (B, n - c) echelon bases; per coset, (B, 2^c) arrays of
+    the canonical reps (ascending), the gammas, the numerators, the
+    certified mask and the trivial-gamma mask; and per subspace the
+    irregular coset count and a (B, 3) array of the checks, in the order
+    `_failure` reports them: certified cosets are irregular, the
+    certificate passes `_spot_checks`, and the certified count exceeds
+    eps * 2^c.  An irregular count above eps * 2^c, the report not being
+    regular, follows from the first and the third.
     """
     n = f.n
     c = duals.shape[1]
@@ -534,28 +520,24 @@ def _certify_duals(
     gammas = _gammas(rows, reps, xi)
     table = _dual_table(spectrum, duals)
     buckets = _buckets(rows.T[:, :, None], gammas)
-    # a trivial gamma (bucket 0) reads the last class; `certified` drops it
-    numerators = np.take_along_axis(table, buckets[..., None] - 1, axis=2)[..., 0] >> c
+    numerators = np.take_along_axis(table, buckets[..., None], axis=2)[..., 0] >> c
     _signed(numerators, reps, gammas)
     # numpy reduces short rows slowly: fold rows of a few classes one at a time
-    magnitudes = np.moveaxis(np.abs(table, out=table), 2, 0)
+    magnitudes = np.moveaxis(np.abs(table, out=table), 2, 0)[1:]
     worst = (reduce(np.maximum, magnitudes) if len(magnitudes) < _LOW else magnitudes.max(0)) >> c
 
     denominator = f.denominator << (n - c)
     threshold = _threshold(eps, denominator)
-    certified = (buckets != 0) & (numerators > threshold)
+    trivial = buckets == 0
+    certified = ~trivial & (numerators > threshold)
     irregular = worst > threshold
-    # a count of the 2^c cosets exceeds eps * 2^c iff it exceeds limit
-    limit = _threshold(eps, reps.shape[1])
-    certified_count = certified.sum(axis=1)
-    irregular_count = irregular.sum(axis=1)
-    passed = (
-        (certified_count > limit)
-        & (irregular_count > limit)
-        & ~(certified & ~irregular).any(axis=1)
-        & _spot_checks(f, rows, reps, gammas, numerators, denominator, certified)
-    )
-    return rows, certified_count, irregular_count, passed
+    checks = np.array([
+        ~(certified & ~irregular).any(axis=1),
+        _spot_checks(f, rows, reps, gammas, numerators, denominator, certified),
+        # a count of the 2^c cosets exceeds eps * 2^c iff it exceeds the floor
+        certified.sum(axis=1) > _threshold(eps, reps.shape[1]),
+    ]).T
+    return rows, reps, gammas, numerators, certified, trivial, irregular.sum(axis=1), checks
 
 
 def exhaustive_lowerbound_check(
@@ -585,9 +567,10 @@ def exhaustive_lowerbound_check(
     The walk certifies consecutive subspaces of one dimension in stacks
     of at most _STACK_ENTRIES table entries from their duals and the one
     full transform of the table that the call computes (`_certify_duals`),
-    which also gives every regularity verdict.  A subspace that fails a
-    check there is certified again on its own, in walk order, which
-    raises or records the failure exactly as a one-at-a-time walk would.
+    which also gives every regularity verdict: a subspace is regular
+    exactly when at most eps * 2^c of its cosets are irregular.  A
+    subspace that fails a check raises, or is recorded in walk order, with
+    the message of its first failed check, as `witness_scan` would give.
     """
     if inst.table is None:
         raise ValueError("lower-bound scans need a dense instance table")
@@ -621,23 +604,21 @@ def exhaustive_lowerbound_check(
     per_dim[0] = int(mode == "exhaustive")  # only exhaustive mode enumerates {0}
     for duals in _stacks(_walk(n, mode, random_per_dim, seed, max_enumerated_codim), n):
         per_dim[n - duals.shape[1]] += len(duals)
-        rows, _, _, passed = _certify_duals(f, spectrum, duals, eps, inst.xi)
+        rows, _, _, _, certified_cosets, _, irregular, checks = _certify_duals(
+            f, spectrum, duals, eps, inst.xi
+        )
+        passed = checks.all(axis=1)
         certified += int(passed.sum())
-        for basis in rows[~passed].tolist():
-            h = Subspace._from_echelon(n, tuple(basis))
-            report = _dual_report(h, eps, spectrum, f.denominator)
-            try:
-                _certificate(f, spectrum, h, eps, inst.xi, report)
-                certified += 1
-            except ClaimViolationError as exc:
-                if strict:
-                    raise
-                if report.is_regular:
-                    regular_nonzero.append(tuple(h.basis))
-                else:
-                    failures.append(
-                        {"basis": list(h.basis), "dim": h.dim, "reason": str(exc)}
-                    )
+        total = 1 << duals.shape[1]
+        for k in np.flatnonzero(~passed).tolist():
+            basis = tuple(rows[k].tolist())
+            reason = _failure(checks[k], int(certified_cosets[k].sum()), total, eps, basis)
+            if strict:
+                raise ClaimViolationError(reason)
+            if irregular[k] <= _threshold(eps, total):  # the report is regular
+                regular_nonzero.append(basis)
+            else:
+                failures.append({"basis": list(basis), "dim": len(basis), "reason": reason})
 
     return LowerBoundReport(
         mode=mode,

@@ -370,3 +370,9 @@ class TestBlockStructure:
         assert blocks.block(x, 1) == 1
         assert blocks.block(x, 2) == 1  # block-local (x2, x3) = (1, 0)
         assert blocks.prefix(x, 2) == 1
+
+    def test_offsets_are_built_once(self):
+        blocks = BlockStructure((3, 1, 4, 1, 5))
+        assert blocks.offsets is blocks.offsets
+        assert blocks.offsets == (0, 3, 4, 8, 9, 14) == tuple(np.cumsum((0, 3, 1, 4, 1, 5)))
+        assert BlockStructure((3, 1, 4, 1, 5)) == blocks  # the cache is no field

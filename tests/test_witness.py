@@ -3,6 +3,7 @@ coefficient identities, and whole-instance lower-bound scans."""
 
 import dataclasses
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -83,13 +84,16 @@ def hyperplane_duals(n):
 
 def certify(f, hs, eps, xi):
     """`_certify_duals` on the subspaces hs of one dimension, through
-    their duals from `orthogonal_complement`; checks the echelon bases it
-    hands back and returns its per-subspace counts and verdicts."""
-    rows, *got = _certify_duals(
+    their duals from `orthogonal_complement`; checks the echelon bases and
+    the canonical coset reps it hands back and returns the rest: the
+    gammas, numerators, certified and trivial masks, irregular counts and
+    checks."""
+    rows, reps, *got = _certify_duals(
         f, _count_spectrum(f), dual_rows([h.orthogonal_complement() for h in hs]),
         Fraction(eps), xi,
     )
     assert np.array_equal(rows, rows_of(hs))
+    assert np.array_equal(reps, [h.coset_representative_array() for h in hs])
     return got
 
 
@@ -98,10 +102,11 @@ def pullback_certificate(f, h, eps, xi):
     `witness_scan` read from the full transform, built from the pullback
     transform of every coset of h (`_coset_transform`): each coset's
     gamma (`gamma_character` of its prefix), numerator at gamma, and
-    whether its largest nontrivial magnitude exceeds eps; and whether the
-    certificate passes its checks, with the spot checks read from the
-    defining mean (`restricted_coefficient`).  Returns the numerators,
-    the certified and irregular masks, and that verdict."""
+    whether its largest nontrivial magnitude exceeds eps; and the
+    certificate's three checks, with the spot checks read from the
+    defining mean (`restricted_coefficient`).  Returns the reps, gammas
+    and numerators, the certified, trivial and irregular masks, and the
+    checks in `_certify_duals` order."""
     eps, n = Fraction(eps), f.n
     i, _ = minimal_active_block(h, xi.blocks)
     lo = xi.blocks.offsets[i - 1]
@@ -112,7 +117,8 @@ def pullback_certificate(f, h, eps, xi):
     buckets = fourier._buckets(h.basis, gammas)
     numerators = fourier._signed(table[np.arange(reps.size), buckets], reps, gammas)
     bound = eps.numerator * den // eps.denominator
-    certified = (buckets != 0) & (numerators > bound)
+    trivial = buckets == 0
+    certified = ~trivial & (numerators > bound)
     irregular = np.abs(table[:, 1:]).max(axis=1) > bound
     rows = np.flatnonzero(certified)
     spot = all(
@@ -121,23 +127,25 @@ def pullback_certificate(f, h, eps, xi):
         for r in rows[:: max(1, rows.size // 4)][:4]
     )
     limit = eps.numerator * reps.size // eps.denominator
-    passed = bool(
-        certified.sum() > limit and irregular.sum() > limit
-        and not (certified & ~irregular).any() and spot
-    )
-    return numerators, certified, irregular, passed
+    checks = [not (certified & ~irregular).any(), spot, certified.sum() > limit]
+    return reps, gammas, numerators, certified, trivial, irregular, checks
 
 
 def assert_stack_matches_scans(f, hs, eps, xi):
     """The oracle of `_certify_duals` and of witness_scan: each subspace's
-    certified and irregular coset counts and its verdict from the
-    pullback certificate, and witness_scan raises exactly where the
-    verdict fails and otherwise certifies the same cosets with the same
+    per-coset gammas, numerators (trivial gammas included), certified and
+    trivial masks, its irregular coset count and its checks from the
+    pullback certificate, and witness_scan raises exactly where a check
+    fails and otherwise certifies the same cosets with the same
     numerators."""
-    certified, irregular, passed = certify(f, hs, eps, xi)
+    *stacked, irregular, checks = certify(f, hs, eps, xi)
     for k, h in enumerate(hs):
-        numerators, expected, bad, ok = pullback_certificate(f, h, eps, xi)
-        assert (certified[k], irregular[k], passed[k]) == (expected.sum(), bad.sum(), ok)
+        _, *want, bad, verdicts = pullback_certificate(f, h, eps, xi)
+        for got, expected in zip(stacked, want):
+            assert np.array_equal(got[k], expected)
+        assert irregular[k] == bad.sum() and checks[k].tolist() == verdicts
+        _, numerators, expected, _ = want
+        ok = all(verdicts)
         try:
             cert = witness_scan(f, h, eps, xi)
         except ClaimViolationError:
@@ -444,6 +452,22 @@ class TestWitnessScan:
         with pytest.raises(ValueError):
             witness_scan(plain, Subspace.from_vectors(3, [1]), "1/32", inst2.xi)
 
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_subspace_of_another_n_refused_before_the_spectrum(self, inst3, monkeypatch, n):
+        # the guards run in order: no counts, the zero subspace, then n
+        def refuse(f):
+            raise AssertionError("spectrum computed")
+
+        monkeypatch.setattr(witness, "_count_spectrum", refuse)
+        plain = FunctionTable(11, inst3.table.values)
+        with pytest.raises(ValueError, match="exact count tables"):
+            witness_scan(plain, Subspace.zero(n), "1/48", inst3.xi)
+        with pytest.raises(ValueError, match="zero subspace"):
+            witness_scan(inst3.table, Subspace.zero(n), "1/48", inst3.xi)
+        for h in (Subspace.from_vectors(n, [1 << (n - 1)]), Subspace.full(n)):
+            with pytest.raises(DimensionMismatchError, match=f"table n=11 vs subspace n={n}"):
+                witness_scan(inst3.table, h, "1/48", inst3.xi)
+
     def test_blocks_of_16_entries_give_the_same_certificate(self, inst3, monkeypatch):
         # the scans' block and chunk size must not change a certificate or
         # its report.  Subspaces inside blocks 2 and 3 give cosets
@@ -658,7 +682,7 @@ class TestCrossCheckAgainstRegularityReport:
         rng = random.Random(12)
         for _ in range(10):
             h = random_nonzero_subspace(11, rng)
-            cert = witness_scan(inst3.table, h, "1/48", inst3.xi, cross_check=True)
+            cert = witness_scan(inst3.table, h, "1/48", inst3.xi)
             report = cert.regularity_report
             assert report is not None and not report.is_regular
             certified_reps = set(cert.reps[cert.certified].tolist())
@@ -673,16 +697,20 @@ class TestCrossCheckAgainstRegularityReport:
 
 
 def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
-    """The lower-bound walk with every stack failed, so each subspace goes
-    through the one-at-a-time witness_scan body: the oracle of the
-    stacks.  Stacks hand back H = D-perp computed by
-    `orthogonal_complement`, independently of `_certify_duals`."""
-    def fail_duals(f, spectrum, duals, *args):
-        perps = [Subspace.from_vectors(f.n, d.tolist()).orthogonal_complement() for d in duals]
-        return rows_of(perps), None, None, np.zeros(len(duals), dtype=bool)
+    """The lower-bound walk with each stack certified one subspace at a
+    time by `pullback_certificate`: the oracle of the stacks.  Each
+    subspace is H = D-perp computed by `orthogonal_complement`,
+    independently of `_certify_duals`."""
+    def oracle_duals(f, spectrum, duals, eps, xi):
+        hs = [Subspace.from_vectors(f.n, d.tolist()).orthogonal_complement() for d in duals]
+        reps, gammas, numerators, certified, trivial, irregular, checks = (
+            np.array(a) for a in zip(*(pullback_certificate(f, h, eps, xi) for h in hs))
+        )
+        return (rows_of(hs), reps, gammas, numerators, certified, trivial,
+                irregular.sum(axis=1), checks)
 
     with monkeypatch.context() as m:
-        m.setattr(witness, "_certify_duals", fail_duals)
+        m.setattr(witness, "_certify_duals", oracle_duals)
         return exhaustive_lowerbound_check(inst, eps, **kwargs)
 
 
@@ -820,17 +848,17 @@ class TestStackedWalk:
         with pytest.raises(ClaimViolationError, match="defining mean"):
             witness_scan(bad, h, "1/48", inst3.xi)
         # bad keeps f's counts, so only the spot checks can see the change
-        assert not certify(bad, [h], "1/48", inst3.xi)[2][0]
-        assert certify(f, [h], "1/48", inst3.xi)[2][0]
+        assert certify(bad, [h], "1/48", inst3.xi)[-1][0].tolist() == [True, False, True]
+        assert certify(f, [h], "1/48", inst3.xi)[-1][0].all()
 
         # the dual path: corrupt either coset of a hyperplane with two
         # certified cosets (its counts, and so the spectrum, stay as they were)
         eps = Fraction(1, 48)
         duals = hyperplane_duals(11)
         spectrum = _count_spectrum(f)
-        rows, certified, _, passed = _certify_duals(f, spectrum, duals, eps, inst3.xi)
-        assert passed.all()
-        k = int(np.flatnonzero(certified == 2)[-1])
+        rows, *_, certified, _, _, checks = _certify_duals(f, spectrum, duals, eps, inst3.xi)
+        assert checks.all()
+        k = int(np.flatnonzero(certified.sum(axis=1) == 2)[-1])
         h = Subspace.from_vectors(11, rows[k].tolist())
         for rep in (0, 1 << int(duals[k, 0]).bit_length() - 1):
             coset = AffineSubspace(h, F2Vector(11, rep)).element_array()
@@ -839,7 +867,8 @@ class TestStackedWalk:
             bad = dataclasses.replace(f, values=values)
             with pytest.raises(ClaimViolationError, match="defining mean"):
                 witness_scan(bad, h, eps, inst3.xi)
-            assert not _certify_duals(bad, spectrum, duals[k : k + 1], eps, inst3.xi)[3][0]
+            checks = _certify_duals(bad, spectrum, duals[k : k + 1], eps, inst3.xi)[-1]
+            assert checks.tolist() == [[True, False, True]]
 
     def test_spot_check_means_equal_restricted_coefficient(self, inst3):
         # the half-split mean of every picked coset equals the defining
@@ -921,6 +950,23 @@ class TestStackedWalk:
                 per_subspace_walk(monkeypatch, inst, eps, **kwargs)
             assert str(stacked.value) == str(oracle.value)
 
+    def test_non_strict_spot_check_failures_match_the_oracle(self, inst3, monkeypatch):
+        # the corrupted table of the strict test above, walked to the end
+        values = inst3.table.values.copy()
+        values[5] = 1.0 - values[5]
+        corrupted = dataclasses.replace(
+            inst3, table=dataclasses.replace(inst3.table, values=values)
+        )
+        stacked, oracle = stacked_and_oracle(
+            monkeypatch, corrupted, Fraction(1, 48), mode="structured",
+            random_per_dim=2, seed=0, strict=False,
+        )
+        assert stacked == oracle and stacked["certified"] == 14
+        assert not stacked["regular_nonzero"] and len(stacked["failures"]) == 2054
+        assert {f["reason"] for f in stacked["failures"]} == {
+            "defining mean and exact coefficient disagree"
+        }
+
     def test_structured_report_bytes_pinned(self, capsys):
         code = cli_main([
             "verify-lowerbound", "--s", "3", "--mode", "structured",
@@ -938,3 +984,19 @@ class TestStackedWalk:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ffc18a24f8c7fba162c366b10fdab34b5c5d68ddd708ae413ce68a9f2578a87c"
         )
+
+    @pytest.mark.parametrize("eps, regular, failures, digest", [
+        # one failure: witness fraction 1/8 for the basis (609, 966, 1752)
+        ("1/6", 2100, 1, "820bad8d0f4e12bc0a49fffbab51cb9f74737460ab60ba8e23cd4434e63d870e"),
+        ("1/3", 2348, 0, "35471a0246696518922d778584a05720587ecd91b2a8fea93fb180b77734fa88"),
+    ])
+    def test_s3_non_strict_report_bytes_pinned(self, capsys, eps, regular, failures, digest):
+        code = cli_main([
+            "verify-lowerbound", "--s", "3", "--eps", eps, "--no-strict",
+            "--random-per-dim", "30", "--seed", "0",
+        ])
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert code == 1 and report["checked"] == 2348
+        assert (len(report["regular_nonzero"]), len(report["failures"])) == (regular, failures)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
