@@ -51,14 +51,6 @@ def parse_epsilon(text: str) -> Fraction:
     return value
 
 
-def _resolve_epsilon(args: argparse.Namespace) -> Fraction:
-    if getattr(args, "eps", None) is not None:
-        return parse_epsilon(args.eps)
-    if getattr(args, "s", None) is not None:
-        return Fraction(1, 16 * args.s)
-    raise ValueError("pass --eps, or --s to use the largest level 1/(16 s)")
-
-
 def _parse_basis(text: str, n: int) -> Subspace:
     rows = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     return Subspace.from_vectors(n, rows)
@@ -76,7 +68,6 @@ def _instance(args: argparse.Namespace) -> Instance:
         args.s,
         args.seed,
         dense_limit=args.dense_limit,
-        max_retries=args.retries,
         sampled_samples=args.samples,
     )
 
@@ -104,6 +95,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     inst = _instance(args)
     if args.x_bits is not None:
+        if len(args.x_bits) != inst.n:
+            raise ValueError(f"--x-bits has {len(args.x_bits)} coordinates, not n={inst.n}")
         x = F2Vector.from_string(args.x_bits).bits
     else:
         x = int(args.x)
@@ -152,8 +145,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify_lowerbound(args: argparse.Namespace) -> int:
     _check_table_fits(args)
-    inst = _instance(args)
-    eps = _resolve_epsilon(args)
+    inst = Instance.generate(args.s, args.seed, dense_limit=args.dense_limit)
+    eps = parse_epsilon(args.eps) if args.eps is not None else inst.params.epsilon_max
     report = exhaustive_lowerbound_check(
         inst,
         eps,
@@ -185,8 +178,10 @@ def cmd_spanning(args: argparse.Namespace) -> int:
         "count": count,
         "seed": args.seed,
         "check": spanning_check_dict(check),
-        "vectors": [v.bits if v.bits < 2**53 else str(v.bits) for v in family[:65536]],
+        "vectors": [v if v < 2**53 else str(v) for v in family[:65536]],
     }
+    if count > 65536:
+        record["vectors_omitted"] = count - 65536
     _write(emit_report(record), args.out)
     return 0 if check.ok else 1
 
@@ -227,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def instance_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--s", type=int, required=True, help="number of blocks")
-        p.add_argument("--retries", type=int, default=100,
-                       help="rejection-sampling retry cap")
         p.add_argument("--samples", type=int, default=10**6,
                        help="sampled hyperplane checks for blocks too wide to enumerate")
 
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lowerbound",
                        help="verify that only the zero subspace is eps-regular")
-    instance_opts(p)
+    p.add_argument("--s", type=int, required=True, help="number of blocks")
     p.add_argument("--eps", default=None, help="defaults to 1/(16 s)")
     p.add_argument("--mode", choices=["auto", "exhaustive", "structured", "sampled"],
                    default="auto")

@@ -27,6 +27,7 @@ from .fourier import FunctionTable, _fwht, as_fraction
 from .gf2 import (
     DEFAULT_DENSE_LIMIT,
     BlockStructure,
+    DimensionMismatchError,
     F2Vector,
     check_dense,
     parity,
@@ -199,28 +200,33 @@ class SpanningCheck:
     samples: int | None = None
 
 
+def _family_bits(vectors: "list[F2Vector] | list[int]", d: int) -> list[int]:
+    """A family's entries as ints, each checked to be a nonzero vector of F2^d."""
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    if any(isinstance(v, F2Vector) and v.n != d for v in vectors):
+        raise DimensionMismatchError(f"family entries must lie in F2^d, d={d}")
+    bits = [v.bits if isinstance(v, F2Vector) else int(v) for v in vectors]
+    if any(not 0 < b < (1 << d) for b in bits):
+        raise ValueError(f"family entries must be nonzero {d}-bit vectors")
+    return bits
+
+
 def verify_spanning_family(
     vectors: "list[F2Vector] | list[int]",
     rho: "float | str | Fraction",
-    d: int | None = None,
+    d: int,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> SpanningCheck:
-    """Exhaustive hyperplane-incidence scan of an indexed family.
+    """Exhaustive hyperplane-incidence scan of an indexed family in F2^d.
 
     Uses one exact integer size-2^d transform of the multiset frequency
     vector: the incidence of the hyperplane orthogonal to eta is
     (count + sum_j (-1)^<v_j, eta>) / 2.
     """
     rho = as_fraction(rho)
-    bits = [v.bits if isinstance(v, F2Vector) else int(v) for v in vectors]
-    if d is None:
-        ambient = {v.n for v in vectors if isinstance(v, F2Vector)}
-        if len(ambient) != 1:
-            raise ValueError("pass an explicit dimension for plain-int families")
-        d = ambient.pop()
     check_dense(d, dense_limit, "hyperplane scans")
-    if any(not 0 < b < (1 << d) for b in bits):
-        raise ValueError(f"family entries must be nonzero {d}-bit vectors")
+    bits = _family_bits(vectors, d)
     count = len(bits)
     freq = np.bincount(np.asarray(bits, dtype=np.int64), minlength=1 << d)
     _fwht(freq)
@@ -342,13 +348,9 @@ def verify_spanning_family_sampled(
     column fold per sample.
     """
     rho = as_fraction(rho)
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
     if samples < 1:
         raise ValueError(f"a sampled check needs samples >= 1, got {samples}")
-    bits = [v.bits if isinstance(v, F2Vector) else int(v) for v in vectors]
-    if any(not 0 < b < (1 << d) for b in bits):
-        raise ValueError(f"family entries must be nonzero {d}-bit vectors")
+    bits = _family_bits(vectors, d)
     count = len(bits)
     tables = _nibble_tables(_bit_columns(bits, d))
     stream = Stream(seed, "spanning/sampled")
@@ -378,16 +380,16 @@ def generate_spanning_family(
     max_retries: int = 100,
     sampled_samples: int = 10**6,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> tuple[list[F2Vector], SpanningCheck]:
+) -> tuple[list[int], SpanningCheck]:
     """Sample an indexed family of nonzero vectors passing the rho check,
-    and return it with the check it passed.
+    and return its int encodings with the check it passed.
 
     Draws count vectors uniformly from F2^d minus zero and verifies the
-    hyperplane-incidence bound, retrying with a fresh substream until it
-    passes.  Repeats are allowed: the family is indexed, not a set.  For
-    d <= dense_limit the check is the exhaustive scan; above it, every
-    attempt is checked against the one hyperplane sample seeded by seed
-    (verify_spanning_family_sampled with samples=sampled_samples).
+    hyperplane-incidence bound, retrying with a fresh substream at most
+    max_retries times.  Repeats are allowed: the family is indexed, not a
+    set.  For d <= dense_limit the check is the exhaustive scan; above it,
+    every attempt is checked against the one hyperplane sample seeded by
+    seed (verify_spanning_family_sampled with samples=sampled_samples).
     """
     rho = as_fraction(rho)
     if count < d:
@@ -403,7 +405,7 @@ def generate_spanning_family(
                 family, rho, d=d, samples=sampled_samples, seed=seed
             )
         if check.ok:
-            return [F2Vector(d, v) for v in family], check
+            return family, check
     raise RetryLimitError(
         f"no family of {count} vectors in F2^{d} passed rho={rho} "
         f"within {max_retries} attempts"
@@ -446,7 +448,6 @@ class XiFamily:
 def build_xi(
     params: TowerParams,
     seed: int,
-    max_retries: int = 100,
     sampled_samples: int = 10**6,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> XiFamily:
@@ -454,10 +455,10 @@ def build_xi(
 
     Blocks whose index count is at most the dimension get deterministic
     standard-basis prefixes (prefix p maps to e_{p+1}); wider blocks get
-    sampled 3/4-spanning families.  On the canonical recurrence this
-    means bases for blocks 1..3 and sampling from block 4 on, where the
-    count is exactly 8 * d_i.  All 2^(D_{i-1}) entries must be
-    materializable, which in practice means s <= 4.
+    generate_spanning_family's 3/4-spanning families at its retry cap.
+    On the canonical recurrence this means bases for blocks 1..3 and
+    sampling from block 4 on, where the count is exactly 8 * d_i.  All
+    2^(D_{i-1}) entries must be materializable, so in practice s <= 4.
     """
     blocks = params.blocks
     families: list[tuple[int, ...]] = []
@@ -467,21 +468,19 @@ def build_xi(
         count = params.family_count(i)
         check_dense(count.bit_length() - 1, dense_limit, f"xi entries for block {i}")
         if count <= d:
-            family = tuple(1 << p for p in range(count))
-            checks.append(_basis_check(count, d))
+            family = [1 << p for p in range(count)]
+            check = _basis_check(count, d)
         else:
-            vectors, check = generate_spanning_family(
+            family, check = generate_spanning_family(
                 d,
                 count,
                 Fraction(3, 4),
                 Stream(seed, f"xi/{i}").u64(),
-                max_retries=max_retries,
                 sampled_samples=sampled_samples,
                 dense_limit=dense_limit,
             )
-            family = tuple(v.bits for v in vectors)
-            checks.append(check)
-        families.append(family)
+        families.append(tuple(family))
+        checks.append(check)
     return XiFamily(blocks=blocks, families=tuple(families), seed=seed, checks=tuple(checks))
 
 
@@ -501,13 +500,20 @@ def eval_pointwise(params: TowerParams, xi: XiFamily, x: "F2Vector | int") -> fl
     return eval_count(xi, x) / params.s
 
 
-def _block_hits(blocks: BlockStructure, xi: XiFamily, i: int, points: np.ndarray) -> np.ndarray:
-    """Whether <x^i, xi_i(prefix of x)> = 0, for each point x."""
-    lo = blocks.offsets[i - 1]
-    prefix = points & np.int64((1 << lo) - 1)
-    family = np.asarray(xi.families[i - 1], dtype=np.int64)
-    block_bits = (points >> np.int64(lo)) & np.int64((1 << blocks.dims[i - 1]) - 1)
-    return (np.bitwise_count(block_bits & family[prefix]) & 1) == 0
+def _hit_counts(params: TowerParams, xi: XiFamily, indices: range, dense_limit: int) -> np.ndarray:
+    """For each point x of the dense domain, the number of blocks i in
+    indices with <x^i, xi_i(prefix of x)> = 0."""
+    blocks = params.blocks
+    check_dense(blocks.n, dense_limit, "table entries")
+    points = np.arange(1 << blocks.n, dtype=np.int64)
+    counts = np.zeros(1 << blocks.n, dtype=np.uint8)
+    for i in indices:
+        lo = blocks.offsets[i - 1]
+        prefix = points & np.int64((1 << lo) - 1)
+        family = np.asarray(xi.families[i - 1], dtype=np.int64)
+        block_bits = (points >> np.int64(lo)) & np.int64((1 << blocks.dims[i - 1]) - 1)
+        counts += (np.bitwise_count(block_bits & family[prefix]) & 1) == 0
+    return counts
 
 
 def build_function_table(
@@ -516,14 +522,8 @@ def build_function_table(
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> FunctionTable:
     """Dense table of the instance function, with exact integer counts."""
-    blocks = params.blocks
-    n = blocks.n
-    check_dense(n, dense_limit, "table entries")
-    points = np.arange(1 << n, dtype=np.int64)
-    counts = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(1, params.s + 1):
-        counts += _block_hits(blocks, xi, i, points).astype(np.uint8)
-    return FunctionTable.from_counts(n, counts, params.s)
+    counts = _hit_counts(params, xi, range(1, params.s + 1), dense_limit)
+    return FunctionTable.from_counts(params.blocks.n, counts, params.s)
 
 
 def term_indicator_table(
@@ -533,12 +533,8 @@ def term_indicator_table(
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> FunctionTable:
     """Characteristic table of the single-block term <x^j, xi_j(x)> = 0."""
-    blocks = params.blocks
-    n = blocks.n
-    check_dense(n, dense_limit, "table entries")
-    points = np.arange(1 << n, dtype=np.int64)
-    hit = _block_hits(blocks, xi, j, points).astype(np.uint8)
-    return FunctionTable.from_counts(n, hit, 1)
+    hits = _hit_counts(params, xi, range(j, j + 1), dense_limit)
+    return FunctionTable.from_counts(params.blocks.n, hits, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,14 +552,12 @@ class Instance:
         s: int,
         seed: int,
         dense_limit: int = DEFAULT_DENSE_LIMIT,
-        max_retries: int = 100,
         sampled_samples: int = 10**6,
     ) -> "Instance":
         return cls.from_params(
             block_dims(s),
             seed,
             dense_limit=dense_limit,
-            max_retries=max_retries,
             sampled_samples=sampled_samples,
         )
 
@@ -573,14 +567,12 @@ class Instance:
         params: TowerParams,
         seed: int,
         dense_limit: int = DEFAULT_DENSE_LIMIT,
-        max_retries: int = 100,
         sampled_samples: int = 10**6,
     ) -> "Instance":
         """Build from explicit params (the custom-dims experimentation path)."""
         xi = build_xi(
             params,
             seed,
-            max_retries=max_retries,
             sampled_samples=sampled_samples,
             dense_limit=dense_limit,
         )

@@ -3,7 +3,9 @@
 import hashlib
 import inspect
 import json
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +137,23 @@ class TestGenEval:
     def test_eval_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--s", "2", "--x", "8")
         assert code == 2 and "domain" in err
+
+    @pytest.mark.parametrize("bits", ["1", "1000000"])
+    def test_eval_x_bits_of_another_length_exit_2(self, capsys, bits):
+        # the s = 2 instance has n = 3 coordinates
+        code, out, err = run_cli(capsys, "eval", "--s", "2", "--x-bits", bits)
+        assert code == 2 and out == "" and "n=3" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--s", "2", "--retries", "5"],
+        ["eval", "--s", "2", "--x", "0", "--retries", "5"],
+        ["verify-lowerbound", "--s", "2", "--retries", "5"],
+        ["verify-lowerbound", "--s", "2", "--samples", "500"],
+    ])
+    def test_instance_commands_refuse_unread_flags(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
 
 class TestCheckDecompose:
@@ -303,6 +322,14 @@ class TestSpanningRound:
         )
         assert code == 0 and calls == [5]
 
+    def test_spanning_truncation_is_reported(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "spanning", "--d", "18", "--count", "70000", "--seed", "1"
+        )
+        record = json.loads(out)
+        assert code == 0 and record["count"] == 70000
+        assert len(record["vectors"]) == 65536 and record["vectors_omitted"] == 4464
+
     def test_spanning_zero_samples_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "spanning", "--d", "40", "--dense-limit", "20", "--samples", "0",
@@ -374,6 +401,18 @@ class TestSpanningRound:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "c672abc96ac7c64f76ef503a66b4bef771b879ea6a416bc52a39585a2e07923d"
         )
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every line of README's CLI block exits 0, run in order in one
+    directory (gen writes the f.f2fn that check, decompose and round read)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(line[0] == "f2reglab" for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run_cli(capsys, *line[1:])[0] == 0, line
 
 
 class TestDeterminism:

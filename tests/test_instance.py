@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from f2reglab import (
+    DimensionMismatchError,
     F2Vector,
     Instance,
     RetryLimitError,
@@ -148,25 +149,25 @@ class TestVerifySpanningFamily:
     def test_basis_passes_at_rho_one(self):
         for d in (1, 2, 8):
             family = [F2Vector(d, 1 << j) for j in range(d)]
-            check = verify_spanning_family(family, 1)
+            check = verify_spanning_family(family, 1, d=d)
             assert check.ok and check.certified
             assert check.incidence == d - 1 if d > 1 else check.incidence == 0
 
     def test_single_nonzero_vector_dimension_one(self):
         family, check = generate_spanning_family(1, 1, 1, seed=0)
-        assert [v.bits for v in family] == [1]
+        assert family == [1]
         assert check.ok and check.certified
 
     def test_degenerate_repeats_fail(self):
         family = [F2Vector(4, 3)] * 32
-        check = verify_spanning_family(family, "3/4")
+        check = verify_spanning_family(family, "3/4", d=4)
         assert not check.ok and check.incidence == 32
 
     def test_incidence_matches_brute_force(self):
         rng = random.Random(5)
         for d in (2, 3, 5):
             family = [F2Vector(d, rng.randint(1, (1 << d) - 1)) for _ in range(4 * d)]
-            check = verify_spanning_family(family, "3/4")
+            check = verify_spanning_family(family, "3/4", d=d)
             oracle = brute_incidences(family, d)
             assert check.incidence == max(oracle.values())
             # worst hyperplane reaches the reported incidence
@@ -174,12 +175,19 @@ class TestVerifySpanningFamily:
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            verify_spanning_family([F2Vector(3, 0)], 1)
+            verify_spanning_family([F2Vector(3, 0)], 1, d=3)
+
+    def test_entries_of_another_dimension_rejected(self):
+        family = [F2Vector(3, 5), F2Vector(3, 6), F2Vector(3, 3)]
+        with pytest.raises(DimensionMismatchError, match="d=8"):
+            verify_spanning_family(family, 1, d=8)
+        with pytest.raises(DimensionMismatchError, match="d=8"):
+            verify_spanning_family_sampled([F2Vector(300, 5)], "3/4", d=8, samples=5, seed=0)
 
     def test_sampled_agrees_with_exact_on_small_d(self):
         rng = random.Random(9)
         family = [F2Vector(6, rng.randint(1, 63)) for _ in range(48)]
-        exact = verify_spanning_family(family, "3/4")
+        exact = verify_spanning_family(family, "3/4", d=6)
         sampled = verify_spanning_family_sampled(family, "3/4", d=6, samples=4000, seed=1)
         assert not sampled.certified
         assert sampled.incidence <= exact.incidence
@@ -222,7 +230,7 @@ class TestSampledKernel:
             40, 320, "3/4", seed=5, sampled_samples=300, dense_limit=20
         )
         stream = Stream(5, "spanning/0")
-        assert [v.bits for v in family] == [stream.nonzero_bits(40) for _ in range(320)]
+        assert family == [stream.nonzero_bits(40) for _ in range(320)]
 
     def test_s4_check_pinned(self):
         # recorded with the per-sample loop
@@ -259,7 +267,7 @@ class TestSampledKernel:
         family, check = generate_spanning_family(
             40, 320, rho, seed=0, sampled_samples=300, dense_limit=20
         )
-        assert [v.bits for v in family] == draw(1)
+        assert family == draw(1)
         assert check.ok
         assert check == verify_spanning_family_sampled(family, rho, d=40, samples=300, seed=0)
 
@@ -268,7 +276,7 @@ class TestGenerateSpanningFamily:
     def test_canonical_parameters_succeed(self):
         family, check = generate_spanning_family(8, 64, "3/4", seed=42)
         assert len(family) == 64
-        assert check == verify_spanning_family(family, "3/4")
+        assert check == verify_spanning_family(family, "3/4", d=8)
         assert check.ok and check.incidence <= 48
 
     def test_impossible_parameters_hit_retry_cap(self):

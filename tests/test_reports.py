@@ -66,7 +66,7 @@ def test_rounding_report_schema():
 
 
 def test_spanning_check_schema():
-    check = fl.verify_spanning_family([fl.F2Vector(4, 1 << j) for j in range(4)], 1)
+    check = fl.verify_spanning_family([fl.F2Vector(4, 1 << j) for j in range(4)], 1, d=4)
     data = json.loads(emit_report(check))
     assert data["schema"] == "f2reglab/spanning-check"
     assert data["rho"] == "1" and data["certified"] is True
