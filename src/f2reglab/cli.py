@@ -93,15 +93,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    inst = _instance(args)
+    # the point is checked before the instance is generated: n follows
+    # from the block dims alone
+    n = block_dims(args.s).n
     if args.x_bits is not None:
-        if len(args.x_bits) != inst.n:
-            raise ValueError(f"--x-bits has {len(args.x_bits)} coordinates, not n={inst.n}")
+        if len(args.x_bits) != n:
+            raise ValueError(f"--x-bits has {len(args.x_bits)} coordinates, not n={n}")
         x = F2Vector.from_string(args.x_bits).bits
     else:
         x = int(args.x)
-    if not 0 <= x < (1 << inst.n):
-        raise ValueError(f"point {x} outside the 2^{inst.n} domain")
+    if x < 0 or x.bit_length() > n:  # no 2^n: at s = 5, n exceeds 2^264
+        raise ValueError(f"point {x} outside the 2^{n} domain")
+    inst = _instance(args)
     count = eval_count(inst.xi, x)
     record = {
         "schema": "f2reglab/eval",

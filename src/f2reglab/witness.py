@@ -12,16 +12,20 @@ which rules out eps-regularity of H.
 Instance tables carry exact integer numerators, so every comparison in
 a certificate is exact rational arithmetic: a coefficient over a coset
 of dimension d is (sum of signed counts) / (s * 2^d), and thresholds
-arrive as fractions.  The numerators and the regularity reports are read
-from the table's one exact full transform by Poisson summation over
-H-perp (`fourier._dual_table`); floating point appears only in the spot
-checks against the defining mean.
+arrive as fractions.  The numerators are read from the table's one
+exact full transform by Poisson summation over H-perp
+(`fourier._dual_table`) at the classes of the witness characters alone;
+the regularity reports, which read every class, are built the same way
+only where a verdict rests on them: `witness_scan`'s cross-check, and
+the walk's subspaces whose certificate fails.  Floating point appears
+only in the spot checks against the defining mean.
 
 One certifier, `_certify_duals`, reads the certificates and checks of a
 stack of equal-dimension subspaces given by their duals.  The
 lower-bound walk runs it on stacks of consecutive subspaces and reports
-a failing subspace from the stack's own verdicts; `witness_scan` runs it
-on a stack of one.
+a failing subspace from the stack's own verdicts and the subspace's
+full-class table (`_irregular`); `witness_scan` runs it on a stack of
+one.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -196,14 +200,14 @@ def witness_scan(
     eps = as_fraction(epsilon)
     spectrum = _count_spectrum(f)
     duals = np.array([h._dual_rows()], np.int64)
-    _, reps, gammas, numerators, certified, trivial, _, checks = (
+    _, reps, gammas, numerators, certified, trivial, checks = (
         a[0] for a in _certify_duals(f, spectrum, duals, eps, xi)
     )
     report = _dual_report(h, eps, spectrum, f.denominator)
     irregular = np.zeros(reps.shape[0], dtype=bool)
     irregular[np.searchsorted(reps, report.witness_reps)] = True  # reps ascend
-    checks[0] &= not (certified & ~irregular).any()
-    reason = _failure(checks, int(certified.sum()), reps.shape[0], eps, h.basis)
+    first = not (certified & ~irregular).any()
+    reason = _failure([first, *checks], int(certified.sum()), reps.shape[0], eps, h.basis)
     if reason:
         raise ClaimViolationError(reason)
     return WitnessCertificate(
@@ -223,10 +227,11 @@ def witness_scan(
 
 
 def _failure(
-    checks: np.ndarray, certified: int, total: int, eps: Fraction, basis: tuple
+    checks: Sequence[bool], certified: int, total: int, eps: Fraction, basis: tuple
 ) -> "str | None":
-    """Message of the first of a certificate's three `_certify_duals`
-    checks that fails, or None when all pass."""
+    """Message of the first of a certificate's three checks that fails,
+    or None when all pass: its certified cosets are irregular in the
+    full-class regularity report, and `_certify_duals`'s two checks."""
     if not checks[0]:
         return "certified coset not irregular in the regularity report"
     if not checks[1]:
@@ -462,23 +467,42 @@ def _stacks(runs: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
             yield duals[start : start + cap]
 
 
-def _gammas(rows: np.ndarray, reps: np.ndarray, xi: XiFamily) -> np.ndarray:
+def _gammas(
+    rows: np.ndarray, reps: np.ndarray, xi: XiFamily
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Witness characters of the cosets reps (B, R) of B nonzero subspaces
     with echelon bases rows (B, d); the active block holds the lowest
-    pivot, the low bit of the first row."""
+    pivot, the low bit of the first row.
+
+    Returns the gammas (B, R); each subspace's family, the xi family of
+    its active block shifted into place and repeated to the stack's
+    largest family size F, as (B, F) characters; and each coset's prefix
+    (its bits below the active block) as an index into that family
+    (B, R), so that gammas[b, r] is families[b, prefixes[b, r]].
+    """
     blocks = xi.blocks
     lowest = np.bitwise_count((rows[:, 0] & -rows[:, 0]) - 1)
     active = np.searchsorted(blocks.offsets, lowest, side="right")
-    gammas = np.empty_like(reps)
-    for i in np.unique(active).tolist():
-        lo = blocks.offsets[i - 1]
-        prefix = np.int64((1 << lo) - 1)
-        sel = active == i
-        if (rows[sel] & prefix).any():
-            raise ValueError("prefix not constant on cosets")
-        family = np.asarray(xi.families[i - 1], dtype=np.int64)
-        gammas[sel] = family[reps[sel] & prefix] << np.int64(lo)
-    return gammas
+    lo = np.asarray(blocks.offsets)[active - 1]
+    below = ((1 << lo) - 1)[:, None]
+    if (rows & below).any():
+        raise ValueError("prefix not constant on cosets")
+    used = np.unique(active).tolist()
+    width = 1 << int(lo.max())  # each used family's 2^lo entries, repeated
+    shifted = np.array([
+        np.resize(np.asarray(xi.families[i - 1], dtype=np.int64) << blocks.offsets[i - 1], width)
+        for i in used
+    ])
+    families = shifted[np.searchsorted(used, active)]
+    prefixes = reps & below
+    return _take_rows(families, prefixes), families, prefixes
+
+
+def _take_rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """np.take_along_axis(a, index, axis=1) for a C-contiguous 2-D a, as
+    one flat take: numpy's fancy indexing by several index arrays is about
+    three times slower on the walk's (B, 2^c) coset arrays."""
+    return np.take(a, index + np.arange(0, a.size, a.shape[1])[:, None])
 
 
 def _certify_duals(
@@ -494,50 +518,74 @@ def _certify_duals(
     (`_count_spectrum`).
 
     With t_1 < ... < t_c the duals' top bits, H's canonical coset
-    representatives are the vectors carried by the t_i, its echelon
-    basis is `_perp_stack` of the duals at the t_i, and `_dual_table`
-    gives every coset's numerator at every class.  H's pivots are the
-    other bits, so the bucket k of gamma carries the bits of gamma's
-    class rep at those pivots, and the rep is the table's class k (k == 0
-    means gamma is trivial on H).  Coset reps live on the t_i and class
-    reps off them, so the numerator at gamma is (-1)^<r, gamma> times the
-    class rep's.
+    representatives are the vectors carried by the t_i, and its echelon
+    basis is `_perp_stack` of the duals at the t_i.  Every gamma is a
+    member of its subspace's family (`_gammas`), so `_dual_table` reads
+    only the classes of the family members: a character's class rep is
+    the character with its t_i cleared by adding the dual row of top bit
+    t_i (no other row has that bit), which is 0 exactly when gamma is
+    trivial on H.  Each subspace reads its distinct reps, at most
+    min(F, 2^(n - c)) of them (rows with fewer repeat their largest), so
+    no table exceeds the 2^n entries per subspace of the full-class one.
+    Coset reps live on the t_i and class reps off them, so the numerator
+    at gamma is (-1)^<r, gamma> times the class rep's.
 
     Returns H's (B, n - c) echelon bases; per coset, (B, 2^c) arrays of
     the canonical reps (ascending), the gammas, the numerators, the
-    certified mask and the trivial-gamma mask; and per subspace the
-    irregular coset count and a (B, 3) array of the checks, in the order
-    `_failure` reports them: certified cosets are irregular, the
-    certificate passes `_spot_checks`, and the certified count exceeds
-    eps * 2^c.  An irregular count above eps * 2^c, the report not being
-    regular, follows from the first and the third.
+    certified mask and the trivial-gamma mask; and a (B, 2) array of the
+    checks that follow `_failure`'s first in its order: the certificate
+    passes `_spot_checks`, and the certified count exceeds eps * 2^c.
+    Their passing proves H not eps-regular by itself: a certified coset's
+    numerator at its nontrivial gamma is at most its largest nontrivial
+    magnitude, so it is irregular, and more than eps * 2^c are certified.
+    The first check, certified cosets irregular in the full-class report,
+    is left to the callers (`_irregular`, `_dual_report`).
     """
     n = f.n
     c = duals.shape[1]
     tops = _top_bits(duals)
     rows = _perp_stack(duals, tops, n)
     reps = np.ascontiguousarray(_span_stack(1 << tops).T)
-    gammas = _gammas(rows, reps, xi)
-    table = _dual_table(spectrum, duals)
-    buckets = _buckets(rows.T[:, :, None], gammas)
-    numerators = np.take_along_axis(table, buckets[..., None], axis=2)[..., 0] >> c
+    gammas, families, prefixes = _gammas(rows, reps, xi)
+    for dual, top in zip(duals.T[:, :, None], tops.T[:, :, None]):
+        families ^= ((families >> top) & 1) * dual
+    # each row's distinct class reps in ascending order, and the column of
+    # each family member among them
+    order = np.argsort(families, axis=1)
+    ranked = np.take_along_axis(families, order, axis=1)
+    rank = np.cumsum(np.diff(ranked, axis=1, prepend=ranked[:, :1]) != 0, axis=1)
+    classes = np.repeat(ranked[:, -1:], rank.max() + 1, axis=1)
+    np.put_along_axis(classes, rank, ranked, axis=1)
+    column = np.empty_like(rank)
+    np.put_along_axis(column, order, rank, axis=1)
+    columns = _take_rows(column, prefixes)
+    trivial = _take_rows(families == 0, prefixes)
+    table = _dual_table(spectrum, duals, classes)
+    numerators = np.take_along_axis(table, columns[..., None], axis=2)[..., 0] >> c
     _signed(numerators, reps, gammas)
-    # numpy reduces short rows slowly: fold rows of a few classes one at a time
-    magnitudes = np.moveaxis(np.abs(table, out=table), 2, 0)[1:]
-    worst = (reduce(np.maximum, magnitudes) if len(magnitudes) < _LOW else magnitudes.max(0)) >> c
 
     denominator = f.denominator << (n - c)
-    threshold = _threshold(eps, denominator)
-    trivial = buckets == 0
-    certified = ~trivial & (numerators > threshold)
-    irregular = worst > threshold
+    certified = ~trivial & (numerators > _threshold(eps, denominator))
     checks = np.array([
-        ~(certified & ~irregular).any(axis=1),
         _spot_checks(f, rows, reps, gammas, numerators, denominator, certified),
         # a count of the 2^c cosets exceeds eps * 2^c iff it exceeds the floor
         certified.sum(axis=1) > _threshold(eps, reps.shape[1]),
     ]).T
-    return rows, reps, gammas, numerators, certified, trivial, irregular.sum(axis=1), checks
+    return rows, reps, gammas, numerators, certified, trivial, checks
+
+
+def _irregular(spectrum: np.ndarray, duals: np.ndarray, threshold: int) -> np.ndarray:
+    """Which cosets of B subspaces, given by their duals as in
+    `_certify_duals`, are irregular, as a (B, 2^c) mask: the largest
+    magnitude of a coset's numerators at the nontrivial classes (the full
+    `_dual_table`) exceeds threshold, floor(eps * denominator * 2^(n - c)).
+    """
+    c = duals.shape[1]
+    table = _dual_table(spectrum, duals)
+    # numpy reduces short rows slowly: fold rows of a few classes one at a time
+    magnitudes = np.moveaxis(np.abs(table, out=table), 2, 0)[1:]
+    worst = (reduce(np.maximum, magnitudes) if len(magnitudes) < _LOW else magnitudes.max(0)) >> c
+    return worst > threshold
 
 
 def exhaustive_lowerbound_check(
@@ -566,11 +614,13 @@ def exhaustive_lowerbound_check(
 
     The walk certifies consecutive subspaces of one dimension in stacks
     of at most _STACK_ENTRIES table entries from their duals and the one
-    full transform of the table that the call computes (`_certify_duals`),
-    which also gives every regularity verdict: a subspace is regular
-    exactly when at most eps * 2^c of its cosets are irregular.  A
-    subspace that fails a check raises, or is recorded in walk order, with
-    the message of its first failed check, as `witness_scan` would give.
+    full transform of the table that the call computes (`_certify_duals`).
+    A certificate that passes proves its subspace not eps-regular, so only
+    a failing subspace gets a regularity verdict, from its full-class
+    table (`_irregular`): it is regular exactly when at most eps * 2^c of
+    its cosets are irregular.  It raises, or is recorded in walk order,
+    with the message of its first failed check, as `witness_scan` would
+    give.
     """
     if inst.table is None:
         raise ValueError("lower-bound scans need a dense instance table")
@@ -603,19 +653,29 @@ def exhaustive_lowerbound_check(
     per_dim = [0] * (n + 1)
     per_dim[0] = int(mode == "exhaustive")  # only exhaustive mode enumerates {0}
     for duals in _stacks(_walk(n, mode, random_per_dim, seed, max_enumerated_codim), n):
-        per_dim[n - duals.shape[1]] += len(duals)
-        rows, _, _, _, certified_cosets, _, irregular, checks = _certify_duals(
+        c = duals.shape[1]
+        per_dim[n - c] += len(duals)
+        rows, _, _, _, certified_cosets, _, checks = _certify_duals(
             f, spectrum, duals, eps, inst.xi
         )
         passed = checks.all(axis=1)
         certified += int(passed.sum())
-        total = 1 << duals.shape[1]
-        for k in np.flatnonzero(~passed).tolist():
+        failed = np.flatnonzero(~passed)
+        if not failed.size:
+            continue
+        total = 1 << c
+        irregular = _irregular(spectrum, duals[failed], _threshold(eps, f.denominator << (n - c)))
+        cosets = certified_cosets[failed]
+        verdicts = np.column_stack([~(cosets & ~irregular).any(axis=1), checks[failed]])
+        counts = cosets.sum(axis=1).tolist()
+        # the report is regular when at most eps * 2^c cosets are irregular
+        regular = (irregular.sum(axis=1) <= _threshold(eps, total)).tolist()
+        for j, k in enumerate(failed.tolist()):
             basis = tuple(rows[k].tolist())
-            reason = _failure(checks[k], int(certified_cosets[k].sum()), total, eps, basis)
+            reason = _failure(verdicts[j], counts[j], total, eps, basis)
             if strict:
                 raise ClaimViolationError(reason)
-            if irregular[k] <= _threshold(eps, total):  # the report is regular
+            if regular[j]:
                 regular_nonzero.append(basis)
             else:
                 failures.append({"basis": list(basis), "dim": len(basis), "reason": reason})

@@ -144,6 +144,19 @@ class TestGenEval:
         code, out, err = run_cli(capsys, "eval", "--s", "2", "--x-bits", bits)
         assert code == 2 and out == "" and "n=3" in err
 
+    @pytest.mark.parametrize("point, message", [
+        (["--x-bits", "1"], "1 coordinates, not n=267"),
+        (["--x", str(1 << 267)], f"point {1 << 267} outside the 2^267 domain"),
+    ], ids=["x-bits", "x"])
+    def test_eval_refuses_a_point_before_generating(self, capsys, monkeypatch, point, message):
+        # an s = 4 instance takes seconds to generate; a bad point needs none of it
+        def generate(*args, **kwargs):
+            pytest.fail("the instance was generated before the point was checked")
+
+        monkeypatch.setattr(instance.Instance, "generate", generate)
+        code, out, err = run_cli(capsys, "eval", "--s", "4", *point)
+        assert code == 2 and out == "" and message in err
+
     @pytest.mark.parametrize("argv", [
         ["gen", "--s", "2", "--retries", "5"],
         ["eval", "--s", "2", "--x", "0", "--retries", "5"],

@@ -83,18 +83,24 @@ def hyperplane_duals(n):
 
 
 def certify(f, hs, eps, xi):
-    """`_certify_duals` on the subspaces hs of one dimension, through
-    their duals from `orthogonal_complement`; checks the echelon bases and
-    the canonical coset reps it hands back and returns the rest: the
-    gammas, numerators, certified and trivial masks, irregular counts and
-    checks."""
-    rows, reps, *got = _certify_duals(
-        f, _count_spectrum(f), dual_rows([h.orthogonal_complement() for h in hs]),
-        Fraction(eps), xi,
+    """`_certify_duals` and the full-class `_irregular` on the subspaces hs
+    of one dimension, through their duals from `orthogonal_complement`;
+    checks the echelon bases and the canonical coset reps it hands back
+    and returns the rest: the gammas, numerators, certified and trivial
+    masks, the irregular counts, and the three checks in `_failure` order
+    (certified cosets irregular, then `_certify_duals`'s two)."""
+    eps, spectrum = Fraction(eps), _count_spectrum(f)
+    duals = dual_rows([h.orthogonal_complement() for h in hs])
+    rows, reps, gammas, numerators, certified, trivial, checks = _certify_duals(
+        f, spectrum, duals, eps, xi
     )
     assert np.array_equal(rows, rows_of(hs))
     assert np.array_equal(reps, [h.coset_representative_array() for h in hs])
-    return got
+    threshold = fourier._threshold(eps, f.denominator << hs[0].dim)
+    irregular = witness._irregular(spectrum, duals, threshold)
+    first = ~(certified & ~irregular).any(axis=1)
+    return (gammas, numerators, certified, trivial, irregular.sum(axis=1),
+            np.column_stack([first, checks]))
 
 
 def pullback_certificate(f, h, eps, xi):
@@ -229,8 +235,10 @@ class TestGammaCharacter:
         # the second has bit 0 below it, so prefixes are not constant on
         # cosets; the check raises under python -O too
         reps = np.arange(4, dtype=np.int64)[None]
-        good = witness._gammas(np.array([[1 << 3, 1 << 4]]), reps, inst3.xi)
+        good, family, prefixes = witness._gammas(np.array([[1 << 3, 1 << 4]]), reps, inst3.xi)
         assert np.array_equal(good, [[inst3.xi.entry(3, p) << 3 for p in range(4)]])
+        assert np.array_equal(family, [[inst3.xi.entry(3, p) << 3 for p in range(8)]])
+        assert np.array_equal(prefixes, reps)
         for rows in ([[1 << 3, 1]], [[1 << 3, 1 << 4], [1 << 5, 0b110]]):
             with pytest.raises(ValueError, match="prefix not constant on cosets"):
                 witness._gammas(np.array(rows), np.zeros((len(rows), 4), np.int64), inst3.xi)
@@ -700,17 +708,25 @@ def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
     """The lower-bound walk with each stack certified one subspace at a
     time by `pullback_certificate`: the oracle of the stacks.  Each
     subspace is H = D-perp computed by `orthogonal_complement`,
-    independently of `_certify_duals`."""
+    independently of `_certify_duals`; the irregular masks of failing
+    subspaces come from the same oracle in place of `_irregular`."""
+    def subspaces(duals):
+        return [Subspace.from_vectors(inst.n, d.tolist()).orthogonal_complement() for d in duals]
+
     def oracle_duals(f, spectrum, duals, eps, xi):
-        hs = [Subspace.from_vectors(f.n, d.tolist()).orthogonal_complement() for d in duals]
-        reps, gammas, numerators, certified, trivial, irregular, checks = (
+        hs = subspaces(duals)
+        reps, gammas, numerators, certified, trivial, _, checks = (
             np.array(a) for a in zip(*(pullback_certificate(f, h, eps, xi) for h in hs))
         )
-        return (rows_of(hs), reps, gammas, numerators, certified, trivial,
-                irregular.sum(axis=1), checks)
+        return rows_of(hs), reps, gammas, numerators, certified, trivial, checks[:, 1:]
+
+    def oracle_irregular(spectrum, duals, threshold):
+        return np.array([pullback_certificate(inst.table, h, eps, inst.xi)[5]
+                         for h in subspaces(duals)])
 
     with monkeypatch.context() as m:
         m.setattr(witness, "_certify_duals", oracle_duals)
+        m.setattr(witness, "_irregular", oracle_irregular)
         return exhaustive_lowerbound_check(inst, eps, **kwargs)
 
 
@@ -856,7 +872,7 @@ class TestStackedWalk:
         eps = Fraction(1, 48)
         duals = hyperplane_duals(11)
         spectrum = _count_spectrum(f)
-        rows, *_, certified, _, _, checks = _certify_duals(f, spectrum, duals, eps, inst3.xi)
+        rows, *_, certified, _, checks = _certify_duals(f, spectrum, duals, eps, inst3.xi)
         assert checks.all()
         k = int(np.flatnonzero(certified.sum(axis=1) == 2)[-1])
         h = Subspace.from_vectors(11, rows[k].tolist())
@@ -868,7 +884,7 @@ class TestStackedWalk:
             with pytest.raises(ClaimViolationError, match="defining mean"):
                 witness_scan(bad, h, eps, inst3.xi)
             checks = _certify_duals(bad, spectrum, duals[k : k + 1], eps, inst3.xi)[-1]
-            assert checks.tolist() == [[True, False, True]]
+            assert checks.tolist() == [[False, True]]
 
     def test_spot_check_means_equal_restricted_coefficient(self, inst3):
         # the half-split mean of every picked coset equals the defining
@@ -906,6 +922,26 @@ class TestStackedWalk:
         none = np.zeros(reps.shape, dtype=bool)
         passed = witness._spot_checks(f, rows_of(hs), reps, reps, reps, 1, none)
         assert passed.tolist() == [True] * 3
+
+    def test_walk_reads_full_class_tables_only_for_failing_subspaces(self, inst3, monkeypatch):
+        # every stack reads its witness classes; the full-class table (the
+        # default classes) is built for failing subspaces alone
+        calls = []
+
+        def recording(spectrum, duals, classes=None):
+            table = fourier._dual_table(spectrum, duals, classes)
+            calls.append((len(duals), classes is None, table.size))
+            return table
+
+        monkeypatch.setattr(witness, "_dual_table", recording)
+        kwargs = dict(mode="structured", random_per_dim=200, seed=0)
+        assert exhaustive_lowerbound_check(inst3, Fraction(1, 48), **kwargs).ok
+        assert calls and not any(full for _, full, _ in calls)
+        assert all(size <= count << inst3.n for count, _, size in calls)
+        calls.clear()
+        report = exhaustive_lowerbound_check(inst3, Fraction(1, 6), strict=False, **kwargs)
+        failing = len(report.failures) + len(report.regular_nonzero)
+        assert failing and sum(count for count, full, _ in calls if full) == failing
 
     def test_s3_structured_walk_matches_oracle(self, inst3, monkeypatch):
         # 70 per dimension: one full stack and a short one for every dim
