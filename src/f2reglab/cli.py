@@ -191,8 +191,8 @@ def cmd_spanning(args: argparse.Namespace) -> int:
 
 def cmd_round(args: argparse.Namespace) -> int:
     table = read_table(args.in_path, dense_limit=args.dense_limit)
-    # a bad --tau, then a bad --max-codim, fails before any draw and so
-    # before --out is written
+    # a bad --tau, then a negative --pairs or a bad --max-codim, fails
+    # before any draw and so before --out is written
     size_threshold(table.n, args.tau)
     pairs = sample_pairs(table.n, args.pairs, args.seed, args.max_codim)
     rounded = round_to_binary(table, args.seed)

@@ -14,8 +14,9 @@ Poisson-sum lookup of 2^codim entries and codim butterfly stages
 (`fourier._coset_numerator`, one `_dual_table` entry).  A float source
 table keeps the defining mean over the coset's gathered values, in the
 same summation order as a one-array mean, so report bytes do not depend
-on the path: the coset is gathered a few grid rows of 2^12 points at a
-time, each row summed on its own, and since numpy sums a 2^d array
+on the path.  It is gathered per coset, not per pair: every character
+on a coset reads the same gathered chunks of a few grid rows of 2^12
+points, each row summed on its own, and since numpy sums a 2^d array
 pairwise by halving, the row sums added by a halving tree are that same
 sum.
 """
@@ -49,6 +50,8 @@ _ROUNDING_TAG = "rounding"
 _SPLIT = 12
 # Points gathered at once: whole grid rows, sized to stay in cache.
 _CHUNK_POINTS = 1 << 15
+# Low-half sign entries held at once for the characters of one coset.
+_SIGN_ENTRIES = 1 << 18
 
 
 def round_to_binary(f: FunctionTable, seed: int) -> FunctionTable:
@@ -123,8 +126,9 @@ def size_threshold(n: int, tau: float) -> float:
     return 4.0 * n * n / (tau * tau)
 
 
-def _signs(points: np.ndarray, eta: int) -> np.ndarray:
-    return 1.0 - 2.0 * parity64(points & np.int64(eta))
+def _signs(points: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Row k: the +-1 signs of the points under character etas[k]."""
+    return 1.0 - 2.0 * parity64(points & etas[:, None])
 
 
 def _gathered_coefficients(
@@ -132,40 +136,55 @@ def _gathered_coefficients(
 ) -> np.ndarray:
     """Defining means of the tables over the kept pairs, shape (pairs, tables).
 
-    A coset's points, in `element_array` order, form a grid: row i is
-    the span of its first _SPLIT basis rows xored with entry i of the
-    span of the rest (plus the representative), so a point's sign is
-    its row's high-half sign times its column's low-half sign.  Rows
-    are gathered _CHUNK_POINTS at a time, multiplied by the low-half
-    signs and summed per row; the row sums are multiplied by the
-    high-half signs and added by a halving tree.  numpy sums a
-    contiguous 2^d array pairwise, halving it down to 128-entry blocks,
-    so each 2^_SPLIT-point row is one subtree of that sum and the tree
-    over the rows is the rest of it.  A +-1 factor commutes with a
-    rounded sum up to the sign of a zero, which `initial=0.0` and the
-    final `0.0 +` normalise as the one-array mean's zero start does:
-    every coefficient has the bits of the defining mean.
+    Pairs are grouped per coset, and each coset is gathered once for a
+    batch of its characters.  A coset's points, in `element_array`
+    order, form a grid: row i is the span of its first _SPLIT basis rows
+    xored with entry i of the span of the rest (plus the
+    representative), so a point's sign is its row's high-half sign times
+    its column's low-half sign.  Rows are gathered _CHUNK_POINTS at a time; each character
+    multiplies the chunk by its low-half signs and sums it per row; its
+    row sums are multiplied by its high-half signs and added by a
+    halving tree.  numpy sums a contiguous 2^d array pairwise, halving
+    it down to 128-entry blocks, so each 2^_SPLIT-point row is one
+    subtree of that sum and the tree over the rows is the rest of it.
+    A +-1 factor commutes with a rounded sum up to the sign of a zero,
+    which `initial=0.0` and the final `0.0 +` normalise as the one-array
+    mean's zero start does: every coefficient has the bits of the
+    defining mean.  A batch's low-half signs hold at most _SIGN_ENTRIES
+    entries (64 characters of a coset of dim >= _SPLIT), so memory does
+    not grow with the number of pairs on one coset.
     """
+    groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for k, (coset, _) in enumerate(kept):
+        key = (coset.subspace.basis, coset.representative.bits)
+        groups.setdefault(key, []).append(k)
     out = np.empty((len(kept), len(tables)))
-    for k, (coset, eta) in enumerate(kept):
-        basis = coset.subspace.basis
-        high = _span_of_rows(basis[_SPLIT:]) ^ np.int64(coset.representative.bits)
+    for (basis, rep), members in groups.items():
+        high = _span_of_rows(basis[_SPLIT:]) ^ np.int64(rep)
         low = _cached_span(basis[:_SPLIT])
-        low_signs = _signs(low, eta)
         step = max(1, _CHUNK_POINTS // low.size)
-        sums = np.empty((len(tables), high.size))
-        for i in range(0, high.size, step):
-            points = np.bitwise_xor.outer(high[i : i + step], low)
-            for j, t in enumerate(tables):
-                # a fresh chunk: with out=, take's bounds-checking mode
-                # would gather into a copy of out and copy back
-                gathered = np.take(t.values, points)
-                gathered *= low_signs
-                np.add.reduce(gathered, axis=1, initial=0.0, out=sums[j, i : i + step])
-        sums *= _signs(high, eta)
-        while sums.shape[1] > 1:
-            sums = sums[:, 0::2] + sums[:, 1::2]
-        out[k] = (0.0 + sums[:, 0]) / coset.size
+        batch = max(1, _SIGN_ENTRIES // low.size)
+        shared = np.empty((min(step, high.size), low.size)) if len(members) > 1 else None
+        for b in range(0, len(members), batch):
+            ks = members[b : b + batch]
+            etas = np.array([kept[k][1] for k in ks], dtype=np.int64)
+            low_signs = _signs(low, etas)
+            sums = np.empty((len(ks), len(tables), high.size))
+            for i in range(0, high.size, step):
+                points = np.bitwise_xor.outer(high[i : i + step], low)
+                for j, t in enumerate(tables):
+                    # a fresh chunk: with out=, take's bounds-checking mode
+                    # would gather into a copy of out and copy back
+                    gathered = np.take(t.values, points)
+                    # one character multiplies in place; more share a buffer
+                    signed = gathered if len(ks) == 1 else shared[: len(gathered)]
+                    for c, row_signs in enumerate(low_signs):
+                        np.multiply(gathered, row_signs, out=signed)
+                        np.add.reduce(signed, axis=1, initial=0.0, out=sums[c, j, i : i + step])
+            sums *= _signs(high, etas)[:, None, :]
+            while sums.shape[2] > 1:
+                sums = sums[:, :, 0::2] + sums[:, :, 1::2]
+            out[ks] = (0.0 + sums[:, :, 0]) / (high.size * low.size)
     return out
 
 
@@ -188,12 +207,16 @@ def deviation_report(
       The mean of 0/+-1 products is an exactly summed integer over the
       coset size, so numerator / size is the same float (and never
       -0.0, as the mean is not);
-    * any other table gathers each coset's values a few 2^12-point grid
-      rows at a time (about 2^15 points, so a chunk stays in cache),
-      sums each row's signed values, and adds the row sums by a halving
-      tree: the same products, added in the same order as the pairwise
-      sum of the one-array mean, so the same float
-      (`_gathered_coefficients` gives the argument).
+    * any other table is gathered per coset: the pairs that share a
+      coset (the same subspace and canonical representative) share its
+      gathers, a few 2^12-point grid rows at a time (about 2^15 points,
+      so a chunk stays in cache).  Each character sums each row's
+      signed values and adds the row sums by a halving tree: the same
+      products, added in the same order as the pairwise sum of the
+      one-array mean, so the same float (`_gathered_coefficients` gives
+      the argument).
+
+    Records come back in the order of the pairs kept.
 
     Pairs must live in F2^n with characters below 2^n, and tau must be
     finite and positive; every pair is checked before any work.
@@ -253,9 +276,14 @@ def sample_pairs(
 ) -> list[tuple[AffineSubspace, F2Vector]]:
     """Seeded random (coset, character) pairs with codimension <= max_codim.
 
-    max_codim must be at most n: no subspace of F2^n has a larger
-    codimension, so its draws would be retried forever.
+    count and max_codim must not be negative, and max_codim must be at
+    most n: no subspace of F2^n has a larger codimension, so its draws
+    would be retried forever.  Each is checked before any draw.
     """
+    if count < 0:
+        raise ValueError(f"count of pairs must be >= 0, got {count}")
+    if max_codim < 0:
+        raise ValueError(f"max_codim must be >= 0, got {max_codim}")
     if max_codim > n:
         raise ValueError(
             f"max_codim {max_codim} exceeds n = {n}: "

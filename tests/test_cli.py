@@ -372,8 +372,26 @@ class TestSpanningRound:
             capsys, "round", "--in", str(table_path), "--tau", "0.5",
             "--seed", "5", "--out", str(out_path), "--max-codim", "-1",
         )
-        assert code == 2 and out == "" and "bound" in err
+        assert code == 2 and out == "" and "max_codim must be >= 0" in err
         assert not out_path.exists()
+
+    def test_round_negative_pairs_exit_2(self, tmp_path, capsys):
+        table_path = tmp_path / "f.f2fn"
+        run_cli(capsys, "gen", "--s", "2", "--seed", "1", "--out", str(table_path))
+        out_path = tmp_path / "s.f2fn"
+        code, out, err = run_cli(
+            capsys, "round", "--in", str(table_path), "--tau", "100",
+            "--seed", "1", "--out", str(out_path), "--pairs", "-5", "--max-codim", "2",
+        )
+        assert code == 2 and out == "" and "count of pairs must be >= 0" in err
+        assert not out_path.exists()
+        code, out, _ = run_cli(
+            capsys, "round", "--in", str(table_path), "--tau", "100",
+            "--seed", "1", "--out", str(out_path), "--pairs", "0", "--max-codim", "2",
+        )
+        report = json.loads(out)
+        assert code == 0 and report["ok"] is True and report["tested_pairs"] == 0
+        assert out_path.exists()
 
     @pytest.mark.parametrize("max_codim", ["12", "1000000"])
     def test_round_max_codim_above_n_exit_2(self, tmp_path, capsys, max_codim):

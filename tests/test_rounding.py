@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,8 @@ from f2reglab import (
     wht_full,
 )
 from f2reglab.gf2 import parity64
-from f2reglab.rounding import _SPLIT, round_point, size_threshold
+from f2reglab import rounding
+from f2reglab.rounding import _SIGN_ENTRIES, _SPLIT, round_point, size_threshold
 
 # frozen: rounding the two-block instance table with this seed keeps
 # every nonzero subspace irregular at half the instance's design level
@@ -131,6 +133,15 @@ class TestDeviationReport:
         with pytest.raises(ValueError, match="exceeds n = 8"):
             sample_pairs(8, 20, seed=1, max_codim=9)
 
+    def test_sampled_negative_arguments_refused(self):
+        with pytest.raises(ValueError, match="count of pairs must be >= 0, got -5"):
+            sample_pairs(8, -5, seed=1, max_codim=2)
+        with pytest.raises(ValueError, match="max_codim must be >= 0, got -1"):
+            sample_pairs(8, 20, seed=1, max_codim=-1)
+        with pytest.raises(ValueError, match="max_codim"):
+            sample_pairs(8, 0, seed=1, max_codim=-1)
+        assert sample_pairs(8, 0, seed=1, max_codim=2) == []
+
 
 def defining_mean_values(f, s, tau, pairs):
     """Oracle: the per-pair loop deviation_report replaced, with a fresh
@@ -237,6 +248,71 @@ class TestDeviationValuesBitEqual:
         pairs = pairs_of_every_dim(18, 25)[9:]
         assert_bit_equal_to_oracle(float_table(18, 26), sixths, 64.0, pairs)
 
+    def test_more_characters_on_the_full_space_than_one_batch(self):
+        # the batch holds _SIGN_ENTRIES >> _SPLIT characters of a coset of
+        # dim >= _SPLIT; eta = 0 comes first, the rest spill into a second
+        # batch of several characters and a last batch of one
+        batch = _SIGN_ENTRIES >> _SPLIT
+        rng = random.Random(31)
+        etas = [0] + [rng.getrandbits(16) for _ in range(2 * batch)]
+        full = AffineSubspace(Subspace.full(16))
+        pairs = [(full, eta) for eta in etas]
+        f, g = float_table(16, 32), float_table(16, 33)
+        report = assert_bit_equal_to_oracle(f, g, 64.0, pairs)
+        assert [r.eta for r in report.records] == etas
+        assert_bit_equal_to_oracle(f, round_to_binary(g, 34), 64.0, pairs)
+
+    def test_one_coset_through_several_representatives(self):
+        # the same coset of a dim-14 subspace given by eight of its points,
+        # interleaved with pairs on other cosets and other subspaces
+        rng = random.Random(35)
+        h = Subspace.from_vectors(16, [rng.getrandbits(16) for _ in range(14)])
+        assert h.dim == 14
+        points = AffineSubspace(h, F2Vector(16, 12345)).element_array()
+        others = pairs_of_every_dim(16, 36)[10:]
+        pairs = []
+        for k, x in enumerate(rng.sample(points.tolist(), 8)):
+            pairs.append((AffineSubspace(h, F2Vector(16, x)), rng.getrandbits(16)))
+            pairs.append(others[k % len(others)])
+        assert len({coset.representative for coset, _ in pairs[::2]}) == 1
+        f, g = float_table(16, 37), float_table(16, 38)
+        assert_bit_equal_to_oracle(f, g, 64.0, pairs)
+        assert_bit_equal_to_oracle(f, round_to_binary(f, 39), 64.0, pairs)
+
+    def test_duplicate_pairs(self):
+        full = AffineSubspace(Subspace.full(16))
+        others = pairs_of_every_dim(16, 40)[11:]
+        pairs = [(full, 7), *others, (full, 7), (full, 0), others[2], (full, 0), others[2]]
+        report = assert_bit_equal_to_oracle(float_table(16, 41), float_table(16, 42), 64.0, pairs)
+        values = [(r.f_value, r.s_value) for r in report.records]
+        assert values[0] == values[len(others) + 1]
+        assert values[-4] == values[-2] and values[3] == values[-3] == values[-1]
+
+    def test_two_float_tables_gathered_in_one_call(self, gathered_arrays):
+        # each chunk's grid index gathers f and then g, for every
+        # character of the coset
+        f, g = float_table(16, 43), float_table(16, 44)
+        full = AffineSubspace(Subspace.full(16))
+        pairs = [(full, eta) for eta in (0, 1, 2, 3)] + pairs_of_every_dim(16, 45)[13:]
+        assert_bit_equal_to_oracle(f, g, 64.0, pairs)
+        assert [a is f.values for a in gathered_arrays] == [True, False] * (len(gathered_arrays) // 2)
+        assert all(a is g.values for a in gathered_arrays[1::2])
+
+    def test_records_come_back_in_input_order(self):
+        full = AffineSubspace(Subspace.full(14))
+        others = pairs_of_every_dim(14, 46)[12:]
+        small = (AffineSubspace(Subspace.zero(14)), 3)  # below the threshold
+        pairs = [(full, 9), others[0], small, (full, 4), others[1], (full, 9),
+                 others[2], (full, 0)]
+        f = float_table(14, 47)
+        report = deviation_report(f, float_table(14, 48), 1.9, pairs)
+        assert report.skipped_small == 1
+        kept = [p for p in pairs if p is not small]
+        assert [(r.basis, r.representative, r.eta) for r in report.records] == [
+            (c.subspace.basis, c.representative.bits, eta) for c, eta in kept
+        ]
+        assert_bit_equal_to_oracle(f, round_to_binary(f, 49), 1.9, pairs)
+
     @pytest.mark.parametrize("levels, weights", [
         ([0.0, 0.5], [0.9, 0.1]),
         ([0.0, 0.25, 0.5, 1.0], [0.7, 0.1, 0.1, 0.1]),
@@ -276,6 +352,47 @@ class TestDeviationValuesBitEqual:
                     t = FunctionTable(k, np.abs(a))
                     eta = int(rng.integers(0, 1 << k))
                     assert_bit_equal_to_oracle(t, t, 64.0, [(AffineSubspace(Subspace.full(k)), eta)])
+
+
+@pytest.fixture
+def gathered_arrays(monkeypatch):
+    """The source array of every `np.take` made while the test runs."""
+    seen = []
+    take = np.take
+
+    def recording_take(a, *args, **kwargs):
+        seen.append(a)
+        return take(a, *args, **kwargs)
+
+    monkeypatch.setattr(rounding.np, "take", recording_take)
+    return seen
+
+
+class TestSharedCosetWork:
+    def test_pairs_on_one_coset_gather_it_once(self, gathered_arrays):
+        # 2^16 points are two 2^15-point chunks, each gathered once per
+        # table however many characters read the coset
+        f, g = float_table(16, 50), float_table(16, 51)
+        full = AffineSubspace(Subspace.full(16))
+        deviation_report(f, g, 64.0, [(full, 5)])
+        assert len(gathered_arrays) == 4
+        deviation_report(f, g, 64.0, [(full, eta) for eta in range(16)])
+        assert len(gathered_arrays) == 8
+
+    def test_memory_does_not_grow_with_characters_on_one_coset(self):
+        # every character of F2^12 on the full space: holding all 4096
+        # sign rows of 4096 entries at once would take 128 MiB
+        f, g = float_table(12, 52), float_table(12, 53)
+        full = AffineSubspace(Subspace.full(12))
+        pairs = [(full, eta) for eta in range(1 << 12)]
+        tracemalloc.start()
+        try:
+            report = deviation_report(f, g, 64.0, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.records) == 1 << 12
+        assert peak < 16 << 20, peak
 
 
 class TestDeviationReportGuards:
