@@ -13,7 +13,7 @@ On a count table (values k/s) the decomposition transforms the integer
 counts once: by Parseval over H-perp, each round's energy is the exact
 rational sum of squared transform entries over H-perp divided by
 (s 2^n)^2, and each round's scan reads the same transform through
-`fourier._dual_table`.  The gain check then compares exact rationals.
+`fourier._dual_worst`.  The gain check then compares exact rationals.
 Float tables scan by pullback and compare float energies with a 1e-12
 slack.
 """

@@ -13,11 +13,12 @@ Two private kernels compute coset coefficients:
   a stack of subspaces from a count table's one full integer transform
   (`_count_spectrum`) by Poisson summation over H-perp: a gather and
   codim(H) butterfly stages.  Every verdict, certificate and rounding
-  lookup on a count table comes from it: `check_subspace_regularity`
-  and the decomposition rounds read it a chunk of classes at a time
-  (`_dual_report`), `witness_scan` and the lower-bound walk certify
-  from it, and deviation reports read a rounded table's coefficients
-  from it one coset at a time (`_coset_numerator`).
+  lookup on a count table comes from it: one stacked kernel reads each
+  coset's worst class (`_dual_worst`) for `check_subspace_regularity`,
+  the decomposition rounds (`_dual_report`, its one-subspace case) and
+  the walk's failing subspaces; `witness_scan` and the lower-bound walk
+  certify from it, and deviation reports read a rounded table's
+  coefficients from it one coset at a time (`_coset_numerator`).
 * `_coset_transform` pulls f back through the basis parameterization of
   H over the requested cosets and runs one batched size-2^dim transform:
   float tables are scanned with it a block of cosets at a time
@@ -139,14 +140,6 @@ class CosetSpectrum:
     def mean(self) -> float:
         return float(self.coefficients[0])
 
-    @property
-    def class_coefficients(self) -> dict[int, float]:
-        return {int(r): float(c) for r, c in zip(self.class_reps, self.coefficients)}
-
-    def power_sum(self) -> float:
-        """Sum of squared class coefficients (equals the coset mean of f^2)."""
-        return float(np.square(self.coefficients).sum())
-
 
 @dataclass(frozen=True, eq=False)
 class RegularityReport:
@@ -189,7 +182,8 @@ class RegularityReport:
 
 # Elements of one cache block of the transform (256 KiB of 8-byte entries).
 _CHUNK = 1 << 15
-# Stages of stride below this run on a transposed copy of each block.
+# Stages of stride below this run on a transposed copy of each block, and so
+# do the row maxima of rows this short (`_row_argmax`).
 _LOW = 16
 
 
@@ -422,9 +416,7 @@ def _top_bits(rows: np.ndarray) -> np.ndarray:
     return (np.frexp(rows)[1] - 1).astype(np.int64)
 
 
-def _dual_table(
-    spectrum: np.ndarray, duals: np.ndarray, classes: "np.ndarray | None" = None
-) -> np.ndarray:
+def _dual_table(spectrum: np.ndarray, duals: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Numerators of every coset of B subspaces H at chosen characters,
     read from the full transform of a count table through their duals.
 
@@ -433,33 +425,75 @@ def _dual_table(
     t_i, ascending in i, and no other row has bit t_i.  classes (1, K)
     or (B, K) lists K characters for every subspace of the stack: any
     members of F2^n, trivial ones (0 and members of D) and several
-    members of one class included.  By default subspace b gets its own
-    off-top classes from its own top bits, one representative of every
-    class mod D, the trivial class 0 first: the members of F2^n with
-    every t_i of duals[b] clear, ascending, the (n - c)-bit numbers
-    0, 1, ... with a zero bit inserted at each t_i.  For each character eta,
-    gathering spectrum[eta ^ u] over u in span(D) and running one
-    size-2^c transform gives 2^c times the numerator at eta of every
-    coset at once (Poisson summation): entry j belongs to the coset whose
+    members of one class included.  For each character eta, gathering
+    spectrum[eta ^ u] over u in span(D) and running one size-2^c
+    transform gives 2^c times the numerator at eta of every coset at once
+    (Poisson summation): entry j belongs to the coset whose
     representative carries the bits of j at t_1..t_c, which is H's j-th
-    canonical representative.  The gather is class-major, (2^c, B, K),
-    so every butterfly stage pairs contiguous rows of B * K entries; the
-    result is its (B, 2^c, K) view: [b, j, k] is 2^c times the numerator
-    of coset j of subspace b at its k-th character.  The entries and
-    every partial sum of the transform are at most denominator * 2^n in
-    magnitude, so they stay exact in the spectrum's dtype.
+    canonical representative.  The table is class-major, (2^c, B, K), so
+    every butterfly stage pairs contiguous rows of B * K entries: [j, b, k]
+    is 2^c times the numerator of coset j of subspace b at its k-th
+    character.  The entries and every partial sum of the transform are
+    at most denominator * 2^n in magnitude: exact in the spectrum's dtype.
     """
-    c = duals.shape[1]
-    if classes is None:
-        classes = np.arange(spectrum.size >> c, dtype=np.int64)[None, :]
-        for t in _top_bits(duals).T[:, :, None]:
-            classes = classes + (classes & -(1 << t))  # a zero bit at t
     table = spectrum[_span_stack(duals, classes)]
     # held through the butterflies, the (B, K) classes slowed the lower-bound
     # walk by about a third (heap reuse of its many stack-sized arrays)
     del classes
-    _butterflies(table, 1, 1 << c, table.shape[1] * table.shape[2])
-    return table.transpose(1, 0, 2)
+    _butterflies(table, 1, 1 << duals.shape[1], table.shape[1] * table.shape[2])
+    return table
+
+
+def _row_argmax(a: np.ndarray) -> np.ndarray:
+    """np.argmax(a, axis=1), ties to the first column; rows shorter than
+    _LOW, which numpy runs slowly, fold their columns from a transposed copy."""
+    if a.shape[1] >= _LOW:
+        return a.argmax(axis=1)
+    columns = np.ascontiguousarray(a.T)
+    top, col = columns[0], np.zeros(a.shape[0], dtype=np.int8)
+    for k, column in enumerate(columns[1:], 1):
+        hit = column > top
+        top = np.maximum(top, column)
+        col += hit.view(np.int8) * (k - col)
+    return col
+
+
+def _dual_worst(
+    spectrum: np.ndarray, duals: np.ndarray, units: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each coset's worst nontrivial class for B subspaces H of
+    codimension c, given by their duals as in `_dual_table`.
+
+    units (B, n - c) holds, per subspace, ascending unit vectors whose
+    subset sums in counting order are one rep of every class mod H-perp,
+    ascending.  They are read in chunks of `_block_rows(c)` per subspace
+    (a span of the low units XOR a subset of the high ones), skipping
+    class 0; a later class wins only when strictly larger, so ties go to
+    the smallest rep, as in the float scan.  Returns (B, 2^c) arrays: 2^c
+    times the largest nontrivial magnitude, the signed entry there, and
+    its class rep; all three are -1 when H = 0.
+    """
+    count, c = duals.shape
+    bits = min(_block_rows(c).bit_length() - 1, units.shape[1])
+    low = _span_stack(units[:, :bits]).T
+    state = None
+    for k, high in enumerate(_span_stack(units[:, bits:])):
+        classes = low[:, 1:] if k == 0 else low ^ high[:, None]
+        if not classes.size:
+            continue
+        table = _dual_table(spectrum, duals, classes).reshape(-1, classes.shape[1])
+        col = _row_argmax(np.abs(table))
+        entry = np.take(table, col + np.arange(0, table.size, classes.shape[1]))
+        rep = np.take(classes, (col.reshape(-1, count) + classes.shape[1] * np.arange(count)).ravel())
+        if state is None:  # the first chunk: no allocation for a state it would overwrite
+            state = (np.abs(entry), entry, rep)
+            continue
+        better = np.abs(entry) > state[0]
+        for old, new in zip(state, (np.abs(entry), entry, rep)):
+            np.copyto(old, new, where=better)
+    if state is None:  # H = 0 has no nontrivial class
+        state = np.broadcast_to(-1, (3, (1 << c) * count))
+    return tuple(a.reshape(1 << c, count).T for a in state)
 
 
 def _coset_numerator(spectrum: np.ndarray, coset: AffineSubspace, eta: int) -> int:
@@ -470,7 +504,7 @@ def _coset_numerator(spectrum: np.ndarray, coset: AffineSubspace, eta: int) -> i
     h, rep = coset.subspace, coset.representative.bits
     table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), np.array([[eta]]))
     j = sum(((rep >> p) & 1) << k for k, p in enumerate(h.free_positions))
-    return int(table[0, j, 0]) >> (h.n - h.dim)
+    return int(table[j, 0, 0]) >> (h.n - h.dim)
 
 
 def restricted_spectrum(f: FunctionTable, a: AffineSubspace) -> CosetSpectrum:
@@ -572,40 +606,15 @@ def _dual_report(
 ) -> RegularityReport:
     """Regularity report of a count table on h at eps from its full
     integer transform (`_count_spectrum`), for `check_subspace_regularity`
-    and each decomposition round.
-
-    `_dual_table` gathers the spectrum over H-perp at the canonical class
-    reps (`_class_maps(h)`) and runs c = codim(h) butterfly stages.  The
-    classes come in ascending chunks of `_block_rows(c)`, a fixed span of
-    the low free positions of H-perp XOR each subset of the high ones;
-    each coset keeps its largest magnitude, the signed entry there and
-    the first class that reaches it, and a later chunk wins only when
-    strictly larger, so ties go to the smallest rep, as in the float scan.
+    and each decomposition round: `_dual_worst` on the one-subspace stack,
+    over the canonical class reps (the subset sums of the unit vectors at
+    the free positions of H-perp, as `_class_maps(h)` lists them).
     """
     reps = h.coset_representative_array(h.n)
-    if h.dim == 0:
-        regular = np.zeros(reps.shape[0], dtype=bool)
-        return _report(h, eps, reps, regular, np.empty(0, dtype=np.int64), np.empty(0))
     c = h.n - h.dim
     duals = np.array([h._dual_rows()], np.int64)
-    units = [1 << p for p in h.orthogonal_complement().free_positions]
-    bits = _block_rows(c).bit_length() - 1
-    low = _span_of_rows(units[:bits])
-    cosets = np.arange(reps.shape[0])
-    best = np.full(reps.shape[0], -1, dtype=spectrum.dtype)
-    value, worst = np.zeros_like(best), np.zeros(reps.shape[0], dtype=np.int64)
-    for k, high in enumerate(_span_of_rows(units[bits:])):
-        classes = low[1:] if k == 0 else low ^ high
-        if not classes.size:
-            continue
-        table = _dual_table(spectrum, duals, classes[None])[0]
-        magnitudes = np.abs(table)
-        col = magnitudes.argmax(axis=1)
-        better = magnitudes[cosets, col] > best
-        col = col[better]
-        best[better] = magnitudes[better, col]
-        value[better] = table[better, col]
-        worst[better] = classes[col]
+    units = np.array([[1 << p for p in h.orthogonal_complement().free_positions]], np.int64)
+    best, value, worst = (a[0] for a in _dual_worst(spectrum, duals, units))
     den = denominator << h.dim
     irregular = best >> c > _threshold(eps, den)
     return _report(h, eps, reps, irregular, worst[irregular], (value[irregular] >> c) / den)

@@ -15,17 +15,17 @@ of dimension d is (sum of signed counts) / (s * 2^d), and thresholds
 arrive as fractions.  The numerators are read from the table's one
 exact full transform by Poisson summation over H-perp
 (`fourier._dual_table`) at the classes of the witness characters alone;
-the regularity reports, which read every class, are built the same way
-only where a verdict rests on them: `witness_scan`'s cross-check, and
-the walk's subspaces whose certificate fails.  Floating point appears
-only in the spot checks against the defining mean.
+the full-class verdicts (`fourier._dual_worst`) read every class, only
+where a verdict rests on them: `witness_scan`'s cross-check, and the
+walk's subspaces whose certificate fails.  Floating point appears only
+in the spot checks against the defining mean.
 
 One certifier, `_certify_duals`, reads the certificates and checks of a
 stack of equal-dimension subspaces given by their duals.  The
 lower-bound walk runs it on stacks of consecutive subspaces and reports
-a failing subspace from the stack's own verdicts and the subspace's
-full-class table (`_irregular`); `witness_scan` runs it on a stack of
-one.
+a failing subspace from the stack's own verdicts and the worst
+nontrivial class of each of its cosets (`_dual_worst` on the stack of
+failing subspaces); `witness_scan` runs it on a stack of one.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .fourier import (
-    _LOW,
     FunctionTable,
     RegularityReport,
     _buckets,
@@ -48,6 +46,7 @@ from .fourier import (
     _count_spectrum,
     _dual_report,
     _dual_table,
+    _dual_worst,
     _signed,
     _threshold,
     _top_bits,
@@ -538,8 +537,8 @@ def _certify_duals(
     Their passing proves H not eps-regular by itself: a certified coset's
     numerator at its nontrivial gamma is at most its largest nontrivial
     magnitude, so it is irregular, and more than eps * 2^c are certified.
-    The first check, certified cosets irregular in the full-class report,
-    is left to the callers (`_irregular`, `_dual_report`).
+    The first check, certified cosets irregular in the full-class verdict,
+    is left to the callers (`_dual_worst`, `_dual_report`).
     """
     n = f.n
     c = duals.shape[1]
@@ -561,7 +560,10 @@ def _certify_duals(
     columns = _take_rows(column, prefixes)
     trivial = _take_rows(families == 0, prefixes)
     table = _dual_table(spectrum, duals, classes)
-    numerators = np.take_along_axis(table, columns[..., None], axis=2)[..., 0] >> c
+    # one flat take: coset j of subspace b is row j * B + b of the class-major table
+    columns += classes.shape[1] * np.arange(len(duals))[:, None]
+    columns += classes.shape[1] * len(duals) * np.arange(1 << c)
+    numerators = np.take(table, columns) >> c
     _signed(numerators, reps, gammas)
 
     denominator = f.denominator << (n - c)
@@ -572,20 +574,6 @@ def _certify_duals(
         certified.sum(axis=1) > _threshold(eps, reps.shape[1]),
     ]).T
     return rows, reps, gammas, numerators, certified, trivial, checks
-
-
-def _irregular(spectrum: np.ndarray, duals: np.ndarray, threshold: int) -> np.ndarray:
-    """Which cosets of B subspaces, given by their duals as in
-    `_certify_duals`, are irregular, as a (B, 2^c) mask: the largest
-    magnitude of a coset's numerators at the nontrivial classes (the full
-    `_dual_table`) exceeds threshold, floor(eps * denominator * 2^(n - c)).
-    """
-    c = duals.shape[1]
-    table = _dual_table(spectrum, duals)
-    # numpy reduces short rows slowly: fold rows of a few classes one at a time
-    magnitudes = np.moveaxis(np.abs(table, out=table), 2, 0)[1:]
-    worst = (reduce(np.maximum, magnitudes) if len(magnitudes) < _LOW else magnitudes.max(0)) >> c
-    return worst > threshold
 
 
 def exhaustive_lowerbound_check(
@@ -616,11 +604,12 @@ def exhaustive_lowerbound_check(
     of at most _STACK_ENTRIES table entries from their duals and the one
     full transform of the table that the call computes (`_certify_duals`).
     A certificate that passes proves its subspace not eps-regular, so only
-    a failing subspace gets a regularity verdict, from its full-class
-    table (`_irregular`): it is regular exactly when at most eps * 2^c of
-    its cosets are irregular.  It raises, or is recorded in walk order,
-    with the message of its first failed check, as `witness_scan` would
-    give.
+    a failing subspace gets a verdict from each coset's largest
+    nontrivial magnitude (`_dual_worst`, with the lowest bits of H's
+    echelon rows, off the duals' top bits, as units): it is regular
+    exactly when at most eps * 2^c of its cosets are irregular.  It
+    raises, or is recorded in walk order, with the message of its first
+    failed check, as `witness_scan` would give.
     """
     if inst.table is None:
         raise ValueError("lower-bound scans need a dense instance table")
@@ -664,7 +653,8 @@ def exhaustive_lowerbound_check(
         if not failed.size:
             continue
         total = 1 << c
-        irregular = _irregular(spectrum, duals[failed], _threshold(eps, f.denominator << (n - c)))
+        best, _, _ = _dual_worst(spectrum, duals[failed], rows[failed] & -rows[failed])
+        irregular = best >> c > _threshold(eps, f.denominator << (n - c))
         cosets = certified_cosets[failed]
         verdicts = np.column_stack([~(cosets & ~irregular).any(axis=1), checks[failed]])
         counts = cosets.sum(axis=1).tolist()

@@ -235,7 +235,7 @@ def test_criterion_7_transform_oracle():
         cs = fl.restricted_spectrum(f, coset)
         points = coset.element_array()
         ok = ok and abs(
-            cs.power_sum() - float(np.square(f.values[points]).mean())
+            float(np.square(cs.coefficients).sum()) - float(np.square(f.values[points]).mean())
         ) < 1e-12
     assert line(7, ok, "transform matches the defining sum; Parseval holds")
 

@@ -93,7 +93,7 @@ class TestAgainstDefinitions:
             for coset_set in cosets_of(h.basis, 3):
                 coset = fl.AffineSubspace(h, fl.F2Vector(3, min(coset_set)))
                 spectrum = fl.restricted_spectrum(inst2.table, coset)
-                for eta, value in spectrum.class_coefficients.items():
+                for eta, value in zip(spectrum.class_reps.tolist(), spectrum.coefficients.tolist()):
                     expected = brute_coefficient(counts, 2, coset_set, eta)
                     assert value == pytest.approx(float(expected), abs=1e-12)
 

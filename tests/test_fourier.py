@@ -238,7 +238,7 @@ class TestRestrictedSpectrum:
         h = Subspace.from_vectors(3, [1])
         coset = AffineSubspace(h, F2Vector(3, 4))  # {001, 101}
         spec = restricted_spectrum(s2_table, coset)
-        assert spec.class_coefficients == {0: 0.5, 1: 0.5}
+        assert spec.class_reps.tolist() == [0, 1] and spec.coefficients.tolist() == [0.5, 0.5]
 
     def test_agrees_with_pointwise_coefficient_on_class_reps(self, s2_table):
         rng = random.Random(77)
@@ -248,7 +248,7 @@ class TestRestrictedSpectrum:
                 Subspace.from_vectors(3, rows), F2Vector(3, rng.getrandbits(3))
             )
             spec = restricted_spectrum(s2_table, coset)
-            for eta, value in spec.class_coefficients.items():
+            for eta, value in zip(spec.class_reps.tolist(), spec.coefficients.tolist()):
                 direct = restricted_coefficient(s2_table, coset, F2Vector(3, eta))
                 assert value == pytest.approx(direct, abs=1e-12)
 
@@ -263,7 +263,7 @@ class TestRestrictedSpectrum:
             )
             spec = restricted_spectrum(f, coset)
             points = coset.element_array()
-            assert spec.power_sum() == pytest.approx(
+            assert float(np.square(spec.coefficients).sum()) == pytest.approx(
                 float(np.square(f.values[points]).mean()), abs=1e-12
             )
 
@@ -368,7 +368,7 @@ def dual_numerators(spectrum, h, etas):
     """`_dual_table` of h at the explicit characters etas: entry [k, j]
     is the numerator over h's k-th canonical coset at etas[j]."""
     duals = np.array([h._dual_rows()], np.int64)
-    return fourier._dual_table(spectrum, duals, etas[None])[0] >> duals.shape[1]
+    return fourier._dual_table(spectrum, duals, etas[None])[:, 0] >> duals.shape[1]
 
 
 def random_subspace_of_codim(n, codim, rng):
@@ -434,53 +434,89 @@ def top_duals(hs):
 
 
 class TestDualWorst:
-    """Every entry of the dual-side table equals 2^c times the signed
-    coset transform entry, exactly: every coset at every class rep, the
-    members of F2^n with the duals' top bits clear, 0 included.  So does
-    each coset's worst nontrivial magnitude, over the classes after 0,
-    which the walk reads from it."""
+    """The stacked full-class kernel (`_dual_worst`) on stacks of B >= 2
+    subspaces of one codimension, at the default chunk size and in chunks
+    of 16 entries: each coset's largest nontrivial magnitude, the signed
+    value there and its class rep equal the copying oracle's witness on
+    the whole-table pullback, at eps = -1, where every coset of a nonzero
+    subspace is a witness.  The zero subspace has none and reads -1.  The
+    walk's units, each echelon row's lowest bit, span other reps of the
+    same classes and give the same magnitudes."""
 
-    def assert_equal_on_every_coset(self, f, hs):
+    def assert_same(self, f, hs):
         spectrum = fourier._count_spectrum(f)
         duals = top_duals(hs)
-        got = fourier._dual_table(spectrum, duals)
         c = duals.shape[1]
-        assert got.shape == (len(hs), 1 << c, 1 << (f.n - c))
-        for h, d, table in zip(hs, duals.tolist(), got):
-            tops = sum(1 << (t.bit_length() - 1) for t in d)
-            etas = np.array([e for e in range(1 << f.n) if not e & tops], dtype=np.int64)
-            reps = h.coset_representative_array()
-            assert np.array_equal(table, transform_numerators(f, h, reps, etas) << c)
-            primal, _ = fourier._coset_transform(f, h.span_array(), reps)
-            worst = np.abs(table[:, 1:]).max(axis=1) >> c
-            assert np.array_equal(worst, np.abs(primal[:, 1:]).max(axis=1))
+        units = np.array([[1 << p for p in h.orthogonal_complement().free_positions]
+                          for h in hs], dtype=np.int64)
+        rows = np.array([h.basis for h in hs], dtype=np.int64)
+        got = []
+        for chunk in (fourier._CHUNK, 16):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(fourier, "_CHUNK", chunk)
+                best, value, worst = fourier._dual_worst(spectrum, duals, units)
+                walk_best, _, _ = fourier._dual_worst(spectrum, duals, rows & -rows)
+            assert best.shape == value.shape == worst.shape == (len(hs), 1 << c)
+            assert np.array_equal(walk_best, best)
+            got.append((best, value, worst))
+        for k, h in enumerate(hs):
+            reps, table, den = whole_table(f, h)
+            expected = copied_regularity_report(h, Fraction(-1), reps, table, den)
+            for best, value, worst in got:
+                if h.dim == 0:
+                    assert expected.witness_reps.size == 0 and (best[k] == -1).all()
+                    continue
+                assert np.array_equal(expected.witness_reps, reps)
+                assert not ((best[k] | value[k]) & ((1 << c) - 1)).any()
+                assert np.array_equal((best[k] >> c) / den, np.abs(expected.witness_values))
+                assert np.array_equal((value[k] >> c) / den, expected.witness_values)
+                assert np.array_equal(worst[k], expected.witness_etas)
 
     def test_every_hyperplane_of_s2_and_s3(self, s3_table):
         for f in (Instance.generate(2, seed=1).table, s3_table):
             hyperplanes = [d.orthogonal_complement() for d in subspaces_of_dim(f.n, 1)]
             assert len(hyperplanes) == (1 << f.n) - 1
-            self.assert_equal_on_every_coset(f, hyperplanes)
+            self.assert_same(f, hyperplanes)
 
     def test_sampled_codim_2_and_3_of_s3(self, s3_table):
         rng = random.Random(31)
         for codim in (2, 3):
-            hs = [random_subspace_of_codim(11, codim, rng) for _ in range(25)]
-            self.assert_equal_on_every_coset(s3_table, hs)
+            self.assert_same(s3_table, [random_subspace_of_codim(11, codim, rng)
+                                        for _ in range(25)])
 
     def test_rounded_table(self):
         f = round_to_binary(FunctionTable(12, np.random.default_rng(12).random(1 << 12)), 5)
         rng = random.Random(32)
         for codim in (1, 2, 4):
-            self.assert_equal_on_every_coset(
-                f, [random_subspace_of_codim(12, codim, rng) for _ in range(8)]
-            )
+            self.assert_same(f, [random_subspace_of_codim(12, codim, rng) for _ in range(8)])
 
     def test_full_space(self, s3_table):
-        # c = 0: one coset, whose numerators are the spectrum itself
+        # c = 0: one coset, whose worst class is read from the spectrum itself
         for f in (Instance.generate(2, seed=1).table, s3_table):
-            self.assert_equal_on_every_coset(f, [Subspace.full(f.n)] * 2)
-            table = fourier._dual_table(fourier._count_spectrum(f), np.zeros((1, 0), np.int64))
-            assert np.array_equal(table[0, 0], fourier._count_spectrum(f))
+            self.assert_same(f, [Subspace.full(f.n)] * 2)
+
+    def test_zero_subspace(self, s3_table):
+        for f in (Instance.generate(2, seed=1).table, s3_table):
+            self.assert_same(f, [Subspace.zero(f.n)] * 2)
+
+    def test_tie_across_a_chunk_boundary(self):
+        # the table of TestDualReport's tie: in chunks of 16 entries a
+        # hyperplane's class of b falls in a later chunk than a's
+        n, a, b = 8, 0b11, 0b10000001
+        points = np.arange(1 << n, dtype=np.int64)
+        signs = [1 - 2 * (np.bitwise_count(points & e) & 1) for e in (a, b)]
+        f = FunctionTable.from_counts(n, 2 + signs[0] + signs[1], 4)
+        units = [1 << j for j in range(n)]
+        hs = [Subspace.from_vectors(n, units[:6] + units[7:]),
+              Subspace.from_vectors(n, units[:5] + units[6:])]
+        self.assert_same(f, hs)
+        spectrum = fourier._count_spectrum(f)
+        for h in hs:
+            # every coset meets a and b at magnitude 1/4, and a wins
+            tie = np.abs(dual_numerators(spectrum, h, np.array([a, b])))
+            assert (tie == f.denominator << h.dim >> 2).all()
+            report = fourier._dual_report(h, Fraction(1, 8), spectrum, f.denominator)
+            assert report.witness_etas.tolist() == [a] * report.total_cosets
 
 
 def assert_same_report(got, expected):
@@ -786,8 +822,9 @@ class TestNarrowTransforms:
             table, _ = fourier._coset_transform(f, h.span_array(), reps)
             index = reps[:, None] ^ h.span_array()[None, :]
             assert np.array_equal(table, fourier._fwht(counts[index].astype(np.int64)))
-        table = fourier._dual_table(spectrum, top_duals(hs[1:2]))
-        assert np.array_equal(table, fourier._dual_table(reference, top_duals(hs[1:2])))
+        classes = np.arange(1 << n, dtype=np.int64)[None]
+        table = fourier._dual_table(spectrum, top_duals(hs[1:2]), classes)
+        assert np.array_equal(table, fourier._dual_table(reference, top_duals(hs[1:2]), classes))
 
 
 class TestCountValidation:

@@ -83,7 +83,7 @@ def hyperplane_duals(n):
 
 
 def certify(f, hs, eps, xi):
-    """`_certify_duals` and the full-class `_irregular` on the subspaces hs
+    """`_certify_duals` and the full-class `_dual_worst` on the subspaces hs
     of one dimension, through their duals from `orthogonal_complement`;
     checks the echelon bases and the canonical coset reps it hands back
     and returns the rest: the gammas, numerators, certified and trivial
@@ -97,7 +97,8 @@ def certify(f, hs, eps, xi):
     assert np.array_equal(rows, rows_of(hs))
     assert np.array_equal(reps, [h.coset_representative_array() for h in hs])
     threshold = fourier._threshold(eps, f.denominator << hs[0].dim)
-    irregular = witness._irregular(spectrum, duals, threshold)
+    best, _, _ = fourier._dual_worst(spectrum, duals, rows & -rows)
+    irregular = best >> duals.shape[1] > threshold
     first = ~(certified & ~irregular).any(axis=1)
     return (gammas, numerators, certified, trivial, irregular.sum(axis=1),
             np.column_stack([first, checks]))
@@ -709,7 +710,8 @@ def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
     time by `pullback_certificate`: the oracle of the stacks.  Each
     subspace is H = D-perp computed by `orthogonal_complement`,
     independently of `_certify_duals`; the irregular masks of failing
-    subspaces come from the same oracle in place of `_irregular`."""
+    subspaces come from the same oracle's transforms in place of
+    `_dual_worst`."""
     def subspaces(duals):
         return [Subspace.from_vectors(inst.n, d.tolist()).orthogonal_complement() for d in duals]
 
@@ -720,13 +722,16 @@ def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
         )
         return rows_of(hs), reps, gammas, numerators, certified, trivial, checks[:, 1:]
 
-    def oracle_irregular(spectrum, duals, threshold):
-        return np.array([pullback_certificate(inst.table, h, eps, inst.xi)[5]
-                         for h in subspaces(duals)])
+    def oracle_worst(spectrum, duals, units):
+        tables = [fourier._coset_transform(inst.table, h.span_array(),
+                                           h.coset_representative_array())[0]
+                  for h in subspaces(duals)]
+        best = np.array([np.abs(t[:, 1:]).max(axis=1) for t in tables], dtype=np.int64)
+        return best << duals.shape[1], None, None
 
     with monkeypatch.context() as m:
         m.setattr(witness, "_certify_duals", oracle_duals)
-        m.setattr(witness, "_irregular", oracle_irregular)
+        m.setattr(witness, "_dual_worst", oracle_worst)
         return exhaustive_lowerbound_check(inst, eps, **kwargs)
 
 
@@ -924,24 +929,29 @@ class TestStackedWalk:
         assert passed.tolist() == [True] * 3
 
     def test_walk_reads_full_class_tables_only_for_failing_subspaces(self, inst3, monkeypatch):
-        # every stack reads its witness classes; the full-class table (the
-        # default classes) is built for failing subspaces alone
-        calls = []
+        # every stack reads its witness classes, in tables of at most 2^n
+        # entries per subspace; the full-class kernel runs for failing
+        # subspaces alone
+        tables, worst = [], []
 
-        def recording(spectrum, duals, classes=None):
+        def recording_table(spectrum, duals, classes):
             table = fourier._dual_table(spectrum, duals, classes)
-            calls.append((len(duals), classes is None, table.size))
+            tables.append((len(duals), table.size))
             return table
 
-        monkeypatch.setattr(witness, "_dual_table", recording)
+        def recording_worst(spectrum, duals, units):
+            worst.append(len(duals))
+            return fourier._dual_worst(spectrum, duals, units)
+
+        monkeypatch.setattr(witness, "_dual_table", recording_table)
+        monkeypatch.setattr(witness, "_dual_worst", recording_worst)
         kwargs = dict(mode="structured", random_per_dim=200, seed=0)
         assert exhaustive_lowerbound_check(inst3, Fraction(1, 48), **kwargs).ok
-        assert calls and not any(full for _, full, _ in calls)
-        assert all(size <= count << inst3.n for count, _, size in calls)
-        calls.clear()
+        assert tables and not worst
+        assert all(size <= count << inst3.n for count, size in tables)
         report = exhaustive_lowerbound_check(inst3, Fraction(1, 6), strict=False, **kwargs)
         failing = len(report.failures) + len(report.regular_nonzero)
-        assert failing and sum(count for count, full, _ in calls if full) == failing
+        assert failing and sum(worst) == failing
 
     def test_s3_structured_walk_matches_oracle(self, inst3, monkeypatch):
         # 70 per dimension: one full stack and a short one for every dim
