@@ -182,8 +182,7 @@ class RegularityReport:
 
 # Elements of one cache block of the transform (256 KiB of 8-byte entries).
 _CHUNK = 1 << 15
-# Stages of stride below this run on a transposed copy of each block, and so
-# do the row maxima of rows this short (`_row_argmax`).
+# Stages of stride below this run on a transposed copy of each block.
 _LOW = 16
 
 
@@ -444,20 +443,6 @@ def _dual_table(spectrum: np.ndarray, duals: np.ndarray, classes: np.ndarray) ->
     return table
 
 
-def _row_argmax(a: np.ndarray) -> np.ndarray:
-    """np.argmax(a, axis=1), ties to the first column; rows shorter than
-    _LOW, which numpy runs slowly, fold their columns from a transposed copy."""
-    if a.shape[1] >= _LOW:
-        return a.argmax(axis=1)
-    columns = np.ascontiguousarray(a.T)
-    top, col = columns[0], np.zeros(a.shape[0], dtype=np.int8)
-    for k, column in enumerate(columns[1:], 1):
-        hit = column > top
-        top = np.maximum(top, column)
-        col += hit.view(np.int8) * (k - col)
-    return col
-
-
 def _dual_worst(
     spectrum: np.ndarray, duals: np.ndarray, units: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,7 +459,7 @@ def _dual_worst(
     its class rep; all three are -1 when H = 0.
     """
     count, c = duals.shape
-    bits = min(_block_rows(c).bit_length() - 1, units.shape[1])
+    bits = _block_rows(c).bit_length() - 1
     low = _span_stack(units[:, :bits]).T
     state = None
     for k, high in enumerate(_span_stack(units[:, bits:])):
@@ -482,14 +467,15 @@ def _dual_worst(
         if not classes.size:
             continue
         table = _dual_table(spectrum, duals, classes).reshape(-1, classes.shape[1])
-        col = _row_argmax(np.abs(table))
+        col = np.abs(table).argmax(axis=1)
         entry = np.take(table, col + np.arange(0, table.size, classes.shape[1]))
         rep = np.take(classes, (col.reshape(-1, count) + classes.shape[1] * np.arange(count)).ravel())
+        chunk = (np.abs(entry), entry, rep)
         if state is None:  # the first chunk: no allocation for a state it would overwrite
-            state = (np.abs(entry), entry, rep)
+            state = chunk
             continue
-        better = np.abs(entry) > state[0]
-        for old, new in zip(state, (np.abs(entry), entry, rep)):
+        better = chunk[0] > state[0]
+        for old, new in zip(state, chunk):
             np.copyto(old, new, where=better)
     if state is None:  # H = 0 has no nontrivial class
         state = np.broadcast_to(-1, (3, (1 << c) * count))
@@ -616,7 +602,8 @@ def _dual_report(
     units = np.array([[1 << p for p in h.orthogonal_complement().free_positions]], np.int64)
     best, value, worst = (a[0] for a in _dual_worst(spectrum, duals, units))
     den = denominator << h.dim
-    irregular = best >> c > _threshold(eps, den)
+    # H = 0 has no nontrivial class, so its cosets are regular at any eps
+    irregular = (best >> c > _threshold(eps, den)) & (h.dim > 0)
     return _report(h, eps, reps, irregular, worst[irregular], (value[irregular] >> c) / den)
 
 

@@ -572,6 +572,15 @@ class TestDualReport:
         assert_same_report(report, whole_table_report(s3_table, h, "1/6"))
         assert_same_report(check_subspace_regularity(s3_table, h, "1/6"), report)
 
+    def test_zero_subspace_is_regular_at_any_eps(self, s3_table):
+        # no coset of H = 0 has a nontrivial class, so even eps = -1, which
+        # every magnitude exceeds, finds no irregular coset, as in the float scan
+        floats = FunctionTable(s3_table.n, s3_table.values)
+        for eps in ("-1", "0", "1/6"):
+            got = check_subspace_regularity(s3_table, Subspace.zero(11), eps)
+            assert got.irregular_cosets == 0
+            assert_same_report(got, check_subspace_regularity(floats, Subspace.zero(11), eps))
+
     def test_classes_in_chunks_of_16(self, s3_table, small_chunk):
         # 2^11 classes of the full space come in 128 chunks, and a coset of
         # a codim-c subspace reads 16 >> c classes per chunk

@@ -710,8 +710,8 @@ def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
     time by `pullback_certificate`: the oracle of the stacks.  Each
     subspace is H = D-perp computed by `orthogonal_complement`,
     independently of `_certify_duals`; the irregular masks of failing
-    subspaces come from the same oracle's transforms in place of
-    `_dual_worst`."""
+    subspaces come from the same oracle's own threshold in place of
+    `_dual_worst` and the walk's threshold on its magnitudes."""
     def subspaces(duals):
         return [Subspace.from_vectors(inst.n, d.tolist()).orthogonal_complement() for d in duals]
 
@@ -723,11 +723,12 @@ def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
         return rows_of(hs), reps, gammas, numerators, certified, trivial, checks[:, 1:]
 
     def oracle_worst(spectrum, duals, units):
-        tables = [fourier._coset_transform(inst.table, h.span_array(),
-                                           h.coset_representative_array())[0]
-                  for h in subspaces(duals)]
-        best = np.array([np.abs(t[:, 1:]).max(axis=1) for t in tables], dtype=np.int64)
-        return best << duals.shape[1], None, None
+        # magnitudes that fall on the oracle's side of any threshold the walk
+        # computes, so a wrong walk threshold parts the two walks
+        irregular = np.array([pullback_certificate(inst.table, h, eps, inst.xi)[5]
+                              for h in subspaces(duals)])
+        extreme = np.iinfo(np.int64)
+        return np.where(irregular, extreme.max, extreme.min), None, None
 
     with monkeypatch.context() as m:
         m.setattr(witness, "_certify_duals", oracle_duals)
@@ -981,6 +982,15 @@ class TestStackedWalk:
         )
         assert stacked["regular_nonzero"] == oracle["regular_nonzero"]
         assert len(stacked["regular_nonzero"]) == 15 and stacked == oracle
+
+    def test_non_strict_s3_verdicts_match_the_oracle(self, inst3, monkeypatch):
+        # the walk of the pinned eps 1/6 report: regular and irregular
+        # verdicts both occur among its failing subspaces
+        stacked, oracle = stacked_and_oracle(
+            monkeypatch, inst3, Fraction(1, 6), strict=False, random_per_dim=30, seed=0,
+        )
+        assert (len(stacked["regular_nonzero"]), len(stacked["failures"])) == (2100, 1)
+        assert stacked == oracle
 
     def test_strict_failures_raise_the_same_message(self, inst2, inst3, monkeypatch):
         values = inst3.table.values.copy()
