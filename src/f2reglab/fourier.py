@@ -82,7 +82,8 @@ class FunctionTable:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.shape != (1 << self.n,):
             raise ValueError(f"table must have 2^{self.n} entries, got {values.shape}")
-        if not np.all((values >= 0.0) & (values <= 1.0)):
+        # min and max propagate NaN, so a NaN fails both comparisons
+        if not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("table values must lie in [0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -105,7 +106,8 @@ class FunctionTable:
 
     @classmethod
     def from_counts(cls, n: int, counts: np.ndarray, denominator: int) -> "FunctionTable":
-        values = counts.astype(np.float64) / float(denominator)
+        values = counts.astype(np.float64)
+        values /= float(denominator)
         return cls(n, values, counts=counts, denominator=denominator)
 
     @classmethod

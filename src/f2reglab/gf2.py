@@ -94,8 +94,9 @@ def _checked_bits(v: "F2Vector | int", n: int, what: str) -> int:
     return bits
 
 
-def _echelon_rows(rows: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row echelon basis (pivot = lowest set bit) of the span."""
+def _echelon_rows(rows: Iterable[int], top: bool = False) -> tuple[int, ...]:
+    """Reduced row echelon basis of the span, by ascending pivot: the
+    pivot is the lowest set bit, or with top=True the highest."""
     pivot_rows: dict[int, int] = {}
     for row in rows:
         v = row
@@ -104,7 +105,7 @@ def _echelon_rows(rows: Iterable[int]) -> tuple[int, ...]:
                 v ^= r
         if v == 0:
             continue
-        p = (v & -v).bit_length() - 1
+        p = (v.bit_length() if top else (v & -v).bit_length()) - 1
         for q, r in pivot_rows.items():
             if (r >> p) & 1:
                 pivot_rows[q] = r ^ v
@@ -152,6 +153,24 @@ class Subspace:
                 raise DimensionMismatchError(f"vector n={v.n} in ambient n={n}")
             rows.append(_as_bits(v))
         return cls._from_echelon(n, _echelon_rows(rows))
+
+    @classmethod
+    def annihilator(cls, n: int, rows: Iterable[int]) -> "Subspace":
+        """All x in F2^n with <x, r> = 0 for every one of the rows (vectors
+        of F2^n as ints): the orthogonal complement of their span.
+
+        The rows are reduced to the top-pivot echelon form of their span,
+        duals d_i with top bits t_i.  The canonical basis is then, for
+        each j that is no t_i, ascending, e_j plus bit_j(d_i) e_{t_i} over
+        every i (`witness._perp_stack` gives the argument).  Only the rows
+        are echelonized, not the n - rank rows of the result.
+        """
+        duals = {d.bit_length() - 1: d for d in _echelon_rows(rows, top=True)}
+        return cls._from_echelon(n, tuple(
+            (1 << j) | sum(((d >> j) & 1) << t for t, d in duals.items())
+            for j in range(n)
+            if j not in duals
+        ))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -213,8 +232,7 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection via duals: (H1^perp + H2^perp)^perp."""
         self._check_ambient(other)
-        joined = self.orthogonal_complement().basis + other.orthogonal_complement().basis
-        return Subspace._from_echelon(self.n, _echelon_rows(joined)).orthogonal_complement()
+        return Subspace.annihilator(self.n, self._dual_rows() + other._dual_rows())
 
     def coset_representative_array(
         self, dense_limit: int = DEFAULT_DENSE_LIMIT

@@ -19,6 +19,14 @@ on a coset reads the same gathered chunks of a few grid rows of 2^12
 points, each row summed on its own, and since numpy sums a 2^d array
 pairwise by halving, the row sums added by a halving tree are that same
 sum.
+
+Memory, beside the tables the caller holds: `round_to_binary` holds
+only what it returns, the uint8 counts and their float64 values (9
+bytes a point), since it draws _CHUNK_POINTS counters at a time and
+compares each chunk straight into the counts.  `deviation_report` holds
+one integer transform of the rounded counts (4 bytes a point below
+n = 31) while it reads the lookups, then a few gathered chunks of about
+_CHUNK_POINTS points and at most _SIGN_ENTRIES low-half signs per coset.
 """
 
 from __future__ import annotations
@@ -55,10 +63,18 @@ _SIGN_ENTRIES = 1 << 18
 
 
 def round_to_binary(f: FunctionTable, seed: int) -> FunctionTable:
-    """Round each point to {0, 1} with expectation f(x), keyed by (seed, x)."""
-    draws = keyed_uniforms(seed, _ROUNDING_TAG, np.arange(f.size, dtype=np.uint64))
-    bits = (draws < f.values).astype(np.uint8)
-    return FunctionTable.from_counts(f.n, bits, 1)
+    """Round each point to {0, 1} with expectation f(x), keyed by (seed, x).
+
+    The draws are made _CHUNK_POINTS counters at a time, each chunk
+    compared straight into the one uint8 counts array, so the only
+    full-size arrays are the counts and the table's float values.
+    """
+    counts = np.empty(f.size, dtype=np.uint8)
+    for start in range(0, f.size, _CHUNK_POINTS):
+        stop = min(start + _CHUNK_POINTS, f.size)
+        draws = keyed_uniforms(seed, _ROUNDING_TAG, np.arange(start, stop, dtype=np.uint64))
+        np.less(draws, f.values[start:stop], out=counts[start:stop])
+    return FunctionTable.from_counts(f.n, counts, 1)
 
 
 def round_point(f: FunctionTable, seed: int, x: int) -> int:
@@ -293,11 +309,9 @@ def sample_pairs(
     pairs: list[tuple[AffineSubspace, F2Vector]] = []
     while len(pairs) < count:
         codim = stream.below(max_codim + 1)
-        rows = [stream.bits(n) for _ in range(codim)]
-        dual = Subspace.from_vectors(n, rows)
-        if dual.dim != codim:
+        h = Subspace.annihilator(n, [stream.bits(n) for _ in range(codim)])
+        if h.dim != n - codim:
             continue
-        h = dual.orthogonal_complement()
         rep = F2Vector(n, stream.bits(n))
         eta = F2Vector(n, stream.bits(n))
         pairs.append((AffineSubspace(h, rep), eta))

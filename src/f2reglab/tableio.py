@@ -3,6 +3,14 @@
 Layout: 4-byte magic "F2FN", one format version byte, n as a 32-bit
 little-endian unsigned integer, then 2^n IEEE-754 binary64 values in
 little-endian index order.  Reads and writes round-trip bit-exactly.
+
+Neither direction copies the payload.  `write_table` writes the header
+and then the table's own buffer.  `read_table` reads the payload
+straight into the one float64 array the returned table holds, and tells
+a short file from an over-long one by the bytes it read and a one-byte
+probe after them, so it works on pipes as on regular files; its range
+check is a min and a max over that array.  Above what the caller holds,
+a read peaks at the table's 8 * 2^n bytes and a write at none.
 """
 
 from __future__ import annotations
@@ -37,32 +45,32 @@ class ValueRangeError(TableFormatError):
 
 
 def write_table(path: "str | Path", f: FunctionTable) -> None:
-    payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(f.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, f.n))
         fh.write(payload)
 
 
 def read_table(path: "str | Path", dense_limit: int = DEFAULT_DENSE_LIMIT) -> FunctionTable:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise MalformedHeaderError(f"file shorter than the {_HEADER.size}-byte header")
-    magic, version, n = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise MalformedHeaderError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise MalformedHeaderError(f"unsupported format version {version}")
-    if n == 0 or n > 62:
-        raise MalformedHeaderError(f"implausible dimension n={n}")
-    check_dense(n, dense_limit, "table entries")
-    expected = _HEADER.size + 8 * (1 << n)
-    if len(data) < expected:
-        raise TruncatedPayloadError(
-            f"payload holds {len(data) - _HEADER.size} bytes, need {expected - _HEADER.size}"
-        )
-    if len(data) > expected:
-        raise MalformedHeaderError("payload longer than the header's dimension implies")
-    values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    if not np.all((values >= 0.0) & (values <= 1.0)):
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise MalformedHeaderError(f"file shorter than the {_HEADER.size}-byte header")
+        magic, version, n = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise MalformedHeaderError(f"bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise MalformedHeaderError(f"unsupported format version {version}")
+        if n == 0 or n > 62:
+            raise MalformedHeaderError(f"implausible dimension n={n}")
+        check_dense(n, dense_limit, "table entries")
+        values = np.empty(1 << n, dtype="<f8")
+        got = fh.readinto(values)
+        if got < values.nbytes:
+            raise TruncatedPayloadError(f"payload holds {got} bytes, need {values.nbytes}")
+        if fh.read(1):
+            raise MalformedHeaderError("payload longer than the header's dimension implies")
+    # min and max propagate NaN, so a NaN fails both comparisons
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueRangeError("table values outside [0, 1]")
     return FunctionTable(n, values)

@@ -862,3 +862,47 @@ class TestCountValidation:
         assert type(f.denominator) is int and f.denominator == 2
         wide = FunctionTable(2, self.VALUES, counts=np.array([0, 150, 150, 300]), denominator=300)
         assert wide.counts.max() == 300
+
+
+class TestValueValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, np.nextafter(1.0, 2.0)])
+    @pytest.mark.parametrize("index", [0, 37, 63])
+    def test_out_of_range_rejected(self, bad, index):
+        values = np.full(64, 0.5)
+        values[index] = bad
+        with pytest.raises(ValueError, match=r"^table values must lie in \[0, 1\]$"):
+            FunctionTable(6, values)
+
+    def test_endpoints_and_negative_zero_accepted(self):
+        values = np.array([0.0, -0.0, 1.0, 0.25])
+        assert FunctionTable(2, values).values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("den", [1, 3, 6, 48, 255])
+    def test_from_counts_round_trips_every_count(self, den):
+        counts = np.zeros(256, dtype=np.uint8 if den < 256 else np.int64)
+        counts[: den + 1] = np.arange(den + 1)
+        f = FunctionTable.from_counts(8, counts, den)
+        assert f.values.tolist() == [int(k) / den for k in counts]
+        assert np.array_equal(np.rint(f.values * den), counts)
+        assert f.counts.tobytes() == counts.tobytes() and f.denominator == den
+
+    # Slack for traced Python objects: far below one 2^18-entry bool array
+    # (256 KiB), so a full-size temporary of any dtype fails these.
+    SLACK = 64 << 10
+
+    def traced_peak(self, fn, *args):
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_validation_allocates_no_table(self):
+        values = np.random.default_rng(8).random(1 << 18)
+        _, peak = self.traced_peak(FunctionTable, 18, values)
+        assert peak <= self.SLACK, peak
+
+    def test_from_counts_holds_one_float_table(self):
+        counts = np.random.default_rng(7).integers(0, 7, size=1 << 18, dtype=np.uint8)
+        f, peak = self.traced_peak(FunctionTable.from_counts, 18, counts, 6)
+        assert peak <= f.values.nbytes + self.SLACK, peak

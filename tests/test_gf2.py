@@ -141,6 +141,25 @@ class TestOrthogonalComplement:
             assert perp.orthogonal_complement() == sub
 
 
+class TestAnnihilator:
+    def test_every_row_set_small(self):
+        for n in (1, 2, 3, 4):
+            for mask in range(1 << (1 << n)):
+                rows = [v for v in range(1 << n) if (mask >> v) & 1]
+                expected = Subspace.from_vectors(n, rows).orthogonal_complement()
+                assert Subspace.annihilator(n, rows) == expected
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_random_row_sets(self, n):
+        rng = random.Random(n)
+        for _ in range(300):
+            rows = [rng.getrandbits(n) for _ in range(rng.choice([0, 1, 2, 4, n // 2, n + 1]))]
+            h = Subspace.annihilator(n, rows)
+            assert h == Subspace.from_vectors(n, rows).orthogonal_complement()
+            # canonical as returned, with no re-echelonization
+            assert Subspace(n, h.basis) == h
+
+
 class TestIntersect:
     def test_with_full_space(self):
         sub = Subspace.from_vectors(3, [3, 4])

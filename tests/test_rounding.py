@@ -23,6 +23,7 @@ from f2reglab import (
     wht_full,
 )
 from f2reglab.gf2 import parity64
+from f2reglab.rng import Stream, keyed_uniforms
 from f2reglab import rounding
 from f2reglab.rounding import _SIGN_ENTRIES, _SPLIT, round_point, size_threshold
 
@@ -74,6 +75,26 @@ class TestRoundToBinary:
         for seed in range(1000):
             hits += round_to_binary(f, seed).values
         assert np.max(np.abs(hits / 1000 - f.values)) < 0.05
+
+    @pytest.mark.parametrize("n", [3, 15, 16, 17])  # below, at, two and four chunks
+    def test_chunks_equal_one_unchunked_draw(self, n):
+        f = float_table(n, 40 + n)
+        rounded = round_to_binary(f, 9)
+        draws = keyed_uniforms(9, "rounding", np.arange(f.size, dtype=np.uint64))
+        assert np.array_equal(rounded.counts, (draws < f.values).astype(np.uint8))
+        for start in range(0, f.size, rounding._CHUNK_POINTS):
+            for x in (start, min(start + rounding._CHUNK_POINTS, f.size) - 1):
+                assert round_point(f, 9, x) == rounded.counts[x]
+
+    def test_peak_memory_is_the_result(self):
+        f = float_table(18, 41)
+        tracemalloc.start()
+        try:
+            rounded = round_to_binary(f, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rounded.values.nbytes + rounded.counts.nbytes + (1 << 20), peak
 
 
 class TestDeviationReport:
@@ -127,6 +148,20 @@ class TestDeviationReport:
         b = sample_pairs(12, 30, seed=2, max_codim=3)
         assert [(p[0], p[1].bits) for p in a] == [(p[0], p[1].bits) for p in b]
         assert all(p[0].size >= 1 << 9 for p in a)
+
+    @pytest.mark.parametrize("n, max_codim", [(3, 3), (20, 4), (100, 6)])
+    def test_sampled_pairs_equal_the_dual_span_oracle(self, n, max_codim):
+        stream = Stream(5, "rounding/pairs")
+        expected = []
+        while len(expected) < 60:
+            codim = stream.below(max_codim + 1)
+            dual = Subspace.from_vectors(n, [stream.bits(n) for _ in range(codim)])
+            if dual.dim != codim:
+                continue
+            h = dual.orthogonal_complement()
+            rep, eta = F2Vector(n, stream.bits(n)), F2Vector(n, stream.bits(n))
+            expected.append((AffineSubspace(h, rep), eta))
+        assert sample_pairs(n, 60, 5, max_codim) == expected
 
     def test_sampled_codim_at_most_n(self):
         assert {p[0].subspace.dim for p in sample_pairs(3, 40, seed=1, max_codim=3)} == {0, 1, 2, 3}
