@@ -12,18 +12,19 @@ Two private kernels compute coset coefficients:
 * `_dual_table` reads every coset's numerator at chosen characters for
   a stack of subspaces from a count table's one full integer transform
   (`_count_spectrum`) by Poisson summation over H-perp: a gather and
-  codim(H) butterfly stages.  Every verdict, certificate and rounding
+  codim(H) butterfly stages.  Every verdict, certificate and per-coset
   lookup on a count table comes from it: one stacked kernel reads each
   coset's worst class (`_dual_worst`) for `check_subspace_regularity`,
   the decomposition rounds (`_dual_report`, its one-subspace case) and
   the walk's failing subspaces; `witness_scan` and the lower-bound walk
-  certify from it, and deviation reports read a rounded table's
-  coefficients from it one coset at a time (`_coset_numerator`).
+  certify from it; and `_coset_numerator` reads chosen cosets of one
+  subspace at one character, for rounded tables' deviation reports and
+  `witness`'s tail-translate averages.
 * `_coset_transform` pulls f back through the basis parameterization of
   H over the requested cosets and runs one batched size-2^dim transform:
   float tables are scanned with it a block of cosets at a time
-  (`_regularity_scan`), and `restricted_spectrum` and the tail-translate
-  averages of `witness` read their few cosets of any table from it.
+  (`_regularity_scan`), and `restricted_spectrum` reads one coset of any
+  table from it.
 
 Count tables transform their integer numerators, so their coefficients
 are exact ratios and their regularity verdicts compare integers; float
@@ -69,6 +70,8 @@ class FunctionTable:
     function is a ratio of small integers, `counts` holds the exact
     numerators (values == counts / denominator), which the coset
     transform uses for exact coefficients, verdicts and certificates.
+    Arrays given already C-contiguous (values as float64) are kept, not
+    copied, and made read-only: the caller's own array is frozen too.
     """
 
     n: int
@@ -300,29 +303,13 @@ def restricted_coefficient(f: FunctionTable, a: AffineSubspace, eta: F2Vector) -
     return float((f.values[points] * signs).mean())
 
 
-def _buckets(basis: "tuple[int, ...] | np.ndarray", etas: np.ndarray) -> np.ndarray:
-    """Transform bucket of each character: bit i is <basis_i, eta>.
-
-    Two characters share a bucket exactly when they differ by an element
-    of H-perp, so bucket 0 holds the characters trivial on H.  The basis
-    rows are ints, or arrays that broadcast against etas (one row per
-    subspace of a stack).
-    """
-    z = np.zeros(etas.shape, dtype=np.int64)
-    for i, row in enumerate(basis):
-        z |= parity64(etas & np.int64(row)) << np.int64(i)
-    return z
-
-
 def _class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """Canonical class representatives of F2^n mod H-perp, and the map
     from each representative to its transform bucket.
 
     The pairing is a bijection between classes and buckets.
     """
-    if h.dim <= 12:
-        return _cached_class_maps(h)
-    return _build_class_maps(h)
+    return _cached_class_maps(h) if h.dim <= 12 else _build_class_maps(h)
 
 
 def _build_class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +320,8 @@ def _build_class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
     by the bits of k.  The bucket map is linear (bit i of bucket(eta) is
     <basis_i, eta>), so bucket(etas[k]) is the same subset sum of the
     generators' buckets: the span of those buckets in the same counting
-    order, which equals `_buckets(h.basis, etas)`.
+    order.  Only pullback transforms read these maps; count-table
+    lookups, tail averages included, read `_coset_numerator`.
     """
     perp = h.orthogonal_complement()
     etas = perp.coset_representative_array(dense_limit=h.n)
@@ -359,14 +347,13 @@ def _coset_transform(
     span lists H in basis-coefficient counting order (`span_array`).
 
     The coefficient over the coset of reps[r] at eta is
-    (-1)^<reps[r], eta> * T[r, bucket(eta)] / den.  Count tables
-    transform their integer numerators, so T is exact and
-    den = denominator * 2^dim; other tables transform their float values
-    and den = 2^dim.  A stack of equal-dimension subspaces passes spans
-    (B, 2^dim) and reps (B, R) and gets T of shape (B, R, 2^dim).
+    (-1)^<reps[r], eta> * T[r, bucket(eta)] / den, where bit i of
+    bucket(eta) is <basis_i, eta>.  Count tables transform their integer
+    numerators, so T is exact and den = denominator * 2^dim; other
+    tables transform their float values and den = 2^dim.
     """
-    index = reps[..., :, None] ^ span[..., None, :]
-    dim = span.shape[-1].bit_length() - 1
+    index = reps[:, None] ^ span
+    dim = span.size.bit_length() - 1
     if f.counts is None:
         table, den = f.values[index], 1 << dim
     else:
@@ -484,15 +471,17 @@ def _dual_worst(
     return tuple(a.reshape(1 << c, count).T for a in state)
 
 
-def _coset_numerator(spectrum: np.ndarray, coset: AffineSubspace, eta: int) -> int:
-    """Numerator of one coset at one character, read from a count table's
-    full transform: its `_dual_table` entry at eta, in the row that carries
-    the canonical representative's bits at H's free positions (the top
-    bits of H's duals), which is H's canonical coset index."""
-    h, rep = coset.subspace, coset.representative.bits
+def _coset_numerator(
+    spectrum: np.ndarray, h: Subspace, reps: "int | np.ndarray", eta: int
+) -> "np.integer | np.ndarray":
+    """Numerators at one character eta of the cosets reps + H, read from a
+    count table's full transform: one `_dual_table` on H's duals at eta,
+    whose row for a coset carries its canonical representative's bits at
+    H's free positions (the top bits of H's duals).  reps is one canonical
+    representative, an int, or an int64 array of them."""
     table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), np.array([[eta]]))
-    j = sum(((rep >> p) & 1) << k for k, p in enumerate(h.free_positions))
-    return int(table[j, 0, 0]) >> (h.n - h.dim)
+    j = sum((((reps >> p) & 1) << k for k, p in enumerate(h.free_positions)), reps & 0)
+    return table[j, 0, 0] >> (h.n - h.dim)
 
 
 def restricted_spectrum(f: FunctionTable, a: AffineSubspace) -> CosetSpectrum:

@@ -259,7 +259,10 @@ def deviation_report(
     if kept:
         for j in lookup:
             spectrum = _count_spectrum(tables[j])
-            values[:, j] = [_coset_numerator(spectrum, c, eta) / c.size for c, eta in kept]
+            values[:, j] = [
+                _coset_numerator(spectrum, c.subspace, c.representative.bits, eta) / c.size
+                for c, eta in kept
+            ]
             del spectrum  # held through the gather, it raised peak RSS at n = 20 by 8 MB
         if gather:
             values[:, gather] = _gathered_coefficients([tables[j] for j in gather], kept)

@@ -17,8 +17,10 @@ exact full transform by Poisson summation over H-perp
 (`fourier._dual_table`) at the classes of the witness characters alone;
 the full-class verdicts (`fourier._dual_worst`) read every class, only
 where a verdict rests on them: `witness_scan`'s cross-check, and the
-walk's subspaces whose certificate fails.  Floating point appears only
-in the spot checks against the defining mean.
+walk's subspaces whose certificate fails.  The tail-translate averages
+read the same transform, at one witness character over the tail's
+cosets (`fourier._coset_numerator`).  Floating point appears only in
+the spot checks against the defining mean.
 
 One certifier, `_certify_duals`, reads the certificates and checks of a
 stack of equal-dimension subspaces given by their duals.  The
@@ -40,8 +42,7 @@ import numpy as np
 from .fourier import (
     FunctionTable,
     RegularityReport,
-    _buckets,
-    _coset_transform,
+    _coset_numerator,
     _count_dtype,
     _count_spectrum,
     _dual_report,
@@ -62,6 +63,7 @@ from .gf2 import (
     _echelon_bases,
     _echelon_stack,
     _span_stack,
+    parity,
     reduce_array,
 )
 from .instance import Instance, XiFamily
@@ -187,15 +189,15 @@ def witness_scan(
     full transform (`_count_spectrum`), as in the lower-bound walk.
     Every scan is cross-checked: certified cosets must also be irregular
     in the `_dual_report` regularity report, and certified coefficients
-    are spot-checked against the defining mean.  cross_check and
+    are spot-checked against the defining mean.  A subspace or xi family
+    whose n is not the table's is refused first.  cross_check and
     _gamma_cache are accepted for callers that still pass them and are
     ignored.
     """
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
     i, v = minimal_active_block(h, xi.blocks)
-    if f.n != h.n:
-        raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
+    _check_sizes(f, h, xi)
     eps = as_fraction(epsilon)
     spectrum = _count_spectrum(f)
     duals = np.array([h._dual_rows()], np.int64)
@@ -289,29 +291,33 @@ def _spot_checks(
     return passed
 
 
+def _check_sizes(f: FunctionTable, h: Subspace, xi: XiFamily) -> None:
+    """Refuse a subspace or xi family that does not live in the table's F2^n."""
+    for what, n in (("subspace", h.n), ("xi family", xi.blocks.n)):
+        if n != f.n:
+            raise DimensionMismatchError(f"table n={f.n} vs {what} n={n}")
+
+
 def _w_class_fractions(
     f: FunctionTable,
     h: Subspace,
     g: "F2Vector | int",
     i: int,
     xi: XiFamily,
-) -> tuple[list[Fraction], Fraction]:
-    """Exact gamma-coefficients over the cosets H+g+w, w in the tail
-    span, plus the average (each distinct coset counted once)."""
+) -> list[Fraction]:
+    """Exact gamma-coefficients over the distinct cosets H+g+w, w in the
+    tail span, read at once from the table's full transform."""
     if f.counts is None:
         raise ValueError("exact coefficient scans need count tables")
+    _check_sizes(f, h, xi)
     g_bits = _checked_bits(g, f.n, "translate")
-    gamma = np.int64(gamma_character(g_bits, i, xi).bits)
-    bucket = int(_buckets(h.basis, np.array([gamma]))[0])
-    if bucket == 0:
+    gamma = gamma_character(g_bits, i, xi).bits
+    if not any(parity(row & gamma) for row in h.basis):
         raise ValueError("witness character is trivial on H (gamma in H-perp)")
     tail = w_subspace(xi.blocks, i)
     reps = np.unique(reduce_array(tail.span_array(f.n) ^ np.int64(g_bits), h))
-    transform, denominator = _coset_transform(f, h.span_array(f.n), reps)
-    numerators = _signed(transform[:, bucket], reps, gamma)
-    values = [Fraction(int(m), denominator) for m in numerators]
-    average = Fraction(sum(values), len(values))
-    return values, average
+    numerators = _coset_numerator(_count_spectrum(f), h, reps, gamma)
+    return [Fraction(int(m), f.denominator << h.dim) for m in numerators]
 
 
 def w_average_coefficient(
@@ -326,8 +332,8 @@ def w_average_coefficient(
     For instance tables this is an exact rational; the construction
     makes it exactly 1/(2s) whenever gamma is nontrivial for H.
     """
-    _, average = _w_class_fractions(f, h, g, i, xi)
-    return average
+    values = _w_class_fractions(f, h, g, i, xi)
+    return Fraction(sum(values), len(values))
 
 
 def corollary_fraction(
@@ -342,7 +348,7 @@ def corollary_fraction(
     Asserts the averaging consequence: the fraction itself must exceed
     1/(4s).
     """
-    values, _ = _w_class_fractions(f, h, g, i, xi)
+    values = _w_class_fractions(f, h, g, i, xi)
     threshold = Fraction(1, 4 * f.denominator)
     fraction = Fraction(sum(1 for v in values if v > threshold), len(values))
     if not fraction > threshold:

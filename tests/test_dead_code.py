@@ -1,5 +1,6 @@
 """Source hygiene: every private module-level function of the package has
-a caller in the package."""
+a caller in the package, and every private name a module imports from a
+sibling module is used there."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,24 @@ def uncalled_private_functions(paths):
     return uncalled
 
 
+def unused_private_imports(paths):
+    """Private names (`_name`, dunders aside) that a module imports from a
+    sibling module (`from .x import _name`) and never mentions in a Name
+    node, as (file name, name)."""
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name.startswith("_") and not name.startswith("__") and name not in names:
+                    unused.append((path.name, name))
+    return unused
+
+
 def test_every_private_function_has_a_caller():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) > 1
@@ -50,3 +69,19 @@ def test_a_function_named_only_in_docstrings_imports_or_itself_is_caught(tmp_pat
         "def public():\n    return _used() + a._used()\n"
     )
     assert uncalled_private_functions(sorted(tmp_path.glob("*.py"))) == [("a.py", "_left")]
+
+
+def test_every_private_import_is_used():
+    assert unused_private_imports(sorted(SRC.glob("*.py"))) == []
+
+
+def test_a_private_import_named_only_in_docstrings_or_attributes_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""`_left` is named here."""\n'
+        "from .b import _left, _used, _as as _renamed, public\n"
+        "from b import _absolute\n"
+        "from . import b\n\n"
+        "def f():\n    return _used() + _renamed() + public() + b._left\n"
+    )
+    (tmp_path / "b.py").write_text("def _left():\n    return 0\n")
+    assert unused_private_imports(sorted(tmp_path.glob("*.py"))) == [("a.py", "_left")]

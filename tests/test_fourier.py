@@ -21,6 +21,7 @@ from f2reglab import (
     Subspace,
     check_subspace_regularity,
     energy,
+    enumerate_all_subspaces,
     find_regular_subspace,
     restricted_coefficient,
     restricted_spectrum,
@@ -60,6 +61,15 @@ def naive_spectrum(f: FunctionTable) -> np.ndarray:
 
 def random_table(rng: random.Random, n: int) -> FunctionTable:
     return FunctionTable(n, np.array([rng.random() for _ in range(1 << n)]))
+
+
+def parity_buckets(basis, etas):
+    """Column of each character in a `_coset_transform` row, by the
+    parity definition: bit i is <basis_i, eta>."""
+    z = np.zeros(np.shape(etas), dtype=np.int64)
+    for i, row in enumerate(basis):
+        z |= (np.bitwise_count(etas & np.int64(row)) & 1).astype(np.int64) << i
+    return z
 
 
 class TestWhtFull:
@@ -179,7 +189,7 @@ class TestClassMaps:
             etas, z = fourier._build_class_maps(h)
             expected = h.orthogonal_complement().coset_representative_array(dense_limit=n)
             assert np.array_equal(etas, expected)
-            assert np.array_equal(z, fourier._buckets(h.basis, etas))
+            assert np.array_equal(z, parity_buckets(h.basis, etas))
 
     def test_cached_maps_are_read_only(self):
         h = Subspace.from_vectors(11, [793, 78, 1024])
@@ -356,11 +366,44 @@ class TestSubspaceRegularity:
         assert np.all(np.abs(report.witness_values) > 1 / 6)
 
 
+class TestForcedDuals:
+    """Lemma (forced duals): on a coset r + H the coefficient at w outside
+    H-perp averages to f^(w) over the cosets and is at most 1/2 in
+    magnitude, so if at most eps * 2^c cosets exceed eps, then
+    |f^(w)| <= 3 eps / 2 - eps^2.  Every w above that bound therefore
+    lies in H-perp for every eps-regular H: checked over every subspace
+    of F2^4 on seeded random count tables with denominators 1-6."""
+
+    def test_no_regular_subspace_misses_a_forced_character(self):
+        rng = np.random.default_rng(33)
+        subspaces = list(enumerate_all_subspaces(4))
+        points = np.arange(16)
+        hadamard = 1 - 2 * (np.bitwise_count(points[:, None] & points) & 1).astype(np.int64)
+        checked = 0
+        for _ in range(40):
+            den = int(rng.integers(1, 7))
+            counts = rng.integers(0, den + 1, size=16)
+            f = FunctionTable.from_counts(4, counts, den)
+            spectrum = hadamard @ counts  # 16 * den * f^(w), exactly
+            for eps in map(Fraction, ["1/16", "1/8", "1/5", "1/4", "1/3"]):
+                bound = (Fraction(3, 2) * eps - eps**2) * 16 * den
+                forced = [w for w in range(1, 16) if abs(int(spectrum[w])) > bound]
+                if not forced:  # w = 0 lies in every H-perp
+                    continue
+                for h in subspaces:
+                    if check_subspace_regularity(f, h, eps).is_regular:
+                        checked += 1
+                        perp = h.orthogonal_complement()
+                        assert all(perp.contains(w) for w in forced), (counts, den, eps, h)
+        # regular triples with a nonzero forced character (79 at this seed)
+        assert checked > 50, checked
+
+
 def transform_numerators(f, h, reps, etas):
     """Signed `_coset_transform` numerators: entry [k, j] is the sum over
     the coset reps[k] + H of counts(x) (-1)^<x, etas[j]>."""
     table, _ = fourier._coset_transform(f, h.span_array(), reps)
-    buckets = fourier._buckets(h.basis, etas)
+    buckets = parity_buckets(h.basis, etas)
     return fourier._signed(table[:, buckets], reps[:, None], etas[None, :])
 
 
@@ -421,9 +464,23 @@ class TestPoissonNumerators:
         spectrum = fourier._count_spectrum(s3_table)
         cosets = [AffineSubspace(h, F2Vector(11, int(r) ^ h.basis[k % h.dim]))
                   for k, r in enumerate(reps)]
-        got = [fourier._coset_numerator(spectrum, a, int(e)) for a, e in zip(cosets, etas)]
+        got = [fourier._coset_numerator(spectrum, a.subspace, a.representative.bits, int(e))
+               for a, e in zip(cosets, etas)]
         full = transform_numerators(s3_table, h, reps, etas)
         assert np.array_equal(got, np.diagonal(full))
+
+    @pytest.mark.parametrize("codim", [0, 1, 3, 11])
+    def test_reads_chosen_cosets_at_once(self, s3_table, codim):
+        # an array of canonical reps, in any order and with repeats, at one
+        # character: the entries of one column of the coset transform
+        h = random_subspace_of_codim(11, codim, random.Random(27 + codim))
+        reps = h.coset_representative_array()
+        chosen = np.random.default_rng(codim).choice(reps, size=2 * reps.size)
+        spectrum = fourier._count_spectrum(s3_table)
+        for eta in (0, 1, 1000, 2047):
+            got = fourier._coset_numerator(spectrum, h, chosen, eta)
+            full = transform_numerators(s3_table, h, chosen, np.array([eta]))
+            assert got.shape == chosen.shape and np.array_equal(got, full[:, 0])
 
 
 def top_duals(hs):
@@ -906,3 +963,17 @@ class TestValueValidation:
         counts = np.random.default_rng(7).integers(0, 7, size=1 << 18, dtype=np.uint8)
         f, peak = self.traced_peak(FunctionTable.from_counts, 18, counts, 6)
         assert peak <= f.values.nbytes + self.SLACK, peak
+
+    def test_given_arrays_are_frozen_not_copied(self):
+        # the table owns what it is given: the caller's arrays become its
+        # read-only storage
+        counts = np.array([0, 1, 2, 3, 3, 2, 1, 0], dtype=np.uint8)
+        values = counts / 3.0
+        f = FunctionTable(3, values, counts=counts, denominator=3)
+        assert np.shares_memory(f.values, values) and np.shares_memory(f.counts, counts)
+        for a in (values, counts):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        g = FunctionTable(3, np.arange(16.0)[::2] / 16)  # strided: copied, then frozen
+        assert g.values.flags.c_contiguous and not g.values.flags.writeable

@@ -24,6 +24,7 @@ from f2reglab import (
     verify_spanning_family_sampled,
 )
 from f2reglab import instance
+from f2reglab.fourier import _count_spectrum
 from f2reglab.instance import _SAMPLE_CHUNK, SpanningCheck, eval_count, manifest
 from f2reglab.rng import Stream
 
@@ -378,6 +379,42 @@ class TestFunctionTable:
             assert term.is_binary()
             total += term.counts.astype(np.int64)
         assert np.array_equal(total, inst.table.counts.astype(np.int64))
+
+
+def closed_form_spectrum(inst):
+    """The instance's integer spectrum F(eta) = sum_x counts(x) (-1)^<x, eta>
+    from its closed form, in plain Python: F(0) = s * 2^(n-1), and for
+    eta != 0 whose highest nonzero block is i, F(eta) is 2^(n - D_{i-1} - 1)
+    times the sum over prefixes p with xi_i(p) = eta^i of
+    (-1)^<p, eta^{<i}>.  Each block term is hit on half of F2^n, and the
+    terms of the other blocks cancel, since the families hold only
+    nonzero vectors."""
+    n, s, offsets = inst.n, inst.s, inst.xi.blocks.offsets
+    out = [s << (n - 1)]
+    for eta in range(1, 1 << n):
+        i = max(k for k in range(1, s + 1) if eta >> offsets[k - 1])
+        lo = offsets[i - 1]
+        block, prefix = eta >> lo, eta & ((1 << lo) - 1)
+        total = sum(
+            1 - 2 * (bin(p & prefix).count("1") % 2)
+            for p, entry in enumerate(inst.xi.families[i - 1])
+            if entry == block
+        )
+        out.append(total << (n - lo - 1))
+    return out
+
+
+class TestClosedFormSpectrum:
+    """`_count_spectrum`, which every count-table verdict and certificate
+    reads, equals the closed form entry for entry."""
+
+    @pytest.mark.parametrize("s, nonzero", [(2, 6), (3, 70)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_count_spectrum_matches(self, s, nonzero, seed):
+        inst = Instance.generate(s, seed=seed)
+        expected = closed_form_spectrum(inst)
+        assert _count_spectrum(inst.table).tolist() == expected
+        assert sum(map(bool, expected)) == nonzero
 
 
 class TestCustomDims:

@@ -35,7 +35,7 @@ from f2reglab import (
 from f2reglab import fourier, witness
 from f2reglab.cli import main as cli_main
 from f2reglab.fourier import _count_spectrum
-from f2reglab.gf2 import _echelon_stack, subspaces_of_dim
+from f2reglab.gf2 import _echelon_stack, reduce_array, subspaces_of_dim
 from f2reglab.reports import emit_report
 from f2reglab.rng import Stream
 from f2reglab.witness import (
@@ -104,6 +104,15 @@ def certify(f, hs, eps, xi):
             np.column_stack([first, checks]))
 
 
+def parity_buckets(basis, etas):
+    """Column of each character in a `_coset_transform` row, by the
+    parity definition: bit i is <basis_i, eta>."""
+    z = np.zeros(np.shape(etas), dtype=np.int64)
+    for i, row in enumerate(basis):
+        z |= (np.bitwise_count(etas & np.int64(row)) & 1).astype(np.int64) << i
+    return z
+
+
 def pullback_certificate(f, h, eps, xi):
     """The oracle of the certificates that `_certify_duals` and
     `witness_scan` read from the full transform, built from the pullback
@@ -121,7 +130,7 @@ def pullback_certificate(f, h, eps, xi):
     reps = h.coset_representative_array()
     gammas = prefixes[reps & ((1 << lo) - 1)].astype(np.int64)
     table, den = fourier._coset_transform(f, h.span_array(), reps)
-    buckets = fourier._buckets(h.basis, gammas)
+    buckets = parity_buckets(h.basis, gammas)
     numerators = fourier._signed(table[np.arange(reps.size), buckets], reps, gammas)
     bound = eps.numerator * den // eps.denominator
     trivial = buckets == 0
@@ -317,6 +326,50 @@ class TestTranslateGuard:
             assert w_average_coefficient(inst3.table, h, g, 3, inst3.xi) == Fraction(1, 6)
 
 
+class TestSizeGuard:
+    """A subspace or xi family whose n is not the table's is refused with
+    DimensionMismatchError before the spectrum is computed."""
+
+    @pytest.fixture
+    def no_spectrum(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError("spectrum computed")
+
+        monkeypatch.setattr(witness, "_count_spectrum", refuse)
+
+    @pytest.mark.parametrize("fn", [w_average_coefficient, corollary_fraction])
+    @pytest.mark.parametrize("basis", [[4], [1]])
+    def test_tail_average_on_a_smaller_subspace(self, inst3, fn, basis, no_spectrum):
+        # span(e3) of F2^3 used to read "witness character is trivial on H",
+        # and span(e1) of F2^3 an average of 1/6
+        with pytest.raises(DimensionMismatchError, match="table n=11 vs subspace n=3"):
+            fn(inst3.table, Subspace.from_vectors(3, basis), 0, 1, inst3.xi)
+
+    @pytest.mark.parametrize("fn", [w_average_coefficient, corollary_fraction])
+    def test_tail_average_on_a_larger_subspace(self, inst3, fn, no_spectrum):
+        # used to index the table out of bounds (IndexError at 2048)
+        h = Subspace.from_vectors(12, [1, 1 << 11])
+        with pytest.raises(DimensionMismatchError, match="table n=11 vs subspace n=12"):
+            fn(inst3.table, h, 0, 1, inst3.xi)
+
+    @pytest.mark.parametrize("fn", [w_average_coefficient, corollary_fraction])
+    def test_tail_average_with_another_xi_family(self, inst2, inst3, fn, no_spectrum):
+        # the s = 2 family on span(e2) used to give 1/6 and 1
+        h = Subspace.from_vectors(11, [2])
+        with pytest.raises(DimensionMismatchError, match="table n=11 vs xi family n=3"):
+            fn(inst3.table, h, 0, 2, inst2.xi)
+
+    def test_witness_scan_with_another_xi_family(self, inst2, inst3, no_spectrum):
+        # span(e2) used to get an ok certificate built from the s = 2 family
+        with pytest.raises(DimensionMismatchError, match="table n=11 vs xi family n=3"):
+            witness_scan(inst3.table, Subspace.from_vectors(11, [2]), "1/48", inst2.xi)
+
+    def test_witness_scan_past_the_other_family_blocks(self, inst2, inst3, no_spectrum):
+        # span(e6) lies past the s = 2 blocks: used to raise IndexError
+        with pytest.raises(DimensionMismatchError, match="table n=11 vs xi family n=3"):
+            witness_scan(inst3.table, Subspace.from_vectors(11, [32]), "1/48", inst2.xi)
+
+
 class TestAverageCoefficient:
     def test_s2_canonical_quarter(self, inst2):
         h = Subspace.from_vectors(3, [1])
@@ -342,6 +395,62 @@ class TestAverageCoefficient:
             i, _ = minimal_active_block(h, inst3.params.blocks)
             g = valid_translate(inst3, h, i, rng)
             assert w_average_coefficient(inst3.table, h, g, i, inst3.xi) == expected
+
+
+class TestTailTranslatesReadTheSpectrum:
+    """Each tail-translate coefficient is its coset's counts summed with
+    signs (-1)^<x, gamma>, over denominator * 2^dim: on every hyperplane
+    of s = 2 and s = 3 and on 20 seeded subspaces of s = 3, at a seeded
+    translate whose gamma is nontrivial on H.  Every prefix whose gamma
+    lies in H-perp is refused."""
+
+    def assert_coset_sums(self, inst, h, rng):
+        f, n, xi = inst.table, inst.n, inst.xi
+        i, _ = minimal_active_block(h, xi.blocks)
+        perp = h.orthogonal_complement()
+        for p in range(1 << xi.blocks.offsets[i - 1]):
+            if perp.contains(gamma_character(p, i, xi)):
+                with pytest.raises(ValueError, match="trivial on H"):
+                    w_average_coefficient(f, h, p, i, xi)
+        g = valid_translate(inst, h, i, rng)
+        gamma = gamma_character(g, i, xi).bits
+        values = witness._w_class_fractions(f, h, g, i, xi)
+
+        def syndrome(x):  # which coset of H: the parities with H-perp's basis
+            return sum(
+                ((np.bitwise_count(x & d) & 1).astype(np.int64) << k
+                 for k, d in enumerate(perp.basis)),
+                np.zeros_like(x),
+            )
+
+        lo = xi.blocks.offsets[i]
+        tail = g ^ (np.arange(1 << (n - lo), dtype=np.int64) << lo)
+        reps = syndrome(np.unique(reduce_array(tail, h)))
+        assert sorted(reps.tolist()) == sorted(set(syndrome(tail).tolist()))
+        points = np.arange(f.size, dtype=np.int64)
+        signs = 1 - 2 * (np.bitwise_count(points & gamma) & 1).astype(np.int64)
+        signed = f.counts.astype(np.int64) * signs
+        cosets = syndrome(points)
+        expected = [
+            Fraction(int(signed[cosets == r].sum()), f.denominator << h.dim) for r in reps
+        ]
+        assert values == expected
+        assert w_average_coefficient(f, h, g, i, xi) == Fraction(sum(expected), len(expected))
+
+    def test_every_hyperplane_of_s2(self, inst2):
+        rng = random.Random(30)
+        for eta in range(1, 8):
+            self.assert_coset_sums(inst2, Subspace.annihilator(3, [eta]), rng)
+
+    def test_every_hyperplane_of_s3(self, inst3):
+        rng = random.Random(31)
+        for eta in range(1, 1 << 11):
+            self.assert_coset_sums(inst3, Subspace.annihilator(11, [eta]), rng)
+
+    def test_seeded_subspaces_of_s3(self, inst3):
+        rng = random.Random(32)
+        for _ in range(20):
+            self.assert_coset_sums(inst3, random_nonzero_subspace(11, rng), rng)
 
 
 class TestCorollaryFraction:
@@ -540,7 +649,6 @@ class TestCountTablesReadTheSpectrum:
 
         monkeypatch.setattr(fourier, "_regularity_scan", refuse)
         monkeypatch.setattr(fourier, "_coset_transform", refuse)
-        monkeypatch.setattr(witness, "_coset_transform", refuse)
 
     def test_reports_and_certificates_pinned(self, inst2, inst3, no_pullback):
         stream = Stream(18, "one-per-dim")
@@ -564,10 +672,36 @@ class TestCountTablesReadTheSpectrum:
         out = capsys.readouterr().out
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == STRUCTURED_S3_SHA
 
+    def test_tail_averages_read_the_spectrum(self, inst3, no_pullback):
+        rng = random.Random(28)
+        for _ in range(10):
+            h = random_nonzero_subspace(11, rng)
+            i, _ = minimal_active_block(h, inst3.xi.blocks)
+            g = valid_translate(inst3, h, i, rng)
+            assert w_average_coefficient(inst3.table, h, g, i, inst3.xi) == Fraction(1, 6)
+            assert corollary_fraction(inst3.table, h, g, i, inst3.xi) > Fraction(1, 12)
+
     def test_float_tables_reach_the_pullback(self, no_pullback):
         f = FunctionTable(11, np.random.default_rng(18).random(1 << 11))
         with pytest.raises(AssertionError, match="pullback ran"):
             check_subspace_regularity(f, Subspace.from_vectors(11, [1, 6]), "1/48")
+
+
+class TestRegularityProfile:
+    """The s = 2 profile over every subspace of F2^3: the least index of
+    an eps-regular subspace of `Instance.generate(2, 0)` is 2^3 (only the
+    zero subspace) up to eps = 1/6, and 1 (the full space) at 1/4."""
+
+    @pytest.mark.parametrize("eps, index", [
+        ("1/32", 8), ("1/16", 8), ("1/8", 8), ("1/6", 8), ("1/4", 1),
+    ])
+    def test_least_regular_index_of_s2(self, eps, index):
+        f = Instance.generate(2, seed=0).table
+        regular = [
+            h.index for h in enumerate_all_subspaces(3)
+            if check_subspace_regularity(f, h, eps).is_regular
+        ]
+        assert min(regular) == index
 
 
 class TestLowerBoundCheck:
