@@ -64,6 +64,7 @@ def energy(f: FunctionTable, h: Subspace) -> float:
             sums[start : start + step] = f.counts[points].sum(axis=1, dtype=sums.dtype)
         else:
             sums[start : start + step] = f.values[points].mean(axis=1)
+        del points  # before the next block's index is built
     if not exact:
         return float(np.square(sums).mean())
     scale = (f.denominator << f.n) ** 2

@@ -22,9 +22,12 @@ Two private kernels compute coset coefficients:
   `witness`'s tail-translate averages.
 * `_coset_transform` pulls f back through the basis parameterization of
   H over the requested cosets and runs one batched size-2^dim transform:
-  float tables are scanned with it a block of cosets at a time
-  (`_regularity_scan`), and `restricted_spectrum` reads one coset of any
-  table from it.
+  `restricted_spectrum` reads one coset of any table from it.  Float
+  tables are scanned from the same pullback a block of cosets at a time
+  (`_regularity_scan`): gathered class-major, (2^dim, R) for R cosets,
+  when a block holds more than _LOW cosets, so every butterfly stage
+  pairs whole contiguous rows of R entries, and row by row through
+  `_coset_transform` when the cosets are larger.
 
 Count tables transform their integer numerators, so their coefficients
 are exact ratios and their regularity verdicts compare integers; float
@@ -185,9 +188,14 @@ class RegularityReport:
         ]
 
 
-# Elements of one cache block of the transform (256 KiB of 8-byte entries).
-_CHUNK = 1 << 15
-# Stages of stride below this run on a transposed copy of each block.
+# One cache block of the transform, counted in 8-byte entries (512 KiB):
+# an array of narrower items takes proportionally more entries per block.
+# Scans bound their blocks by the same count (`_block_rows`).
+_CHUNK = 1 << 16
+# numpy iterates short contiguous runs slowly: stages of stride below this
+# run on a transposed copy of each block, and a float scan gathers its
+# block class-major, one row entry per coset, only when it holds more
+# cosets than this.
 _LOW = 16
 
 
@@ -246,14 +254,17 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     same adds and subtracts in the same order, and only the schedule is
     blocked for the cache:
 
-    * the array is cut into contiguous blocks of at most _CHUNK elements
-      made of whole runs of length min(size, _CHUNK), and each block runs
+    * a block holds the bytes of _CHUNK 8-byte entries: chunk = _CHUNK *
+      8 / itemsize elements, so the int32 count spectra take twice as
+      many per block as float64 tables;
+    * the array is cut into contiguous blocks of at most chunk elements
+      made of whole runs of length min(size, chunk), and each block runs
       all its stages while it stays in the cache (`_block`); short
       transform axes with many rows get contiguous operands from the
       transpose, also in an array of a single block;
-    * a transform axis longer than _CHUNK then runs its remaining stages,
-      which pair the blocks of one row, on column slabs of about _CHUNK
-      elements of the row viewed as (size / _CHUNK, _CHUNK).
+    * a transform axis longer than chunk then runs its remaining stages,
+      which pair the blocks of one row, on column slabs of about chunk
+      elements of the row viewed as (size / chunk, chunk).
 
     A Hadamard matmul would sum in another order and change float bits.
     """
@@ -262,17 +273,18 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     size = a.shape[-1]
     if size < 2:
         return a
-    length = min(size, _CHUNK)
+    chunk = _CHUNK * 8 // a.itemsize
+    length = min(size, chunk)
     runs = a.reshape(-1, length)
-    step = _CHUNK // length
-    buf = np.empty(min(a.size, _CHUNK), dtype=a.dtype)
+    step = chunk // length
+    buf = np.empty(min(a.size, chunk), dtype=a.dtype)
     for i in range(0, runs.shape[0], step):
         _block(runs[i : i + step], length, buf)
-    if size > _CHUNK:
-        blocks = size // _CHUNK
-        width = max(1, _CHUNK // blocks)
-        for row in a.reshape(-1, blocks, _CHUNK):
-            for j in range(0, _CHUNK, width):
+    if size > chunk:
+        blocks = size // chunk
+        width = max(1, chunk // blocks)
+        for row in a.reshape(-1, blocks, chunk):
+            for j in range(0, chunk, width):
                 _butterflies(row[:, j : j + width], 1, blocks, width)
     return a
 
@@ -449,10 +461,12 @@ def _dual_worst(
     """
     count, c = duals.shape
     bits = _block_rows(c).bit_length() - 1
-    low = _span_stack(units[:, :bits]).T
+    low, high = _span_stack(units[:, :bits]).T, _span_stack(units[:, bits:])
     state = None
-    for k, high in enumerate(_span_stack(units[:, bits:])):
-        classes = low[:, 1:] if k == 0 else low ^ high[:, None]
+    for k in range(high.shape[0]):
+        if k:  # chunk k is the low span XOR high[k], formed in place (high[0] = 0)
+            low ^= (high[k] ^ high[k - 1])[:, None]
+        classes = low if k else low[:, 1:]
         if not classes.size:
             continue
         table = _dual_table(spectrum, duals, classes).reshape(-1, classes.shape[1])
@@ -501,11 +515,16 @@ def restricted_spectrum(f: FunctionTable, a: AffineSubspace) -> CosetSpectrum:
     return CosetSpectrum(coset=a, class_reps=etas, coefficients=_signed(values, rep, etas))
 
 
+def _check_table_subspace(f: FunctionTable, h: Subspace) -> None:
+    """h must live in the table's F2^n."""
+    if f.n != h.n:
+        raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
+
+
 def _pullback_reps(f: FunctionTable, h: Subspace) -> np.ndarray:
     """Coset representatives of h, which must live in the table's F2^n;
     a full pullback then has the table's 2^n entries."""
-    if f.n != h.n:
-        raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
+    _check_table_subspace(f, h)
     return h.coset_representative_array(f.n)
 
 
@@ -538,8 +557,9 @@ def _report(
 
 
 def _block_rows(dim: int) -> int:
-    """Rows of 2^dim entries per block of a scan: at most _CHUNK entries,
-    or one row when a row is longer."""
+    """Cosets of 2^dim entries per block of a scan: at most _CHUNK
+    entries, or one coset when a coset is larger.  Float scans gather
+    the block class-major when it holds more than _LOW cosets."""
     return max(1, _CHUNK >> dim)
 
 
@@ -547,32 +567,45 @@ def _regularity_scan(
     f: FunctionTable, h: Subspace, eps: Fraction, reps: np.ndarray
 ) -> RegularityReport:
     """Regularity report of a float table on h at eps over the cosets
-    reps[r] + H, from their transform rows (`_coset_transform`) a block
-    at a time (`_block_rows`); only per-coset results outlive a block.
-    Each row's largest nontrivial magnitude is compared in place with
-    eps * 2^dim, and only irregular rows are copied, in class order, to
-    find their worst class: the largest magnitude, the smallest rep on
-    ties.
+    reps[r] + H, a block of R cosets at a time (`_block_rows`); only
+    per-coset results outlive a block.
+
+    The block's transform t is class-major, (2^dim, R), with column r
+    the coset of reps[r].  When R > _LOW it is gathered in that layout,
+    the transpose of the pullback rows, and its butterflies pair whole
+    contiguous rows of R entries: each column gets the same adds in the
+    same order as a row transform, so the floats are unchanged.  With
+    fewer cosets per block such rows are too short for numpy, and t is
+    the transposed view of the row-major `_coset_transform`.  Each
+    column's largest nontrivial magnitude, a reduction across the rows
+    t[1:], is compared with eps * 2^dim, and only irregular columns are
+    copied, in class order, to find their worst class: the largest
+    magnitude, the smallest rep on ties.
     """
     irregular = np.zeros(reps.shape[0], dtype=bool)
     witness_etas, witness_values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     span, step, z = h.span_array(f.n), _block_rows(h.dim), None
+    den = 1 << h.dim
     # the zero subspace has no nontrivial class: every coset is regular
     for start in range(0, reps.shape[0] if h.dim else 0, step):
         block = reps[start : start + step]
-        table, den = _coset_transform(f, span, block)
-        # each row's largest nontrivial magnitude, without an abs copy
-        bad = np.maximum(table[:, 1:].max(axis=1), -table[:, 1:].min(axis=1)) > float(eps) * den
+        if step > _LOW:
+            t = f.values[span[:, None] ^ block]
+            _butterflies(t, 1, t.shape[0], t.shape[1])
+        else:
+            t = _coset_transform(f, span, block)[0].T
+        # each column's largest nontrivial magnitude, without an abs copy
+        bad = np.maximum(t[1:].max(axis=0), -t[1:].min(axis=0)) > float(eps) * den
         irregular[start : start + step] = bad
-        rows = np.flatnonzero(bad)
-        if rows.size:
+        cols = np.flatnonzero(bad)
+        if cols.size:
             if z is None:
                 etas, z = _class_maps(h)
-            magnitudes = table[rows[:, None], z[1:]]
-            worst = np.argmax(np.abs(magnitudes, out=magnitudes), axis=1) + 1
+            magnitudes = t[z[1:, None], cols]
+            worst = np.argmax(np.abs(magnitudes, out=magnitudes), axis=0) + 1
             witness_etas.append(etas[worst])
-            witness_values.append(_signed(table[rows, z[worst]] / den, block[rows], etas[worst]))
-        del table  # before the next block is gathered
+            witness_values.append(_signed(t[z[worst], cols] / den, block[cols], etas[worst]))
+        del t  # before the next block is gathered
     return _report(
         h, eps, reps, irregular, np.concatenate(witness_etas), np.concatenate(witness_values)
     )
@@ -587,7 +620,6 @@ def _dual_report(
     over the canonical class reps (the subset sums of the unit vectors at
     the free positions of H-perp, as `_class_maps(h)` lists them).
     """
-    reps = h.coset_representative_array(h.n)
     c = h.n - h.dim
     duals = np.array([h._dual_rows()], np.int64)
     units = np.array([[1 << p for p in h.orthogonal_complement().free_positions]], np.int64)
@@ -595,6 +627,8 @@ def _dual_report(
     den = denominator << h.dim
     # H = 0 has no nontrivial class, so its cosets are regular at any eps
     irregular = (best >> c > _threshold(eps, den)) & (h.dim > 0)
+    # the reps, 2^c entries, are built once the verdict's temporaries are freed
+    reps = h.coset_representative_array(h.n)
     return _report(h, eps, reps, irregular, worst[irregular], (value[irregular] >> c) / den)
 
 
@@ -604,8 +638,8 @@ def check_subspace_regularity(
     """Scan every coset of h and report the regularity verdict at eps:
     exact, from the integer transform, on count tables (`_dual_report`),
     and from the pullback on float tables (`_regularity_scan`)."""
-    reps = _pullback_reps(f, h)
     eps = as_fraction(epsilon)
     if f.counts is None:
-        return _regularity_scan(f, h, eps, reps)
+        return _regularity_scan(f, h, eps, _pullback_reps(f, h))
+    _check_table_subspace(f, h)
     return _dual_report(h, eps, _count_spectrum(f), f.denominator)

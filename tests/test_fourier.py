@@ -29,7 +29,7 @@ from f2reglab import (
     wht_full,
 )
 from f2reglab import fourier
-from f2reglab.gf2 import _echelon_stack, subspaces_of_dim
+from f2reglab.gf2 import DimensionMismatchError, _echelon_stack, subspaces_of_dim
 from f2reglab.reports import emit_report
 
 S2_VALUES = [1.0, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.0]
@@ -151,6 +151,9 @@ KERNEL_SHAPES = [
     (3, 4 * CHUNK),
     (16 * CHUNK,),
 ]
+# int32 blocks hold the bytes of CHUNK 8-byte entries, 2 * CHUNK items:
+# an axis of one block, and one of two blocks (column slabs)
+INT32_SHAPES = KERNEL_SHAPES + [(2 * CHUNK,), (4 * CHUNK,)]
 
 
 class TestFwhtKernel:
@@ -165,6 +168,13 @@ class TestFwhtKernel:
     def test_int64_matches_radix2(self, shape):
         x = np.random.default_rng(sum(shape)).integers(-7, 8, size=shape)
         assert np.array_equal(fourier._fwht(x.copy()), radix2_butterfly(x.copy()))
+
+    @pytest.mark.parametrize("shape", INT32_SHAPES)
+    def test_int32_matches_radix2(self, shape):
+        # the count spectra's dtype: entries stay below 8 * 2^20 < 2^31
+        x = np.random.default_rng(sum(shape)).integers(-7, 8, size=shape, dtype=np.int32)
+        got = fourier._fwht(x.copy())
+        assert got.dtype == np.int32 and np.array_equal(got, radix2_butterfly(x.copy()))
 
     def test_non_contiguous_input_rejected(self):
         with pytest.raises(ValueError):
@@ -346,6 +356,11 @@ class TestSubspaceRegularity:
         for _, eta, value in report.witnesses:
             assert abs(value) > float(report.epsilon)
             assert not perp.contains(eta)
+
+    def test_dimension_mismatch(self, s2_table, s3_table):
+        for f in (s2_table, s3_table):
+            with pytest.raises(DimensionMismatchError, match=f"table n={f.n} vs subspace n=4"):
+                check_subspace_regularity(f, Subspace.full(4), "1/8")
 
     def test_verdict_boundaries_are_exact(self, s2_table, s3_table):
         # coset coefficients at e1 are (1/4, 1/2, 0, 1/4).  At eps = 1/4
@@ -727,19 +742,39 @@ def small_chunk(monkeypatch):
 
 class TestFloatReportOracle:
     """`check_subspace_regularity` reads the verdict in place, a block of
-    cosets at a time, and copies only the irregular rows; its reports
-    equal the copying oracle's on the whole-table transform exactly, at
-    the default block size and with blocks of 16 entries, where rows
-    longer than a block run one at a time."""
+    cosets at a time, and copies only the irregular cosets; its reports
+    equal the copying oracle's on the whole-table transform exactly:
+    at the default block size, where blocks of more than _LOW cosets
+    (dims up to 11) are transformed class-major and larger cosets row by
+    row; with blocks of 2^9 entries, where the class-major dims 1-4 run
+    several blocks; and with blocks of 16 entries, where every block is
+    row-major and rows longer than a block run one at a time."""
 
     def assert_same(self, f, h, eps):
         expected = whole_table_report(f, h, eps)
         got = check_subspace_regularity(f, h, eps)
         assert_same_report(got, expected)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(fourier, "_CHUNK", 16)
-            assert_same_report(check_subspace_regularity(f, h, eps), expected)
+        for chunk in (1 << 9, 16):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(fourier, "_CHUNK", chunk)
+                assert_same_report(check_subspace_regularity(f, h, eps), expected)
         return got
+
+    def test_every_dimension_of_an_n14_table(self):
+        # a planted character at weight 0.15 keeps some cosets irregular
+        # on both sides of the class-major crossover
+        n, chi = 14, 0b10110011100101
+        rng = np.random.default_rng(14)
+        points = np.arange(1 << n, dtype=np.int64)
+        even = (np.bitwise_count(points & chi) & 1) == 0
+        f = FunctionTable(n, 0.1 + 0.35 * rng.random(1 << n) + 0.3 * even)
+        layouts = set()
+        for dim in range(n + 1):
+            h = random_subspace_of_codim(n, n - dim, random.Random(dim))
+            layouts.add(fourier._block_rows(dim) > fourier._LOW)
+            for eps in ("1/64", "1/8"):
+                self.assert_same(f, h, eps)
+        assert layouts == {True, False}
 
     def test_equal_weight_characters_tie_at_the_smallest_rep(self):
         # independent characters with weights 1/2 or 1/4: every value and
@@ -824,12 +859,24 @@ class TestScanMemory:
     def subspace(self, dim):
         return random_subspace_of_codim(self.N, self.N - dim, random.Random(dim))
 
-    @pytest.mark.parametrize("dim, fraction", [(4, 1 / 2), (10, 1 / 4), (17, 1 / 2)])
+    @pytest.mark.parametrize(
+        "dim, fraction", [(4, 1 / 2), (7, 1 / 4), (10, 1 / 4), (17, 1 / 2)]
+    )
     def test_check_subspace_regularity(self, tables, dim, fraction):
-        # dim 4: 2^16 cosets, most of them irregular, with their witnesses;
-        # dim 17: rows of 2^17 entries, one at a time, and the span of H
+        # class-major blocks at dims 4, 7 and 10 (dim 4: 2^16 cosets, most
+        # of them irregular, with their witnesses); dim 17: rows of 2^17
+        # entries, one at a time, and the span of H
         h = self.subspace(dim)
         assert traced_peak(check_subspace_regularity, tables[0], h, "1/16") < fraction * self.TABLE
+
+    def test_zero_subspace_check_of_a_count_table(self):
+        # the count path checks n without building the 2^n coset reps
+        # that its report builds once
+        n = 18
+        counts = np.random.default_rng(18).integers(0, 7, size=1 << n, dtype=np.uint8)
+        f = FunctionTable.from_counts(n, counts, 6)
+        reps = 8 << n
+        assert traced_peak(check_subspace_regularity, f, Subspace.zero(n), "1/16") < 2 * reps
 
     def test_energy_of_a_count_table(self, tables):
         assert traced_peak(energy, tables[1], self.subspace(10)) < self.TABLE / 8
