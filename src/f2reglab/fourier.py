@@ -18,8 +18,8 @@ Two private kernels compute coset coefficients:
   the decomposition rounds (`_dual_report`, its one-subspace case) and
   the walk's failing subspaces; `witness_scan` and the lower-bound walk
   certify from it; and `_coset_numerator` reads chosen cosets of one
-  subspace at one character, for rounded tables' deviation reports and
-  `witness`'s tail-translate averages.
+  subspace at chosen characters, for rounded tables' deviation reports
+  and `witness`'s tail-translate averages.
 * `_coset_transform` pulls f back through the basis parameterization of
   H over the requested cosets and runs one batched size-2^dim transform:
   `restricted_spectrum` reads one coset of any table from it.  Float
@@ -486,16 +486,19 @@ def _dual_worst(
 
 
 def _coset_numerator(
-    spectrum: np.ndarray, h: Subspace, reps: "int | np.ndarray", eta: int
+    spectrum: np.ndarray, h: Subspace, reps: "int | np.ndarray", etas: "int | np.ndarray"
 ) -> "np.integer | np.ndarray":
-    """Numerators at one character eta of the cosets reps + H, read from a
-    count table's full transform: one `_dual_table` on H's duals at eta,
-    whose row for a coset carries its canonical representative's bits at
-    H's free positions (the top bits of H's duals).  reps is one canonical
-    representative, an int, or an int64 array of them."""
-    table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), np.array([[eta]]))
+    """Numerators of the cosets reps + H at the characters etas, read from
+    a count table's full transform: one `_dual_table` on H's duals at the
+    (1, K) classes etas, whose row for a coset carries its canonical
+    representative's bits at H's free positions (the top bits of H's
+    duals).  reps is one canonical representative, an int, or an int64
+    array of them; etas is one character for every rep, or an int64
+    array of K characters, one per rep."""
+    etas = np.asarray(etas, dtype=np.int64)
+    table = _dual_table(spectrum, np.array([h._dual_rows()], np.int64), etas.reshape(1, -1))
     j = sum((((reps >> p) & 1) << k for k, p in enumerate(h.free_positions)), reps & 0)
-    return table[j, 0, 0] >> (h.n - h.dim)
+    return table[j, 0, np.arange(etas.size).reshape(etas.shape)] >> (h.n - h.dim)
 
 
 def restricted_spectrum(f: FunctionTable, a: AffineSubspace) -> CosetSpectrum:

@@ -24,7 +24,7 @@ from f2reglab import (
 )
 from f2reglab.gf2 import parity64
 from f2reglab.rng import Stream, keyed_uniforms
-from f2reglab import rounding
+from f2reglab import fourier, rounding
 from f2reglab.rounding import _SIGN_ENTRIES, _SPLIT, round_point, size_threshold
 
 # frozen: rounding the two-block instance table with this seed keeps
@@ -284,10 +284,11 @@ class TestDeviationValuesBitEqual:
         assert_bit_equal_to_oracle(float_table(18, 26), sixths, 64.0, pairs)
 
     def test_more_characters_on_the_full_space_than_one_batch(self):
-        # the batch holds _SIGN_ENTRIES >> _SPLIT characters of a coset of
-        # dim >= _SPLIT; eta = 0 comes first, the rest spill into a second
-        # batch of several characters and a last batch of one
-        batch = _SIGN_ENTRIES >> _SPLIT
+        # a batch holds _SIGN_ENTRIES block signs: one per 128-entry block
+        # of a chunk, for each character of a coset of dim >= 15; eta = 0
+        # comes first, the rest spill into a second batch of several
+        # characters and a last batch of one
+        batch = _SIGN_ENTRIES // (rounding._CHUNK_POINTS >> rounding._BLOCK_ROWS)
         rng = random.Random(31)
         etas = [0] + [rng.getrandbits(16) for _ in range(2 * batch)]
         full = AffineSubspace(Subspace.full(16))
@@ -363,6 +364,104 @@ class TestDeviationValuesBitEqual:
         assert_bit_equal_to_oracle(f, g, 64.0, pairs)
         assert_bit_equal_to_oracle(f, round_to_binary(g, 29), 64.0, pairs)
 
+    @pytest.mark.parametrize("levels, weights", [
+        ([0.0, 0.5], [0.9, 0.1]),
+        ([0.0, 0.25, 0.5, 1.0], [0.7, 0.1, 0.1, 0.1]),
+    ])
+    def test_zero_heavy_tables_under_several_characters(self, levels, weights):
+        # the shared chains of several characters on one coset, on two float
+        # tables gathered in one call, where many chains cancel to zeros
+        rng = np.random.default_rng(54)
+        f = FunctionTable(16, rng.choice(levels, size=1 << 16, p=weights))
+        g = FunctionTable(16, rng.choice(levels, size=1 << 16, p=weights))
+        chars = random.Random(55)
+        pairs = [(coset, eta) for coset, _ in pairs_of_every_dim(16, 56)
+                 for eta in (0, *(chars.getrandbits(16) for _ in range(4)))]
+        assert_bit_equal_to_oracle(f, g, 64.0, pairs)
+
+    def test_every_restriction_to_a_block_on_one_coset(self):
+        # characters whose restrictions to basis rows 0-6 of a dim-16 coset
+        # take all 128 values: every chain pattern (rows 3-6) and every
+        # lane pattern (rows 0-2) of numpy's 128-entry blocks
+        rng = random.Random(57)
+        while True:
+            h = Subspace.from_vectors(18, [rng.getrandbits(18) for _ in range(16)])
+            if h.dim == 16:
+                break
+        coset = AffineSubspace(h, F2Vector(18, rng.getrandbits(18)))
+        by_restriction = {}
+        while len(by_restriction) < 128:
+            eta = rng.getrandbits(18)
+            key = sum(((r & eta).bit_count() & 1) << j for j, r in enumerate(h.basis[:7]))
+            by_restriction.setdefault(key, eta)
+        pairs = [(coset, by_restriction[key]) for key in range(128)]
+        f = float_table(18, 58)
+        assert_bit_equal_to_oracle(f, float_table(18, 59), 64.0, pairs)
+        assert_bit_equal_to_oracle(f, round_to_binary(f, 60), 64.0, pairs)
+
+    def test_several_characters_on_cosets_of_small_dims(self):
+        # dims 0-9: below 8 entries numpy adds in order, below 128 its
+        # chains are shorter than 16, and from dim 7 blocks are whole
+        rng = random.Random(61)
+        pairs = [(coset, eta) for coset, eta in pairs_of_every_dim(12, 62)[:10]
+                 for eta in (eta, 0, eta, rng.getrandbits(12), rng.getrandbits(12))]
+        f, g = float_table(12, 63), float_table(12, 64)
+        report = assert_bit_equal_to_oracle(f, g, 64.0, pairs)
+        assert [r.size for r in report.records[::5]] == [1 << d for d in range(10)]
+        assert_bit_equal_to_oracle(f, round_to_binary(g, 65), 64.0, pairs)
+
+    def test_n18_several_characters_across_chunks(self):
+        # dims 13..18: a coset of 2^15 points is one whole chunk, larger
+        # ones 2 to 8 chunks, each chunk a subtree of numpy's halving
+        rng = random.Random(66)
+        pairs = [(coset, eta) for coset, eta in pairs_of_every_dim(18, 67)[13:]
+                 for eta in (eta, rng.getrandbits(18), rng.getrandbits(18))]
+        f, g = float_table(18, 68), float_table(18, 69)
+        report = assert_bit_equal_to_oracle(f, g, 64.0, pairs)
+        assert [r.size for r in report.records[::3]] == [1 << d for d in range(13, 19)]
+        assert_bit_equal_to_oracle(round_to_binary(g, 70), f, 64.0, pairs)
+
+    def test_numpy_block_is_eight_chains(self):
+        # pins what `_gathered_coefficients` relies on inside numpy's
+        # 128-entry blocks: 8 accumulators, each adding a stride-8 chain in
+        # order, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+        # and a plain sum in order below 8 entries; signed zeros included
+        # (initial=-0.0 keeps the sum's own sign of a zero)
+        def model(a):
+            if len(a) > 128:
+                return model(a[: len(a) // 2]) + model(a[len(a) // 2 :])
+            if len(a) < 8:
+                total = -0.0
+                for x in a:
+                    total += x
+                return total
+            r = a[:8]
+            for i in range(8, len(a), 8):
+                r = [acc + x for acc, x in zip(r, a[i : i + 8])]
+            return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+
+        rng = np.random.default_rng(71)
+        in_order_differs = 0
+        for k in range(15):
+            for kind in ("float", "zeros", "all zeros"):
+                a = rng.random(1 << k) * 10.0 ** rng.integers(-8, 9, size=1 << k)
+                a *= rng.choice([-1.0, 1.0], size=a.size)
+                if kind != "float":
+                    a[rng.random(a.size) < (0.9 if kind == "zeros" else 1.0)] = 0.0
+                    a = np.copysign(a, rng.choice([-1.0, 1.0], size=a.size))
+                got = np.float64(model(a.tolist()))
+                expected = np.add.reduce(a, initial=-0.0)
+                assert got.tobytes() == expected.tobytes(), (
+                    f"numpy no longer adds a block as 8 stride-8 chains ({k=}, {kind}): "
+                    "_gathered_coefficients would change report bits")
+                assert (0.0 + got).tobytes() == np.add.reduce(a).tobytes(), (k, kind)
+                in_order = -0.0
+                for x in a.tolist():
+                    in_order += x
+                in_order_differs += in_order != got
+        # the arrays tell the block order from a plain sum in order
+        assert in_order_differs > 10, in_order_differs
+
     def test_row_tree_is_numpy_mean(self):
         # pins numpy's pairwise summation, which halves a contiguous 2^k
         # array into 128-entry blocks: per-row sums of 2^_SPLIT entries,
@@ -414,6 +513,32 @@ class TestSharedCosetWork:
         deviation_report(f, g, 64.0, [(full, eta) for eta in range(16)])
         assert len(gathered_arrays) == 8
 
+    def test_count_lookups_read_one_table_per_subspace(self, monkeypatch):
+        # K pairs on one subspace, over several of its cosets, read the
+        # rounded table's transform through one `_dual_table` of K classes
+        calls = []
+        dual_table = fourier._dual_table
+
+        def counting(spectrum, duals, classes):
+            calls.append(classes.shape)
+            return dual_table(spectrum, duals, classes)
+
+        rng = random.Random(72)
+        h = Subspace.from_vectors(14, [rng.getrandbits(14) for _ in range(11)])
+        full = AffineSubspace(Subspace.full(14))
+        reps = [F2Vector(14, rng.getrandbits(14)) for _ in range(3)]
+        pairs = [(AffineSubspace(h, reps[k % 3]), rng.getrandbits(14)) for k in range(20)]
+        pairs += [(full, rng.getrandbits(14)) for _ in range(30)]
+        rng.shuffle(pairs)
+        f = float_table(14, 73)
+        s = round_to_binary(f, 74)
+        monkeypatch.setattr(fourier, "_dual_table", counting)
+        assert_bit_equal_to_oracle(f, s, 64.0, pairs)
+        assert sorted(calls) == [(1, 20), (1, 30)]
+        calls.clear()
+        assert_bit_equal_to_oracle(s, round_to_binary(f, 75), 64.0, pairs)
+        assert sorted(calls) == [(1, 20), (1, 20), (1, 30), (1, 30)]
+
     def test_memory_does_not_grow_with_characters_on_one_coset(self):
         # every character of F2^12 on the full space: holding all 4096
         # sign rows of 4096 entries at once would take 128 MiB
@@ -428,6 +553,22 @@ class TestSharedCosetWork:
             tracemalloc.stop()
         assert len(report.records) == 1 << 12
         assert peak < 16 << 20, peak
+
+    def test_memory_n18_does_not_grow_with_characters(self):
+        # 200 characters on a 2^18-point coset: a block sum per character
+        # for the whole coset would hold 200 * 2048 floats a table (3.2 MiB)
+        f, g = float_table(18, 76), float_table(18, 77)
+        full = AffineSubspace(Subspace.full(18))
+        rng = random.Random(78)
+        pairs = [(full, rng.getrandbits(18)) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            report = deviation_report(f, g, 64.0, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.records) == 200
+        assert peak < 4 << 20, peak
 
 
 class TestDeviationReportGuards:
