@@ -31,14 +31,18 @@ Two private kernels compute coset coefficients:
 
 Count tables transform their integer numerators, so their coefficients
 are exact ratios and their regularity verdicts compare integers; float
-tables transform their float values.  A coset restriction is regular at
-level eps when every nontrivial class coefficient has absolute value at
-most eps; a subspace is regular when at least a (1 - eps) fraction of
-its cosets are.
+tables transform their float values.  A count table built from its
+counts alone holds only them (1 byte a point for uint8 counts): its
+float64 values are built when something first reads them (`wht_full`,
+the defining means, float-side rounding gathers, witness spot checks)
+and then kept.  A coset restriction is regular at level eps when every
+nontrivial class coefficient has absolute value at most eps; a subspace
+is regular when at least a (1 - eps) fraction of its cosets are.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,6 +69,33 @@ def as_fraction(value: "float | int | str | Fraction") -> Fraction:
     return Fraction(value)
 
 
+def _ratios(counts: np.ndarray, denominator: int) -> np.ndarray:
+    """counts / denominator in float64: the values of a count table."""
+    values = counts.astype(np.float64)
+    values /= float(denominator)
+    return values
+
+
+class _Mirror:
+    """The `values` field of a FunctionTable: the float entries it was
+    given or, for a table given only counts, their `_ratios`, built on
+    the first read, frozen and kept on the table.  The field's default,
+    None, leaves the values to the counts."""
+
+    def __get__(self, f: "FunctionTable | None", owner: type | None = None) -> "np.ndarray | None":
+        if f is None:
+            return None
+        values = vars(f)["values"]
+        if values is None:
+            values = _ratios(f.counts, f.denominator)
+            values.setflags(write=False)
+            vars(f)["values"] = values
+        return values
+
+    def __set__(self, f: "FunctionTable", values: "np.ndarray | None") -> None:
+        vars(f)["values"] = values
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
     """Dense table of a bounded function f: F2^n -> [0, 1].
@@ -73,48 +104,67 @@ class FunctionTable:
     function is a ratio of small integers, `counts` holds the exact
     numerators (values == counts / denominator), which the coset
     transform uses for exact coefficients, verdicts and certificates.
-    Arrays given already C-contiguous (values as float64) are kept, not
-    copied, and made read-only: the caller's own array is frozen too.
+    A table given counts without values (`from_counts`, so every
+    instance and rounded table) holds only them: its float64 `values`
+    are built on their first read and then kept, and the count paths
+    (verdicts, certificates, energies, decompositions, rounding
+    lookups, `.f2fn` writes) never read them.  Arrays given already
+    C-contiguous (values as float64) are kept, not copied, and made
+    read-only: the caller's own array is frozen too.
     """
 
     n: int
-    values: np.ndarray
+    values: np.ndarray = _Mirror()
     counts: np.ndarray | None = None
     denominator: int | None = None
 
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError(f"n must be positive, got {self.n}")
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.shape != (1 << self.n,):
-            raise ValueError(f"table must have 2^{self.n} entries, got {values.shape}")
-        # min and max propagate NaN, so a NaN fails both comparisons
-        if not (values.min() >= 0.0 and values.max() <= 1.0):
-            raise ValueError("table values must lie in [0, 1]")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        given = vars(self)["values"]
+        if given is not None:
+            values = np.ascontiguousarray(given, dtype=np.float64)
+            if values.shape != (1 << self.n,):
+                raise ValueError(f"table must have 2^{self.n} entries, got {values.shape}")
+            # min and max propagate NaN, so a NaN fails both comparisons
+            if not (values.min() >= 0.0 and values.max() <= 1.0):
+                raise ValueError("table values must lie in [0, 1]")
+            values.setflags(write=False)
+            object.__setattr__(self, "values", values)
         if (self.counts is None) != (self.denominator is None):
             raise ValueError("counts and denominator must be given together")
-        if self.counts is not None:
-            counts = np.ascontiguousarray(self.counts)
-            if counts.shape != values.shape:
-                raise ValueError("counts must match table length")
-            if not np.issubdtype(counts.dtype, np.integer):
-                raise ValueError(f"counts must have an integer dtype, got {counts.dtype}")
-            den = self.denominator
-            if isinstance(den, bool) or not isinstance(den, (int, np.integer)) or den < 1:
-                raise ValueError(f"denominator must be an integer >= 1, got {den!r}")
-            if counts.min() < 0 or counts.max() > den:
-                raise ValueError(f"counts must lie in [0, denominator={den}]")
-            counts.setflags(write=False)
-            object.__setattr__(self, "counts", counts)
-            object.__setattr__(self, "denominator", int(den))
+        if self.counts is None:
+            if given is None:
+                raise ValueError("a table needs values or counts")
+            return
+        counts = np.ascontiguousarray(self.counts)
+        if counts.shape != (1 << self.n,):
+            raise ValueError("counts must match table length")
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"counts must have an integer dtype, got {counts.dtype}")
+        den = self.denominator
+        if isinstance(den, bool) or not isinstance(den, (int, np.integer)) or den < 1:
+            raise ValueError(f"denominator must be an integer >= 1, got {den!r}")
+        if counts.min() < 0 or counts.max() > den:
+            raise ValueError(f"counts must lie in [0, denominator={den}]")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "denominator", int(den))
 
     @classmethod
     def from_counts(cls, n: int, counts: np.ndarray, denominator: int) -> "FunctionTable":
-        values = counts.astype(np.float64)
-        values /= float(denominator)
-        return cls(n, values, counts=counts, denominator=denominator)
+        return cls(n, counts=counts, denominator=denominator)
+
+    def _float_blocks(self, step: int) -> Iterator[np.ndarray]:
+        """The float entries in index order, step at a time: slices of
+        `values` once given or built, else the `_ratios` of each block of
+        counts, the same bytes without a full-size float array."""
+        values = vars(self)["values"]
+        for start in range(0, self.size, step):
+            if values is None:
+                yield _ratios(self.counts[start : start + step], self.denominator)
+            else:
+                yield values[start : start + step]
 
     @classmethod
     def constant(cls, n: int, value: float) -> "FunctionTable":
@@ -582,8 +632,9 @@ def _regularity_scan(
     the transposed view of the row-major `_coset_transform`.  Each
     column's largest nontrivial magnitude, a reduction across the rows
     t[1:], is compared with eps * 2^dim, and only irregular columns are
-    copied, in class order, to find their worst class: the largest
-    magnitude, the smallest rep on ties.
+    copied, in class order, to find their worst class: the first class
+    whose magnitude equals that column maximum, so the largest
+    magnitude with the smallest rep on ties.
     """
     irregular = np.zeros(reps.shape[0], dtype=bool)
     witness_etas, witness_values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
@@ -598,14 +649,16 @@ def _regularity_scan(
         else:
             t = _coset_transform(f, span, block)[0].T
         # each column's largest nontrivial magnitude, without an abs copy
-        bad = np.maximum(t[1:].max(axis=0), -t[1:].min(axis=0)) > float(eps) * den
+        largest = np.maximum(t[1:].max(axis=0), -t[1:].min(axis=0))
+        bad = largest > float(eps) * den
         irregular[start : start + step] = bad
         cols = np.flatnonzero(bad)
         if cols.size:
             if z is None:
                 etas, z = _class_maps(h)
             magnitudes = t[z[1:, None], cols]
-            worst = np.argmax(np.abs(magnitudes, out=magnitudes), axis=0) + 1
+            hits = np.abs(magnitudes, out=magnitudes) == largest[cols]
+            worst = np.argmax(hits, axis=0) + 1
             witness_etas.append(etas[worst])
             witness_values.append(_signed(t[z[worst], cols] / den, block[cols], etas[worst]))
         del t  # before the next block is gathered

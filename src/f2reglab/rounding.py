@@ -27,14 +27,15 @@ characters (at most 16) is added once per chunk, and each character
 only combines the chain sums under its lane and block signs.
 
 Memory, beside the tables the caller holds: `round_to_binary` holds
-only what it returns, the uint8 counts and their float64 values (9
-bytes a point), since it draws _CHUNK_POINTS counters at a time and
-compares each chunk straight into the counts.  `deviation_report` holds
-one integer transform of the rounded counts (4 bytes a point below
-n = 31) while it reads the lookups, each lookup table at most
-_CHUNK_POINTS entries (or one character's 2^codim), then a few gathered
-chunks of about _CHUNK_POINTS points and at most _SIGN_ENTRIES block
-signs for the characters of one coset.
+only what it returns, the uint8 counts (1 byte a point; the table
+builds its float64 values only if they are read), since it draws
+_CHUNK_POINTS counters at a time and compares each chunk straight into
+the counts.  `deviation_report` holds one integer transform of the
+rounded counts (4 bytes a point below n = 31) while it reads the
+lookups, each lookup table at most _CHUNK_POINTS entries (or one
+character's 2^codim), then a few gathered chunks of about _CHUNK_POINTS
+points and at most _SIGN_ENTRIES block signs for the characters of one
+coset.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def round_to_binary(f: FunctionTable, seed: int) -> FunctionTable:
 
     The draws are made _CHUNK_POINTS counters at a time, each chunk
     compared straight into the one uint8 counts array, so the only
-    full-size arrays are the counts and the table's float values.
+    full-size array is the counts.
     """
     counts = np.empty(f.size, dtype=np.uint8)
     for start in range(0, f.size, _CHUNK_POINTS):

@@ -4,13 +4,17 @@ Layout: 4-byte magic "F2FN", one format version byte, n as a 32-bit
 little-endian unsigned integer, then 2^n IEEE-754 binary64 values in
 little-endian index order.  Reads and writes round-trip bit-exactly.
 
-Neither direction copies the payload.  `write_table` writes the header
-and then the table's own buffer.  `read_table` reads the payload
-straight into the one float64 array the returned table holds, and tells
-a short file from an over-long one by the bytes it read and a one-byte
-probe after them, so it works on pipes as on regular files; its range
-check is a min and a max over that array.  Above what the caller holds,
-a read peaks at the table's 8 * 2^n bytes and a write at none.
+Neither direction copies a float payload.  `write_table` writes the
+header and then the table's own float64 buffer, or, for a count table
+whose float values were never given nor read (`FunctionTable`), the
+values counts / denominator built from the counts _WRITE_BLOCK entries
+at a time, with the same bytes and no full-size float array.
+`read_table` reads the payload straight into the one float64 array the
+returned table holds, and tells a short file from an over-long one by
+the bytes it read and a one-byte probe after them, so it works on pipes
+as on regular files; its range check is a min and a max over that
+array.  Above what the caller holds, a read peaks at the table's
+8 * 2^n bytes and a write at one block of 8 * _WRITE_BLOCK bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from .gf2 import DEFAULT_DENSE_LIMIT, check_dense
 MAGIC = b"F2FN"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBI")
+# Payload entries written at once; a count table without float values
+# builds each block's from its counts.
+_WRITE_BLOCK = 1 << 16
 
 
 class TableFormatError(Exception):
@@ -45,10 +52,10 @@ class ValueRangeError(TableFormatError):
 
 
 def write_table(path: "str | Path", f: FunctionTable) -> None:
-    payload = np.ascontiguousarray(f.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, f.n))
-        fh.write(payload)
+        for block in f._float_blocks(_WRITE_BLOCK):
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def read_table(path: "str | Path", dense_limit: int = DEFAULT_DENSE_LIMIT) -> FunctionTable:

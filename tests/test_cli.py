@@ -456,6 +456,25 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, *args)
         assert first.encode() == second.encode()
 
+    def test_written_table_bytes_pinned(self, tmp_path, capsys):
+        # sha256 of the files written when count tables carried their
+        # float values from construction: the instance table, a rounded
+        # instance table and a rounded random n = 20 table
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        g, s, r = tmp_path / "g.f2fn", tmp_path / "s.f2fn", tmp_path / "r.f2fn"
+        run_cli(capsys, "gen", "--s", "3", "--seed", "1", "--out", str(g))
+        run_cli(capsys, "round", "--in", str(g), "--tau", "0.5", "--seed", "5",
+                "--pairs", "20", "--max-codim", "0", "--out", str(s))
+        t20 = tmp_path / "t20.f2fn"
+        write_table(t20, FunctionTable(20, np.random.default_rng(20).random(1 << 20)))
+        run_cli(capsys, "round", "--in", str(t20), "--tau", "0.16", "--seed", "7",
+                "--pairs", "20", "--out", str(r))
+        assert sha(g) == "3d628c6ce098ffd05a98a10f5734b53f655785484ad91d73a623508a5619ddff"
+        assert sha(s) == "9f173da219639490174ae5f9815ef91d4cbeee648f0f012d9ff0bf6337c63b5d"
+        assert sha(r) == "21eab272724cfa43ba52d8e4cbb1732029b728f6d30aa2e9214ed0abae4f85b9"
+
     def test_table_bytes_reproducible(self, tmp_path, capsys):
         a, b = tmp_path / "a.f2fn", tmp_path / "b.f2fn"
         run_cli(capsys, "gen", "--s", "3", "--seed", "9", "--out", str(a))

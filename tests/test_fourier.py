@@ -6,6 +6,7 @@ by integer index, (1, 1/2, 1/2, 1/2, 1, 0, 1/2, 0).  Its full spectrum,
 also by hand, is (1/2, 1/4, 1/8, 1/8, 1/8, -1/8, 0, 0).
 """
 
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -20,12 +21,14 @@ from f2reglab import (
     Instance,
     Subspace,
     check_subspace_regularity,
+    deviation_report,
     energy,
     enumerate_all_subspaces,
     find_regular_subspace,
     restricted_coefficient,
     restricted_spectrum,
     round_to_binary,
+    sample_pairs,
     wht_full,
 )
 from f2reglab import fourier
@@ -1024,3 +1027,65 @@ class TestValueValidation:
                 a[0] = 1
         g = FunctionTable(3, np.arange(16.0)[::2] / 16)  # strided: copied, then frozen
         assert g.values.flags.c_contiguous and not g.values.flags.writeable
+
+
+def holds_values(f):
+    """Whether a table holds float values, given or built from its counts."""
+    return vars(f)["values"] is not None
+
+
+class TestValuesOnFirstRead:
+    """A table given only counts holds no float values until something
+    reads them; then they are counts / denominator, built once."""
+
+    def test_from_counts_allocates_no_float_table(self):
+        # the values of an n = 20 table take 8 MiB
+        n = 20
+        counts = np.random.default_rng(31).integers(0, 7, size=1 << n, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            f = FunctionTable.from_counts(n, counts, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+        assert not holds_values(f)
+
+    def test_count_paths_read_no_values(self):
+        n = 12
+        counts = np.random.default_rng(32).integers(0, 7, size=1 << n, dtype=np.uint8)
+        f = FunctionTable.from_counts(n, counts, 6)
+        for codim in (0, 5, n):
+            h = random_subspace_of_codim(n, codim, random.Random(codim))
+            check_subspace_regularity(f, h, "1/16")
+            energy(f, h)
+        find_regular_subspace(f, "1/10")
+        g = FunctionTable(n, np.random.default_rng(33).random(1 << n))
+        rounded = round_to_binary(g, 3)
+        report = deviation_report(g, rounded, 4.0, sample_pairs(n, 50, 3, 4))
+        assert report.records
+        assert not holds_values(f) and not holds_values(rounded)
+
+    @pytest.mark.parametrize("den", [1, 3, 6, 7, 255])
+    def test_values_are_built_once_from_the_counts(self, den):
+        counts = np.random.default_rng(den).integers(0, den + 1, size=1 << 10).astype(np.uint8)
+        f = FunctionTable.from_counts(10, counts, den)
+        expected = counts.astype(np.float64)
+        expected /= float(den)
+        values = f.values
+        assert values.tobytes() == expected.tobytes()
+        assert f.values is values and not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.5
+
+    def test_given_values_are_kept(self):
+        counts = np.array([0, 1, 2, 3], dtype=np.uint8)
+        values = np.array([0.0, 0.25, 0.5, 0.75])  # not counts / 3
+        f = FunctionTable(2, values, counts=counts, denominator=3)
+        assert f.values is values
+        g = dataclasses.replace(FunctionTable.from_counts(2, counts, 3), values=values)
+        assert g.values is values and g.counts is counts
+
+    def test_a_table_needs_values_or_counts(self):
+        with pytest.raises(ValueError, match="values or counts"):
+            FunctionTable(2)

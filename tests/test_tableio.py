@@ -141,3 +141,28 @@ class TestPeakMemory:
         _, peak = traced_peak(write_table, tmp_path / "t.f2fn", f)
         assert peak <= 1 << 20, peak
         assert (tmp_path / "t.f2fn").read_bytes() == file_bytes(self.N, f.values)
+
+    def test_count_table_streams_its_values(self, tmp_path):
+        # an n = 20 count table's float values would take 8 MiB: the write
+        # builds them a block at a time, with the bytes of the whole array
+        n = 20
+        counts = np.random.default_rng(7).integers(0, 8, size=1 << n, dtype=np.uint8)
+        f = FunctionTable.from_counts(n, counts, 7)
+        path = tmp_path / "t.f2fn"
+        _, peak = traced_peak(write_table, path, f)
+        assert peak < 2 << 20, peak
+        assert vars(f)["values"] is None
+        expected = counts.astype(np.float64)
+        expected /= 7.0
+        assert path.read_bytes() == file_bytes(n, expected)
+        assert f.values.tobytes() == expected.tobytes()
+        # once built, the values themselves are written
+        write_table(tmp_path / "u.f2fn", f)
+        assert (tmp_path / "u.f2fn").read_bytes() == path.read_bytes()
+
+    def test_count_table_writes_the_values_it_was_given(self, tmp_path):
+        counts = np.arange(1 << 8, dtype=np.uint8) % 4
+        values = counts / 4.0  # not counts / 3
+        f = FunctionTable(8, values, counts=counts, denominator=3)
+        write_table(tmp_path / "t.f2fn", f)
+        assert (tmp_path / "t.f2fn").read_bytes() == file_bytes(8, values)
