@@ -30,10 +30,10 @@ from .fourier import (
     FunctionTable,
     RegularityReport,
     _block_rows,
+    _check_n,
     _count_dtype,
     _count_spectrum,
     _dual_report,
-    _pullback_reps,
     as_fraction,
     check_subspace_regularity,
 )
@@ -53,7 +53,8 @@ def energy(f: FunctionTable, h: Subspace) -> float:
     (s 2^n)^2, which by Parseval on the quotient equals the sum over
     H-perp of the squared full transform (`_parseval_energy`).
     """
-    reps = _pullback_reps(f, h)
+    _check_n(f, "subspace", h.n)
+    reps = h.coset_representative_array(f.n)
     span, step = h.span_array(f.n), _block_rows(h.dim)
     exact = f.counts is not None
     sums = np.empty(reps.shape[0], _count_dtype(f.denominator, h.dim) if exact else np.float64)
@@ -97,16 +98,14 @@ def _refine(
     h: Subspace, report: RegularityReport, single: bool
 ) -> tuple[Subspace, tuple[int, ...]]:
     """Intersect H with the annihilator of the report's witness
-    characters: all of them deduplicated, or just the globally worst."""
-    if report.witness_etas.size == 0:
-        added: tuple[int, ...] = ()
-    elif single:
+    characters: all of them deduplicated, or just the globally worst.
+    The report is irregular, so it has a witness."""
+    if single:
         k = int(np.argmax(np.abs(report.witness_values)))
         added = (int(report.witness_etas[k]),)
     else:
         added = tuple(sorted({int(e) for e in report.witness_etas}))
-    span = Subspace.from_vectors(h.n, added)
-    return h.intersect(span.orthogonal_complement()), added
+    return Subspace.annihilator(h.n, h._dual_rows() + list(added)), added
 
 
 @dataclass(frozen=True)

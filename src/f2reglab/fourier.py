@@ -35,9 +35,12 @@ tables transform their float values.  A count table built from its
 counts alone holds only them (1 byte a point for uint8 counts): its
 float64 values are built when something first reads them (`wht_full`,
 the defining means, float-side rounding gathers, witness spot checks)
-and then kept.  A coset restriction is regular at level eps when every
-nontrivial class coefficient has absolute value at most eps; a subspace
-is regular when at least a (1 - eps) fraction of its cosets are.
+and then kept.  Cosets, subspaces and xi families must live in the
+table's F2^n (`_check_n`; characters and translates, which may be ints,
+take `gf2._checked_bits`).  A coset restriction is regular at level eps
+when every nontrivial class coefficient has absolute value at most eps;
+a subspace is regular when at least a (1 - eps) fraction of its cosets
+are.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from .gf2 import (
     DimensionMismatchError,
     F2Vector,
     Subspace,
-    _span_of_rows,
+    _checked_bits,
+    _frozen_span,
     _span_stack,
     parity64,
 )
@@ -108,9 +112,9 @@ class FunctionTable:
     instance and rounded table) holds only them: its float64 `values`
     are built on their first read and then kept, and the count paths
     (verdicts, certificates, energies, decompositions, rounding
-    lookups, `.f2fn` writes) never read them.  Arrays given already
-    C-contiguous (values as float64) are kept, not copied, and made
-    read-only: the caller's own array is frozen too.
+    lookups, `.f2fn` writes, `mean`, `is_binary`) never read them.
+    Arrays given already C-contiguous (values as float64) are kept, not
+    copied, and made read-only: the caller's own array is frozen too.
     """
 
     n: int
@@ -175,10 +179,17 @@ class FunctionTable:
         return 1 << self.n
 
     def mean(self) -> float:
-        return float(self.values.mean())
+        """The mean; a count table's is its count sum over den * 2^n, rounded once."""
+        if self.counts is None:
+            return float(self.values.mean())
+        total = self.counts.sum(dtype=_count_dtype(self.denominator, self.n))
+        return int(total) / (self.denominator << self.n)
 
     def is_binary(self) -> bool:
-        return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
+        """Every value is 0 or 1; a count table reads its counts."""
+        if self.counts is None:
+            return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
+        return bool(np.all((self.counts == 0) | (self.counts == self.denominator)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,19 +361,30 @@ def wht_full(f: FunctionTable) -> np.ndarray:
     return out
 
 
-def _check_table_coset(f: FunctionTable, a: AffineSubspace) -> None:
-    if f.n != a.n:
-        raise DimensionMismatchError(f"table n={f.n} vs coset n={a.n}")
+def _check_n(f: FunctionTable, what: str, n: int) -> None:
+    """An object of F2^n (a coset, subspace or xi family, named by what)
+    must live in the table's F2^n.  Characters and translates, which may
+    also be ints, are checked by `_checked_bits`."""
+    if f.n != n:
+        raise DimensionMismatchError(f"table n={f.n} vs {what} n={n}")
 
 
-def restricted_coefficient(f: FunctionTable, a: AffineSubspace, eta: F2Vector) -> float:
+def restricted_coefficient(f: FunctionTable, a: AffineSubspace, eta: "F2Vector | int") -> float:
     """Coefficient of f at eta over the coset a, by the defining mean."""
-    _check_table_coset(f, a)
-    if eta.n != f.n:
-        raise DimensionMismatchError(f"character n={eta.n} vs table n={f.n}")
+    _check_n(f, "coset", a.n)
+    eta_bits = _checked_bits(eta, f.n, "character")
     points = a.element_array(f.n)
-    signs = 1.0 - 2.0 * parity64(points & np.int64(eta.bits))
-    return float((f.values[points] * signs).mean())
+    return float((f.values[points] * _signs(points, np.int64(eta_bits))).mean())
+
+
+def _signs(points: np.ndarray, etas: "np.ndarray | np.integer") -> np.ndarray:
+    """The float signs (-1)^<x, eta> of the points x under the characters etas."""
+    return 1.0 - 2.0 * parity64(points & etas)
+
+
+def _restriction(rows: "tuple[int, ...]", etas: np.ndarray) -> np.ndarray:
+    """Each character's restriction to span(rows): bit j is <rows[j], eta>."""
+    return sum((parity64(np.int64(r) & etas) << j for j, r in enumerate(rows)), etas & 0)
 
 
 def _class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
@@ -379,27 +401,20 @@ def _build_class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
 
     The canonical representatives are the subset sums of the unit vectors
     at the free positions of H-perp, with entry k summing those selected
-    by the bits of k.  The bucket map is linear (bit i of bucket(eta) is
-    <basis_i, eta>), so bucket(etas[k]) is the same subset sum of the
-    generators' buckets: the span of those buckets in the same counting
-    order.  Only pullback transforms read these maps; count-table
-    lookups, tail averages included, read `_coset_numerator`.
+    by the bits of k.  The bucket map is the restriction to H's basis
+    (`_restriction`), which is linear, so bucket(etas[k]) is the same
+    subset sum of the unit vectors' buckets: the span of those buckets
+    in the same counting order.  Both arrays are read-only.  Only
+    pullback transforms read these maps; count-table lookups, tail
+    averages included, read `_coset_numerator`.
     """
     perp = h.orthogonal_complement()
     etas = perp.coset_representative_array(dense_limit=h.n)
-    generators = [
-        sum(((row >> p) & 1) << i for i, row in enumerate(h.basis))
-        for p in perp.free_positions
-    ]
-    return etas, _span_of_rows(generators)
+    units = np.array([1 << p for p in perp.free_positions], dtype=np.int64)
+    return etas, _frozen_span(_restriction(h.basis, units))
 
 
-@lru_cache(maxsize=512)
-def _cached_class_maps(h: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    etas, z = _build_class_maps(h)
-    etas.setflags(write=False)
-    z.setflags(write=False)
-    return etas, z
+_cached_class_maps = lru_cache(maxsize=512)(_build_class_maps)
 
 
 def _coset_transform(
@@ -558,7 +573,7 @@ def restricted_spectrum(f: FunctionTable, a: AffineSubspace) -> CosetSpectrum:
     runs one size-2^dim transform; count tables give the correctly
     rounded exact ratio.
     """
-    _check_table_coset(f, a)
+    _check_n(f, "coset", a.n)
     h = a.subspace
     rep = np.int64(a.representative.bits)
     table, den = _coset_transform(f, h.span_array(f.n), rep[None])
@@ -566,19 +581,6 @@ def restricted_spectrum(f: FunctionTable, a: AffineSubspace) -> CosetSpectrum:
     values = table[0, z].astype(np.float64, copy=False)
     values /= den
     return CosetSpectrum(coset=a, class_reps=etas, coefficients=_signed(values, rep, etas))
-
-
-def _check_table_subspace(f: FunctionTable, h: Subspace) -> None:
-    """h must live in the table's F2^n."""
-    if f.n != h.n:
-        raise DimensionMismatchError(f"table n={f.n} vs subspace n={h.n}")
-
-
-def _pullback_reps(f: FunctionTable, h: Subspace) -> np.ndarray:
-    """Coset representatives of h, which must live in the table's F2^n;
-    a full pullback then has the table's 2^n entries."""
-    _check_table_subspace(f, h)
-    return h.coset_representative_array(f.n)
 
 
 def _threshold(eps: Fraction, den: int) -> int:
@@ -695,7 +697,7 @@ def check_subspace_regularity(
     exact, from the integer transform, on count tables (`_dual_report`),
     and from the pullback on float tables (`_regularity_scan`)."""
     eps = as_fraction(epsilon)
+    _check_n(f, "subspace", h.n)
     if f.counts is None:
-        return _regularity_scan(f, h, eps, _pullback_reps(f, h))
-    _check_table_subspace(f, h)
+        return _regularity_scan(f, h, eps, h.coset_representative_array(f.n))
     return _dual_report(h, eps, _count_spectrum(f), f.denominator)

@@ -94,6 +94,40 @@ def _checked_bits(v: "F2Vector | int", n: int, what: str) -> int:
     return bits
 
 
+def _complement(rows_by_pivot: "dict[int, int]", n: int) -> list[int]:
+    """The complement of a reduced echelon basis of F2^n given by pivot,
+    {p_i: r_i}: the rows e_j plus bit_j(r_i) e_{p_i} over every i, for
+    each non-pivot j, ascending; `_perp_stack` is the stacked form and
+    gives the argument and the echelon forms of the result."""
+    return [
+        (1 << j) | sum(((r >> j) & 1) << p for p, r in rows_by_pivot.items())
+        for j in range(n)
+        if j not in rows_by_pivot
+    ]
+
+
+def _perp_stack(basis: np.ndarray, pivots: np.ndarray, n: int) -> np.ndarray:
+    """Complements of a (B, k) stack of reduced echelon bases whose row i
+    has its pivot at pivots[:, i]: the rows e_j + sum over i of
+    bit_j(basis_i) e_{pivots_i} for every non-pivot j, ascending, shape
+    (B, n - k).
+
+    Each such row is orthogonal to every basis row because the basis is
+    reduced (basis_i has the bit pivots_i' exactly when i = i').  Given a
+    top-pivot stack of duals D and their top bits, the rows are the
+    lowest-pivot echelon basis of H = D-perp (row j has lowest bit j);
+    given H's echelon basis and its lowest bits, they are H-perp in the
+    top-pivot echelon form of `_echelon_stack(..., top=True)` (row j has
+    top bit j).
+    """
+    count, k = basis.shape
+    columns = np.arange(n, dtype=np.int64)
+    # row i's bits land at its own pivot, so a sum over i is their OR
+    moved = (((basis[:, :, None] >> columns) & 1) << pivots[:, :, None]).sum(axis=1)
+    keep = (columns != pivots[:, :, None]).all(axis=1)
+    return ((1 << columns) | moved)[keep].reshape(count, n - k)
+
+
 def _echelon_rows(rows: Iterable[int], top: bool = False) -> tuple[int, ...]:
     """Reduced row echelon basis of the span, by ascending pivot: the
     pivot is the lowest set bit, or with top=True the highest."""
@@ -160,17 +194,11 @@ class Subspace:
         of F2^n as ints): the orthogonal complement of their span.
 
         The rows are reduced to the top-pivot echelon form of their span,
-        duals d_i with top bits t_i.  The canonical basis is then, for
-        each j that is no t_i, ascending, e_j plus bit_j(d_i) e_{t_i} over
-        every i (`witness._perp_stack` gives the argument).  Only the rows
-        are echelonized, not the n - rank rows of the result.
+        whose `_complement` is the canonical basis.  Only the rows are
+        echelonized, not the n - rank rows of the result.
         """
-        duals = {d.bit_length() - 1: d for d in _echelon_rows(rows, top=True)}
-        return cls._from_echelon(n, tuple(
-            (1 << j) | sum(((d >> j) & 1) << t for t, d in duals.items())
-            for j in range(n)
-            if j not in duals
-        ))
+        duals = _echelon_rows(rows, top=True)
+        return cls._from_echelon(n, tuple(_complement({d.bit_length() - 1: d for d in duals}, n)))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -217,17 +245,12 @@ class Subspace:
 
     def orthogonal_complement(self) -> "Subspace":
         """All characters vanishing on this subspace."""
-        return Subspace._from_echelon(self.n, _echelon_rows(self._dual_rows()))
+        return Subspace.annihilator(self.n, self.basis)
 
     def _dual_rows(self) -> list[int]:
-        """The orthogonal complement's basis in top-pivot echelon form: for
-        each free position f, ascending, e_f plus e_p for every pivot p
-        whose row has bit f (above p), so f is that row's top bit alone."""
-        piv = self.pivots
-        return [
-            (1 << f) | sum(((r >> f) & 1) << p for p, r in zip(piv, self.basis))
-            for f in self.free_positions
-        ]
+        """The orthogonal complement's basis in top-pivot echelon form
+        (`_complement` of the basis at its pivots)."""
+        return _complement(dict(zip(self.pivots, self.basis)), self.n)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Exact intersection via duals: (H1^perp + H2^perp)^perp."""
@@ -393,23 +416,13 @@ def enumerate_all_subspaces(n: int) -> Iterator[Subspace]:
         yield from subspaces_of_dim(n, d)
 
 
-def _span_of_rows(rows: Sequence[int]) -> np.ndarray:
-    """All 2^len(rows) subset XORs of the rows, entry k XORing those
-    selected by the bits of k, filled in place in one array."""
-    span = np.empty(1 << len(rows), dtype=np.int64)
-    span[0] = 0
-    k = 1
-    for r in rows:
-        np.bitwise_xor(span[:k], np.int64(r), out=span[k : 2 * k])
-        k *= 2
-    return span
-
-
 def _span_stack(rows: np.ndarray, start: "np.ndarray | int" = 0) -> np.ndarray:
     """start + span of each of a (B, d) stack of basis rows, filled in place
-    in one (2^d, B, ...) array: [j, b] is start[b] XOR the j-th element of
-    span(rows[b]) in the order of `_span_of_rows`.  start is 0, a rep per
-    subspace (B,) or K points per subspace (B, K), giving (2^d, B, K)."""
+    in one (2^d, B, ...) array: [j, b] is start[b] XOR the subset XOR of
+    the rows rows[b] selected by the bits of j, filled by doubling, one
+    row at a time.  start is 0, a rep per subspace (B,) or K points per
+    subspace (B, K), giving (2^d, B, K).  Every span array of the package
+    is built here (`_frozen_span` is the one-row call)."""
     start = np.asarray(start)
     span = np.empty((1 << rows.shape[1], rows.shape[0]) + start.shape[1:], dtype=np.int64)
     span[0] = start
@@ -448,15 +461,14 @@ def _echelon_stack(
     return np.take_along_axis(rows, order, axis=1), (pivot < n).sum(axis=1)
 
 
-def _frozen_span(rows: Sequence[int]) -> np.ndarray:
-    span = _span_of_rows(rows)
+def _frozen_span(rows: "Sequence[int] | np.ndarray") -> np.ndarray:
+    """The read-only span of one basis, in `_span_stack`'s order."""
+    span = _span_stack(np.array([rows], dtype=np.int64)).reshape(-1)
     span.setflags(write=False)
     return span
 
 
-@lru_cache(maxsize=512)
-def _cached_span(rows: tuple[int, ...]) -> np.ndarray:
-    return _frozen_span(rows)
+_cached_span = lru_cache(maxsize=512)(_frozen_span)
 
 
 @lru_cache(maxsize=512)

@@ -49,8 +49,11 @@ import numpy as np
 from .fourier import (
     FunctionTable,
     _butterflies,
+    _check_n,
     _coset_numerator,
     _count_spectrum,
+    _restriction,
+    _signs,
 )
 from .gf2 import (
     AffineSubspace,
@@ -59,7 +62,7 @@ from .gf2 import (
     Subspace,
     _cached_span,
     _checked_bits,
-    _span_of_rows,
+    _frozen_span,
     parity64,
 )
 from .rng import Stream, keyed_uniforms
@@ -159,16 +162,6 @@ def size_threshold(n: int, tau: float) -> float:
     return 4.0 * n * n / (tau * tau)
 
 
-def _signs(points: np.ndarray, etas: "np.ndarray | np.integer") -> np.ndarray:
-    """The +-1 signs of the points under the characters etas (broadcast)."""
-    return 1.0 - 2.0 * parity64(points & etas)
-
-
-def _restriction(rows: "tuple[int, ...]", etas: np.ndarray) -> np.ndarray:
-    """Each character's restriction to span(rows): bit j is <rows[j], eta>."""
-    return sum((parity64(np.int64(r) & etas) << j for j, r in enumerate(rows)), etas & 0)
-
-
 def _halved(sums: np.ndarray) -> np.ndarray:
     """The halving tree over the last axis (a power of two): adjacent
     entries added level by level, the order of numpy's pairwise sum."""
@@ -193,7 +186,7 @@ def _row_sums(
     one subtree of numpy's pairwise sum, and the tree over the rows is
     the rest of it.
     """
-    high = _span_of_rows(basis[_SPLIT:]) ^ np.int64(rep)
+    high = _frozen_span(basis[_SPLIT:]) ^ np.int64(rep)
     low = _cached_span(basis[:_SPLIT])
     low_signs = _signs(low, eta)
     step = max(1, _CHUNK_POINTS // low.size)
@@ -247,7 +240,7 @@ def _lane_sums(
     block_stop = max(chain_stop, min(dim, _CHUNK_POINTS.bit_length() - 1))
     chain = _cached_span(basis[lane_stop:chain_stop])
     inner = _cached_span(basis[chain_stop:block_stop])
-    outer = _span_of_rows(basis[block_stop:]) ^ np.int64(rep)
+    outer = _frozen_span(basis[block_stop:]) ^ np.int64(rep)
     # the chunk's points are grid ^ at: one array, moved in place
     grid = chain[:, None, None] ^ _cached_span(basis[:lane_stop])[:, None] ^ inner
     at = np.int64(0)
@@ -356,8 +349,7 @@ def deviation_report(
     kept: list[tuple[AffineSubspace, int]] = []
     skipped = 0
     for coset, eta in pairs:
-        if coset.n != f.n:
-            raise DimensionMismatchError(f"coset n={coset.n} vs table n={f.n}")
+        _check_n(f, "coset", coset.n)
         eta_bits = _checked_bits(eta, f.n, "character")
         if coset.size < threshold:
             skipped += 1

@@ -12,9 +12,10 @@ at a time, with the same bytes and no full-size float array.
 `read_table` reads the payload straight into the one float64 array the
 returned table holds, and tells a short file from an over-long one by
 the bytes it read and a one-byte probe after them, so it works on pipes
-as on regular files; its range check is a min and a max over that
-array.  Above what the caller holds, a read peaks at the table's
-8 * 2^n bytes and a write at one block of 8 * _WRITE_BLOCK bytes.
+as on regular files; its range check is the table's own (a min and a
+max), raised as ValueRangeError.  Above what the caller holds, a read
+peaks at the table's 8 * 2^n bytes and a write at one block of
+8 * _WRITE_BLOCK bytes.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def read_table(path: "str | Path", dense_limit: int = DEFAULT_DENSE_LIMIT) -> Fu
             raise TruncatedPayloadError(f"payload holds {got} bytes, need {values.nbytes}")
         if fh.read(1):
             raise MalformedHeaderError("payload longer than the header's dimension implies")
-    # min and max propagate NaN, so a NaN fails both comparisons
-    if not (values.min() >= 0.0 and values.max() <= 1.0):
-        raise ValueRangeError("table values outside [0, 1]")
-    return FunctionTable(n, values)
+    try:
+        return FunctionTable(n, values)
+    except ValueError as exc:  # the header fixed n and the length: only the range is left
+        raise ValueRangeError("table values outside [0, 1]") from exc

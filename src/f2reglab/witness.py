@@ -42,6 +42,7 @@ import numpy as np
 from .fourier import (
     FunctionTable,
     RegularityReport,
+    _check_n,
     _coset_numerator,
     _count_dtype,
     _count_spectrum,
@@ -56,12 +57,12 @@ from .fourier import (
 from .gf2 import (
     BlockStructure,
     DenseLimitError,
-    DimensionMismatchError,
     F2Vector,
     Subspace,
     _checked_bits,
     _echelon_bases,
     _echelon_stack,
+    _perp_stack,
     _span_stack,
     parity,
     reduce_array,
@@ -197,7 +198,8 @@ def witness_scan(
     if f.counts is None:
         raise ValueError("witness scans need exact count tables (instance functions)")
     i, v = minimal_active_block(h, xi.blocks)
-    _check_sizes(f, h, xi)
+    _check_n(f, "subspace", h.n)
+    _check_n(f, "xi family", xi.blocks.n)
     eps = as_fraction(epsilon)
     spectrum = _count_spectrum(f)
     duals = np.array([h._dual_rows()], np.int64)
@@ -291,13 +293,6 @@ def _spot_checks(
     return passed
 
 
-def _check_sizes(f: FunctionTable, h: Subspace, xi: XiFamily) -> None:
-    """Refuse a subspace or xi family that does not live in the table's F2^n."""
-    for what, n in (("subspace", h.n), ("xi family", xi.blocks.n)):
-        if n != f.n:
-            raise DimensionMismatchError(f"table n={f.n} vs {what} n={n}")
-
-
 def _w_class_fractions(
     f: FunctionTable,
     h: Subspace,
@@ -309,7 +304,8 @@ def _w_class_fractions(
     tail span, read at once from the table's full transform."""
     if f.counts is None:
         raise ValueError("exact coefficient scans need count tables")
-    _check_sizes(f, h, xi)
+    _check_n(f, "subspace", h.n)
+    _check_n(f, "xi family", xi.blocks.n)
     g_bits = _checked_bits(g, f.n, "translate")
     gamma = gamma_character(g_bits, i, xi).bits
     if not any(parity(row & gamma) for row in h.basis):
@@ -415,28 +411,6 @@ def _random_stack(n: int, dim: int, count: int, stream: Stream) -> np.ndarray:
         kept.append(basis[rank == dim][:need])
         need -= len(kept[-1])
     return np.concatenate(kept)
-
-
-def _perp_stack(basis: np.ndarray, pivots: np.ndarray, n: int) -> np.ndarray:
-    """Complements of a (B, k) stack of reduced echelon bases whose row i
-    has its pivot at pivots[:, i]: the rows e_j + sum over i of
-    bit_j(basis_i) e_{pivots_i} for every non-pivot j, ascending, shape
-    (B, n - k).
-
-    Each such row is orthogonal to every basis row because the basis is
-    reduced (basis_i has the bit pivots_i' exactly when i = i').  Given a
-    top-pivot stack of duals D and their top bits, the rows are the
-    lowest-pivot echelon basis of H = D-perp (row j has lowest bit j);
-    given H's echelon basis and its lowest bits, they are H-perp in the
-    top-pivot echelon form of `_echelon_stack(..., top=True)` (row j has
-    top bit j).
-    """
-    count, k = basis.shape
-    columns = np.arange(n, dtype=np.int64)
-    # row i's bits land at its own pivot, so a sum over i is their OR
-    moved = (((basis[:, :, None] >> columns) & 1) << pivots[:, :, None]).sum(axis=1)
-    keep = (columns != pivots[:, :, None]).all(axis=1)
-    return ((1 << columns) | moved)[keep].reshape(count, n - k)
 
 
 def _walk(

@@ -1,8 +1,11 @@
 """Source hygiene: every private module-level function of the package has
-a caller in the package, and every private name a module imports from a
-sibling module is used there."""
+a caller in the package, every private name a module imports from a
+sibling module is used there, each module-level function name is
+defined in one module only, and the check that an object lives in a
+table's F2^n is written once."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "f2reglab"
@@ -85,3 +88,89 @@ def test_a_private_import_named_only_in_docstrings_or_attributes_is_caught(tmp_p
     )
     (tmp_path / "b.py").write_text("def _left():\n    return 0\n")
     assert unused_private_imports(sorted(tmp_path.glob("*.py"))) == [("a.py", "_left")]
+
+
+# The functions that may raise a DimensionMismatchError naming the table
+# ("table n=..."): the one check for cosets, subspaces and xi families,
+# and the one for characters and translates, which may be ints.
+TABLE_CHECKS = {"_check_n", "_checked_bits"}
+
+
+def table_checks_outside(paths):
+    """`raise DimensionMismatchError(...)` statements whose message holds
+    "table n=" in a function not in TABLE_CHECKS (or at module level), as
+    (file name, enclosing function name or None)."""
+    found = []
+
+    def visit(node, path, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "DimensionMismatchError"
+            and any(isinstance(c, ast.Constant) and "table n=" in str(c.value)
+                    for arg in call.args for c in ast.walk(arg))
+            and fn not in TABLE_CHECKS
+        ):
+            found.append((path.name, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, fn)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), path, None)
+    return found
+
+
+def shared_function_names(paths):
+    """Module-level function names defined in more than one module, each
+    with the file names that define it."""
+    where = defaultdict(list)
+    for path in paths:
+        for fn in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where[fn.name].append(path.name)
+    return {name: files for name, files in where.items() if len(files) > 1}
+
+
+def test_the_table_dimension_check_is_written_once():
+    assert table_checks_outside(sorted(SRC.glob("*.py"))) == []
+
+
+def test_a_table_check_outside_the_two_checks_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _check_n(f, what, n):\n"
+        "    raise DimensionMismatchError(f'table n={f.n} vs {what} n={n}')\n\n"
+        "def scan(f, h):\n"
+        "    if f.n != h.n:\n"
+        "        raise DimensionMismatchError(f'table n={f.n} vs subspace n={h.n}')\n"
+        "    raise DimensionMismatchError(f'table dimensions differ: {f.n} vs {h.n}')\n\n"
+        "class Table:\n"
+        "    def check(self, v):\n"
+        "        def inner():\n"
+        "            raise DimensionMismatchError(f'vector n={v.n} vs table n={self.n}')\n"
+        "        raise ValueError(f'table n={self.n}')\n"
+    )
+    (tmp_path / "b.py").write_text("raise DimensionMismatchError('coset n=3 vs table n=4')\n")
+    found = table_checks_outside(sorted(tmp_path.glob("*.py")))
+    assert found == [("a.py", "scan"), ("a.py", "inner"), ("b.py", None)]
+
+
+def test_no_two_modules_define_a_function_of_one_name():
+    assert shared_function_names(sorted(SRC.glob("*.py"))) == {}
+
+
+def test_a_function_defined_in_two_modules_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _restriction(rows):\n    return rows\n\n"
+        "def public():\n    return 0\n\n"
+        "class A:\n    def method(self):\n        return 1\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "def _restriction(rows):\n    return rows\n\n"
+        "def method():\n    def public():\n        return 2\n    return public()\n"
+    )
+    assert shared_function_names(sorted(tmp_path.glob("*.py"))) == {
+        "_restriction": ["a.py", "b.py"]
+    }

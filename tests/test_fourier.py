@@ -1089,3 +1089,60 @@ class TestValuesOnFirstRead:
     def test_a_table_needs_values_or_counts(self):
         with pytest.raises(ValueError, match="values or counts"):
             FunctionTable(2)
+
+    def test_mean_and_is_binary_read_the_counts(self):
+        # the values of an n = 20 table take 8 MiB
+        n = 20
+        rounded = round_to_binary(FunctionTable(n, np.random.default_rng(34).random(1 << n)), 5)
+        for call in (rounded.is_binary, rounded.mean):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, (call, peak)
+        assert rounded.is_binary() is True and not holds_values(rounded)
+
+    @pytest.mark.parametrize("den", [1, 3, 6])
+    def test_count_mean_is_the_exact_ratio(self, den):
+        n = 20
+        counts = np.random.default_rng(den).integers(0, den + 1, size=1 << n).astype(np.uint8)
+        f = FunctionTable.from_counts(n, counts, den)
+        assert f.mean() == float(Fraction(int(counts.sum()), den << n))
+        assert f.is_binary() == (den == 1)
+        assert FunctionTable.from_counts(n, counts // den * den, den).is_binary()
+        assert not holds_values(f)
+
+
+class TestGuards:
+    """Malformed tables, and cosets or characters outside the table's F2^n."""
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"n": 0, "values": np.zeros(1)}, "^n must be positive, got 0$"),
+        ({"n": 2, "values": np.zeros(3)}, r"^table must have 2\^2 entries, got \(3,\)$"),
+        ({"n": 2, "values": np.zeros(4), "counts": np.zeros(4, np.uint8)},
+         "^counts and denominator must be given together$"),
+        ({"n": 2, "counts": np.zeros(3, np.uint8), "denominator": 1},
+         "^counts must match table length$"),
+    ])
+    def test_malformed_tables(self, kwargs, error):
+        with pytest.raises(ValueError, match=error):
+            FunctionTable(**kwargs)
+
+    def test_coset_outside_the_table(self, s2_table):
+        coset = AffineSubspace(Subspace.zero(4))
+        with pytest.raises(DimensionMismatchError, match="^table n=3 vs coset n=4$"):
+            restricted_coefficient(s2_table, coset, F2Vector(4, 0))
+        with pytest.raises(DimensionMismatchError, match="^table n=3 vs coset n=4$"):
+            restricted_spectrum(s2_table, coset)
+
+    def test_character_outside_the_table(self, s2_table):
+        coset = AffineSubspace(Subspace.full(3))
+        with pytest.raises(DimensionMismatchError, match="^character n=4 vs table n=3$"):
+            restricted_coefficient(s2_table, coset, F2Vector(4, 1))
+        for eta in (8, -1):
+            with pytest.raises(ValueError, match=f"^character {eta} out of range for n=3$"):
+                restricted_coefficient(s2_table, coset, eta)
+        # an int character in range is the F2Vector's encoding
+        assert restricted_coefficient(s2_table, coset, 5) == S2_SPECTRUM[5]

@@ -1,7 +1,9 @@
 """GF(2) core: echelon forms, duals, cosets, enumeration."""
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from f2reglab import (
     Subspace,
     enumerate_all_subspaces,
 )
-from f2reglab.gf2 import reduce_array
+from f2reglab.gf2 import reduce_array, subspaces_of_dim
 
 
 def brute_span(rows, n):
@@ -48,6 +50,49 @@ class TestF2Vector:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             F2Vector(2, 4)
+
+
+class TestGuards:
+    """Malformed vectors, bases and block layouts, mixed ambient
+    dimensions, and dense arrays above n = 62."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: F2Vector(0, 0),
+        lambda: Subspace(0, ()),
+        lambda: Subspace._from_echelon(-1, ()),
+        lambda: list(enumerate_all_subspaces(0)),
+    ])
+    def test_ambient_dimension_must_be_positive(self, build):
+        with pytest.raises(ValueError, match="^ambient dimension must be positive, got -?[01]$"):
+            build()
+
+    def test_non_canonical_basis(self):
+        with pytest.raises(ValueError, match="^basis is not in canonical echelon form"):
+            Subspace(3, (2, 1))
+
+    def test_coordinate_string(self):
+        with pytest.raises(ValueError, match="^coordinate string must be over 0/1, got '012'$"):
+            F2Vector.from_string("012")
+
+    def test_ambient_dimensions_must_match(self):
+        with pytest.raises(DimensionMismatchError, match="^n mismatch: 3 vs 4$"):
+            Subspace.zero(3).reduce(F2Vector(4, 1))
+        with pytest.raises(DimensionMismatchError, match="^n mismatch: 4 vs 3$"):
+            AffineSubspace(Subspace.zero(3), F2Vector(4, 1))
+
+    @pytest.mark.parametrize("build", [
+        lambda: Subspace.zero(100).span_array(),
+        lambda: Subspace.full(100).coset_representative_array(),
+        lambda: next(subspaces_of_dim(63, 0)),
+    ])
+    def test_dense_arrays_need_n_at_most_62(self, build):
+        with pytest.raises(DenseLimitError, match="^dense arrays require ambient dimension <= 62$"):
+            build()
+
+    @pytest.mark.parametrize("dims", [(), (1, 0, 2)])
+    def test_block_dims_must_be_positive(self, dims):
+        with pytest.raises(ValueError, match=r"^block dims must be positive, got \("):
+            BlockStructure(dims)
 
 
 class TestEchelonize:
@@ -298,7 +343,12 @@ class TestEnumerateAllSubspaces:
             list(subspaces_of_dim(3, 4))
 
     def test_stacked_echelon_forms_and_spans(self):
-        from f2reglab.gf2 import _echelon_rows, _echelon_stack, _span_of_rows, _span_stack
+        from f2reglab.gf2 import _echelon_rows, _echelon_stack, _span_stack
+
+        def subset_xors(rows):
+            """Entry j XORs the rows selected by the bits of j (brute force)."""
+            return np.array([reduce(xor, (r for i, r in enumerate(rows) if j >> i & 1), 0)
+                             for j in range(1 << len(rows))], dtype=np.int64)
 
         rng = random.Random(41)
         reverse = lambda x, n: int(format(x, f"0{n}b")[::-1], 2)  # noqa: E731
@@ -323,7 +373,7 @@ class TestEnumerateAllSubspaces:
             assert spans.shape == cosets.shape == (1 << m, 300)
             assert translates.shape == (1 << m, 300, 3)
             for k in range(300):
-                span = _span_of_rows(low[k].tolist())
+                span = subset_xors(low[k].tolist())
                 assert np.array_equal(spans[:, k], span)
                 assert np.array_equal(cosets[:, k], span ^ start[k])
                 assert np.array_equal(translates[:, k], span[:, None] ^ points[k])

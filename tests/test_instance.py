@@ -135,6 +135,23 @@ class TestBlockDims:
         assert block_dims(3).dense_possible()
         assert not block_dims(4).dense_possible()
 
+    def test_guards(self):
+        with pytest.raises(TowerOverflowError, match=r"^2\^5 exceeds the materialization cap$"):
+            TowerValue(5).materialize(4)
+        with pytest.raises(ValueError, match="^tower height must be non-negative, got -1$"):
+            tower_value(-1)
+        with pytest.raises(ValueError, match="^block count must be positive, got 0$"):
+            block_dims(0)
+        params = block_dims(6)
+        with pytest.raises(TowerOverflowError, match="^block structure requires materialized dims$"):
+            params.blocks
+        with pytest.raises(TowerOverflowError,
+                           match="^family count for block 7 is not materializable$"):
+            params.family_count(7)
+        for dims in ((), (1, 0)):
+            with pytest.raises(ValueError, match=r"^block dims must be positive, got \("):
+                instance.custom_params(dims)
+
 
 def brute_incidences(vectors, d):
     """Oracle: per-hyperplane member counts by direct inner products."""

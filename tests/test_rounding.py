@@ -575,10 +575,14 @@ class TestDeviationReportGuards:
     def test_coset_of_another_dimension(self):
         f = float_table(12, 1)
         s = round_to_binary(f, 1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="^table n=12 vs coset n=10$"):
             deviation_report(f, s, 0.5, [(AffineSubspace(Subspace.full(10)), 0)])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="^character n=10 vs table n=12$"):
             deviation_report(f, s, 0.5, [(AffineSubspace(Subspace.full(12)), F2Vector(10, 1))])
+
+    def test_tables_of_two_sizes(self):
+        with pytest.raises(DimensionMismatchError, match="^table dimensions differ: 12 vs 11$"):
+            deviation_report(float_table(12, 1), float_table(11, 1), 0.5, [])
 
     @pytest.mark.parametrize("eta", [4099, 1 << 12, -1])
     def test_character_out_of_range(self, eta):

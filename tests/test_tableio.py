@@ -61,6 +61,17 @@ class TestEdgeCases:
         path.write_bytes(b"NOPE" + half_table(4)[4:])
         raises_exactly(path, MalformedHeaderError, "bad magic b'NOPE'")
 
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "t.f2fn"
+        path.write_bytes(HEADER.pack(b"F2FN", 2, 4) + half_table(4)[HEADER.size :])
+        raises_exactly(path, MalformedHeaderError, "unsupported format version 2")
+
+    @pytest.mark.parametrize("n", [0, 63])
+    def test_implausible_dimension(self, tmp_path, n):
+        path = tmp_path / "t.f2fn"
+        path.write_bytes(HEADER.pack(b"F2FN", 1, n) + bytes(8))
+        raises_exactly(path, MalformedHeaderError, f"implausible dimension n={n}")
+
 
 def read_through_pipe(data):
     """read_table of `data` written into a pipe by another thread."""

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,13 +36,12 @@ from f2reglab import (
 from f2reglab import fourier, witness
 from f2reglab.cli import main as cli_main
 from f2reglab.fourier import _count_spectrum
-from f2reglab.gf2 import _echelon_stack, reduce_array, subspaces_of_dim
+from f2reglab.gf2 import _echelon_stack, _perp_stack, reduce_array, subspaces_of_dim
 from f2reglab.reports import emit_report
 from f2reglab.rng import Stream
 from f2reglab.witness import (
     _STACK_ENTRIES,
     _certify_duals,
-    _perp_stack,
     _random_stack,
     _stacks,
     _walk,
@@ -368,6 +368,14 @@ class TestSizeGuard:
         # span(e6) lies past the s = 2 blocks: used to raise IndexError
         with pytest.raises(DimensionMismatchError, match="table n=11 vs xi family n=3"):
             witness_scan(inst3.table, Subspace.from_vectors(11, [32]), "1/48", inst2.xi)
+
+
+class TestFloatTableGuard:
+    @pytest.mark.parametrize("fn", [w_average_coefficient, corollary_fraction])
+    def test_tail_average_on_a_float_table(self, inst3, fn):
+        f = FunctionTable(11, inst3.table.values)
+        with pytest.raises(ValueError, match="^exact coefficient scans need count tables$"):
+            fn(f, Subspace.from_vectors(11, [8]), 0, 3, inst3.xi)
 
 
 class TestAverageCoefficient:
@@ -770,6 +778,15 @@ class TestLowerBoundCheck:
             rows = _random_stack(11, dim, 20, stream)
             assert all(Subspace.from_vectors(11, r).dim == dim for r in rows.tolist())
 
+    def test_walk_guards(self, inst2):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            exhaustive_lowerbound_check(inst2, "1/32", mode="bogus")
+        with pytest.raises(ValueError, match="^lower-bound scans need a dense instance table$"):
+            exhaustive_lowerbound_check(dataclasses.replace(inst2, table=None), "1/32")
+        as_float = dataclasses.replace(inst2, table=FunctionTable(3, inst2.table.values))
+        with pytest.raises(ValueError, match=r"^witness scans need exact count tables \("):
+            exhaustive_lowerbound_check(as_float, "1/32")
+
     def test_strict_failure_raises(self, inst2):
         with pytest.raises(ClaimViolationError):
             exhaustive_lowerbound_check(inst2, Fraction(1, 2), strict=True)
@@ -837,6 +854,56 @@ class TestCrossCheckAgainstRegularityReport:
         cert = witness_scan(inst3.table, h, "1/48", inst3.xi)
         report = check_subspace_regularity(inst3.table, h, "1/48")
         assert report.irregular_cosets >= cert.certified_cosets
+
+
+class TestForcedClaimChecks:
+    """Each claim check fires when the value it checks is forced wrong:
+    the checks hold on every real instance, so only a patched value
+    reaches their raises."""
+
+    CROSS_CHECK = "^certified coset not irregular in the regularity report$"
+
+    def test_witness_scan_cross_check(self, inst3, monkeypatch):
+        real = witness._dual_report
+
+        def no_irregular_coset(*args):
+            report = real(*args)
+            return dataclasses.replace(report, witness_reps=report.witness_reps[:0])
+
+        monkeypatch.setattr(witness, "_dual_report", no_irregular_coset)
+        with pytest.raises(ClaimViolationError, match=self.CROSS_CHECK):
+            witness_scan(inst3.table, Subspace.from_vectors(11, [1]), "1/48", inst3.xi)
+
+    def test_walk_cross_check(self, inst2, monkeypatch):
+        # every coset certified, and every spot check failed so that each
+        # subspace takes the full-class verdict
+        real = witness._certify_duals
+
+        def all_certified(*args):
+            rows, reps, gammas, numerators, certified, trivial, checks = real(*args)
+            checks[:, 0] = False
+            return rows, reps, gammas, numerators, np.ones_like(certified), trivial, checks
+
+        monkeypatch.setattr(witness, "_certify_duals", all_certified)
+        report = exhaustive_lowerbound_check(inst2, "1/32", strict=False)
+        reasons = [f["reason"] for f in report.failures]
+        assert "certified coset not irregular in the regularity report" in reasons
+        with pytest.raises(ClaimViolationError, match=self.CROSS_CHECK):
+            exhaustive_lowerbound_check(inst2, "1/32")
+
+    def test_walk_zero_subspace_check(self, inst2, monkeypatch):
+        monkeypatch.setattr(witness, "_dual_report", lambda *args: SimpleNamespace(is_regular=False))
+        message = "^the zero subspace failed its regularity check$"
+        with pytest.raises(ClaimViolationError, match=message):
+            exhaustive_lowerbound_check(inst2, "1/32")
+        report = exhaustive_lowerbound_check(inst2, "1/32", strict=False)
+        assert not report.zero_subspace_regular and not report.ok
+
+    def test_corollary_fraction_claim(self, inst3, monkeypatch):
+        monkeypatch.setattr(witness, "_w_class_fractions", lambda *args: [Fraction(0)] * 4)
+        message = "^fraction 0 of translates above 1/12 is not itself above 1/12$"
+        with pytest.raises(ClaimViolationError, match=message):
+            corollary_fraction(inst3.table, Subspace.from_vectors(11, [8]), 0, 3, inst3.xi)
 
 
 def per_subspace_walk(monkeypatch, inst, eps, **kwargs):
