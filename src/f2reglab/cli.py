@@ -10,7 +10,6 @@ are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +25,6 @@ from .instance import (
     block_dims,
     eval_count,
     generate_spanning_family,
-    manifest,
 )
 from .reports import emit_report, spanning_check_dict
 from .rounding import deviation_report, round_to_binary, sample_pairs, size_threshold
@@ -88,7 +86,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     inst = _instance(args)
     if args.out is not None:
         write_table(args.out, inst.table)
-    _write(emit_report(manifest(inst)), args.manifest)
+    _write(emit_report(inst), args.manifest)
     return 0
 
 
@@ -305,19 +303,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
     except (ClaimViolationError, RetryLimitError, DecompositionError) as exc:
-        sys.stdout.write(
-            json.dumps(
-                {
-                    "schema": "f2reglab/claim-failure",
-                    "schema_version": 1,
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        record = {
+            "schema": "f2reglab/claim-failure",
+            "schema_version": 1,
+            "error": type(exc).__name__,
+            "message": str(exc),
+        }
+        sys.stdout.write(emit_report(record))
         return 1
     except (DenseLimitError, TableFormatError, TowerOverflowError, ValueError, OSError) as exc:
         sys.stderr.write(f"f2reglab: error: {exc}\n")

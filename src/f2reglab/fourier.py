@@ -205,10 +205,6 @@ class CosetSpectrum:
     class_reps: np.ndarray
     coefficients: np.ndarray
 
-    @property
-    def mean(self) -> float:
-        return float(self.coefficients[0])
-
 
 @dataclass(frozen=True, eq=False)
 class RegularityReport:
@@ -239,14 +235,6 @@ class RegularityReport:
     @property
     def regular_fraction(self) -> Fraction:
         return Fraction(self.regular_cosets, self.total_cosets)
-
-    @property
-    def witnesses(self) -> list[tuple[F2Vector, F2Vector, float]]:
-        n = self.subspace.n
-        return [
-            (F2Vector(n, int(r)), F2Vector(n, int(e)), float(v))
-            for r, e, v in zip(self.witness_reps, self.witness_etas, self.witness_values)
-        ]
 
 
 # One cache block of the transform, counted in 8-byte entries (512 KiB):
@@ -293,12 +281,10 @@ def _block(block: np.ndarray, length: int, buf: np.ndarray) -> None:
 
     Stages of stride below _LOW pair elements a few places apart, which
     numpy iterates slowly, so they run on a transposed copy in buf whose
-    rows are contiguous; the later stages run in place.
+    rows are contiguous (every stage, for runs of at most _LOW); the
+    later stages run in place.
     """
     low = min(length, _LOW)
-    if low <= 4:
-        _butterflies(block, 1, length)
-        return
     runs = block.reshape(-1, low)
     t = buf[: runs.size].reshape(low, -1)
     np.copyto(t, runs.T)

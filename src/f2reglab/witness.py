@@ -27,7 +27,8 @@ stack of equal-dimension subspaces given by their duals.  The
 lower-bound walk runs it on stacks of consecutive subspaces and reports
 a failing subspace from the stack's own verdicts and the worst
 nontrivial class of each of its cosets (`_dual_worst` on the stack of
-failing subspaces); `witness_scan` runs it on a stack of one.
+failing subspaces); `witness_scan` runs it on a stack of one.  Both
+judge their stacks' certificates in one call (`_failures`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -120,9 +121,10 @@ def bad_fraction(
     """
     bound = as_fraction(bound)
     family = xi.family(i)
-    dual = h.orthogonal_complement()
     lo = xi.blocks.offsets[i - 1]
-    fraction = Fraction(sum(1 for e in family if dual.contains(e << lo)), len(family))
+    # e << lo lies in H-perp when it pairs to 0 with every basis row of H
+    trivial = sum(1 for e in family if not any(parity(row & e << lo) for row in h.basis))
+    fraction = Fraction(trivial, len(family))
     if fraction > bound:
         raise ClaimViolationError(
             f"bad fraction {fraction} exceeds {bound} for block {i} "
@@ -207,10 +209,8 @@ def witness_scan(
         a[0] for a in _certify_duals(f, spectrum, duals, eps, xi)
     )
     report = _dual_report(h, eps, spectrum, f.denominator)
-    irregular = np.zeros(reps.shape[0], dtype=bool)
-    irregular[np.searchsorted(reps, report.witness_reps)] = True  # reps ascend
-    first = not (certified & ~irregular).any()
-    reason = _failure([first, *checks], int(certified.sum()), reps.shape[0], eps, h.basis)
+    irregular = np.isin(reps, report.witness_reps)
+    (reason,) = _failures(certified[None], irregular[None], checks[None], eps, [h.basis])
     if reason:
         raise ClaimViolationError(reason)
     return WitnessCertificate(
@@ -229,22 +229,25 @@ def witness_scan(
     )
 
 
-def _failure(
-    checks: Sequence[bool], certified: int, total: int, eps: Fraction, basis: tuple
-) -> "str | None":
-    """Message of the first of a certificate's three checks that fails,
-    or None when all pass: its certified cosets are irregular in the
-    full-class regularity report, and `_certify_duals`'s two checks."""
-    if not checks[0]:
-        return "certified coset not irregular in the regularity report"
-    if not checks[1]:
-        return "defining mean and exact coefficient disagree"
-    if not checks[2]:
-        return (
-            f"witness fraction {Fraction(certified, total)} is not above {eps} "
+def _failures(
+    certified: np.ndarray, irregular: np.ndarray, checks: np.ndarray, eps: Fraction, bases: list
+) -> list["str | None"]:
+    """Each subspace's message for the first failing check of its
+    certificate, or None: every certified coset (certified, a (B, R)
+    mask) is irregular (irregular, the full-class verdict's mask), then
+    `_certify_duals`'s two (B, 2) checks; bases name the subspaces."""
+    verdicts = np.column_stack([~(certified & ~irregular).any(axis=1), checks]).tolist()
+    counts = certified.sum(axis=1).tolist()
+    return [
+        "certified coset not irregular in the regularity report" if not ok[0]
+        else "defining mean and exact coefficient disagree" if not ok[1]
+        else (
+            f"witness fraction {Fraction(count, certified.shape[1])} is not above {eps} "
             f"for subspace with basis {basis}"
-        )
-    return None
+        ) if not ok[2]
+        else None
+        for ok, count, basis in zip(verdicts, counts, bases)
+    ]
 
 
 def _spot_checks(
@@ -511,14 +514,14 @@ def _certify_duals(
 
     Returns H's (B, n - c) echelon bases; per coset, (B, 2^c) arrays of
     the canonical reps (ascending), the gammas, the numerators, the
-    certified mask and the trivial-gamma mask; and a (B, 2) array of the
-    checks that follow `_failure`'s first in its order: the certificate
-    passes `_spot_checks`, and the certified count exceeds eps * 2^c.
-    Their passing proves H not eps-regular by itself: a certified coset's
-    numerator at its nontrivial gamma is at most its largest nontrivial
-    magnitude, so it is irregular, and more than eps * 2^c are certified.
-    The first check, certified cosets irregular in the full-class verdict,
-    is left to the callers (`_dual_worst`, `_dual_report`).
+    certified mask and the trivial-gamma mask; and a (B, 2) array of two
+    checks: the certificate passes `_spot_checks`, and the certified
+    count exceeds eps * 2^c.  Their passing proves H not eps-regular by
+    itself: a certified coset's numerator at its nontrivial gamma is at
+    most its largest nontrivial magnitude, so it is irregular, and more
+    than eps * 2^c are certified.  The check that certified cosets are
+    irregular in the full-class verdict is left to the callers
+    (`_dual_worst`, `_dual_report`).
     """
     n = f.n
     c = duals.shape[1]
@@ -632,20 +635,16 @@ def exhaustive_lowerbound_check(
         failed = np.flatnonzero(~passed)
         if not failed.size:
             continue
-        total = 1 << c
         best, _, _ = _dual_worst(spectrum, duals[failed], rows[failed] & -rows[failed])
         irregular = best >> c > _threshold(eps, f.denominator << (n - c))
-        cosets = certified_cosets[failed]
-        verdicts = np.column_stack([~(cosets & ~irregular).any(axis=1), checks[failed]])
-        counts = cosets.sum(axis=1).tolist()
+        bases = [tuple(basis) for basis in rows[failed].tolist()]
+        reasons = _failures(certified_cosets[failed], irregular, checks[failed], eps, bases)
         # the report is regular when at most eps * 2^c cosets are irregular
-        regular = (irregular.sum(axis=1) <= _threshold(eps, total)).tolist()
-        for j, k in enumerate(failed.tolist()):
-            basis = tuple(rows[k].tolist())
-            reason = _failure(verdicts[j], counts[j], total, eps, basis)
+        regular = (irregular.sum(axis=1) <= _threshold(eps, 1 << c)).tolist()
+        for basis, reason, is_regular in zip(bases, reasons, regular):
             if strict:
                 raise ClaimViolationError(reason)
-            if regular[j]:
+            if is_regular:
                 regular_nonzero.append(basis)
             else:
                 failures.append({"basis": list(basis), "dim": len(basis), "reason": reason})

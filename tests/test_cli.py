@@ -104,6 +104,19 @@ class TestGenEval:
         manifest = json.loads(out)
         assert manifest["s"] == 2 and manifest["xi"] == {"1": [1], "2": [1, 2]}
 
+    def test_gen_manifest_path_and_stdout_pinned(self, tmp_path, capsys):
+        # sha256 of the s = 3 manifest; --manifest writes the same bytes
+        path = tmp_path / "m.json"
+        code, out, _ = run_cli(capsys, "gen", "--s", "3", "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1cf71dc8770f7a0c96b0ba9a7977701ce4fe459aef7f3613bc6cdae75ac1fd7b"
+        )
+        assert run_cli(capsys, "gen", "--s", "3", "--seed", "0", "--manifest", str(path)) == (
+            0, "", ""
+        )
+        assert path.read_text() == out
+
     def test_gen_large_s_without_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "gen", "--s", "4", "--seed", "1", "--samples", "500"
@@ -286,6 +299,18 @@ class TestVerifyLowerbound:
         )
         assert code == 1
         assert json.loads(out)["schema"] == "f2reglab/claim-failure"
+
+    def test_claim_failure_record_pinned(self, capsys):
+        # sha256 of the claim-failure record: sorted keys, indent 2, one
+        # trailing newline, as every report
+        code, out, _ = run_cli(
+            capsys, "spanning", "--d", "3", "--count", "3", "--rho", "51/100", "--retries", "2"
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "RetryLimitError"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4d0d190f7cd7662d55b6d6336e6aa3c584858b6e8dac51a8778cd1d460318f5a"
+        )
 
 
 class TestSpanningRound:

@@ -1,8 +1,8 @@
 """Source hygiene: every private module-level function of the package has
 a caller in the package, every private name a module imports from a
 sibling module is used there, each module-level function name is
-defined in one module only, and the check that an object lives in a
-table's F2^n is written once."""
+defined in one module only, the check that an object lives in a
+table's F2^n is written once, and only `reports.py` writes JSON."""
 
 import ast
 from collections import defaultdict
@@ -174,3 +174,49 @@ def test_a_function_defined_in_two_modules_is_caught(tmp_path):
     assert shared_function_names(sorted(tmp_path.glob("*.py"))) == {
         "_restriction": ["a.py", "b.py"]
     }
+
+
+# The one module that serializes JSON; every other module sends its
+# records through `reports.emit_report`.
+JSON_WRITER = "reports.py"
+
+
+def json_writes_outside(paths):
+    """Calls of `json.dumps` or `json.dump`, and imports of either name
+    from json, in modules other than JSON_WRITER, as (file name, line)."""
+    found = []
+    for path in paths:
+        if path.name == JSON_WRITER:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                if any(alias.name in ("dump", "dumps") for alias in node.names):
+                    found.append((path.name, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"
+            ):
+                found.append((path.name, node.lineno))
+    return sorted(found)
+
+
+def test_only_reports_writes_json():
+    assert json_writes_outside(sorted(SRC.glob("*.py"))) == []
+
+
+def test_a_json_write_outside_reports_is_caught(tmp_path):
+    (tmp_path / "reports.py").write_text(
+        "import json\n\ndef emit(r):\n    return json.dumps(r)\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "import json\nfrom json import dump as write, loads\n\n"
+        "def main(r, fh):\n"
+        "    fh.write(json.dumps(r, sort_keys=True))\n"
+        "    json.dump(r, fh)\n"
+        "    return json.loads('{}'), loads('{}'), fh.dump(r)\n"
+    )
+    found = json_writes_outside(sorted(tmp_path.glob("*.py")))
+    assert found == [("cli.py", 2), ("cli.py", 5), ("cli.py", 6)]

@@ -250,7 +250,7 @@ class TestRestrictedSpectrum:
         coset = AffineSubspace(Subspace.zero(3), F2Vector(3, 5))
         spec = restricted_spectrum(s2_table, coset)
         assert spec.class_reps.tolist() == [0]
-        assert spec.mean == s2_table.values[5]
+        assert spec.coefficients[0] == s2_table.values[5]
 
     def test_full_space_matches_wht(self, s2_table):
         spec = restricted_spectrum(s2_table, AffineSubspace(Subspace.full(3)))
@@ -303,7 +303,10 @@ class TestCosetRegularity:
     def test_full_space_irregular(self, s2_table):
         report = check_subspace_regularity(s2_table, Subspace.full(3), "1/32")
         assert not report.is_regular
-        assert [(r.bits, e.bits, v) for r, e, v in report.witnesses] == [(0, 1, 0.25)]
+        witnessed = zip(
+            report.witness_reps.tolist(), report.witness_etas.tolist(), report.witness_values.tolist()
+        )
+        assert list(witnessed) == [(0, 1, 0.25)]
 
     def test_tie_break_smallest_encoding(self):
         # point indicator: all nontrivial coefficients tie at 1/4
@@ -356,7 +359,7 @@ class TestSubspaceRegularity:
         report = check_subspace_regularity(s2_table, Subspace.from_vectors(3, [1]), "1/32")
         assert report.regular_cosets + len(report.witness_reps) == report.total_cosets
         perp = report.subspace.orthogonal_complement()
-        for _, eta, value in report.witnesses:
+        for eta, value in zip(report.witness_etas.tolist(), report.witness_values.tolist()):
             assert abs(value) > float(report.epsilon)
             assert not perp.contains(eta)
 
@@ -1113,6 +1116,10 @@ class TestValuesOnFirstRead:
         assert f.is_binary() == (den == 1)
         assert FunctionTable.from_counts(n, counts // den * den, den).is_binary()
         assert not holds_values(f)
+
+    def test_is_binary_on_float_tables(self):
+        assert FunctionTable(2, np.array([0.0, 1.0, 1.0, 0.0])).is_binary() is True
+        assert FunctionTable(2, np.array([0.0, 1.0, 0.5, 0.0])).is_binary() is False
 
 
 class TestGuards:

@@ -155,6 +155,10 @@ class TestContains:
         full = Subspace.full(4)
         assert all(full.contains(v) for v in range(16))
 
+    def test_repr_lists_the_echelon_basis(self):
+        sub = Subspace.from_vectors(3, [3, 1])
+        assert repr(sub) == "Subspace(n=3, dim=2, basis=['0b1', '0b10'])"
+
 
 class TestOrthogonalComplement:
     def test_trivial_cases(self):

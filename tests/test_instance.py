@@ -87,6 +87,10 @@ class TestTowerValue:
         assert tower_value(5) >= (1 << 65536)
         assert not tower_value(5) >= (1 << 65536) + 1
         assert tower_value(6) >= tower_value(5)
+        assert tower_value(5) >= 0 and tower_value(5) >= 1
+
+    def test_repr(self):
+        assert repr(tower_value(5)) == "2^65536"
 
 
 class TestBlockDims:
@@ -476,6 +480,13 @@ class TestManifest:
         assert data["xi"] == {"1": [1], "2": [1, 2]}
         assert data["epsilon_max"] == "1/32"
         assert data["dense"] is True
+
+    def test_families_above_the_cap_are_omitted(self, monkeypatch):
+        inst = Instance.generate(3, seed=0)
+        assert sum(len(f) for f in inst.xi.families) == 11
+        monkeypatch.setattr(instance, "_XI_ENTRY_CAP", 10)
+        data = manifest(inst)
+        assert data["xi"] is None and data["xi_omitted_entries"] == 11
 
     def test_regeneration_from_seed_matches(self):
         a = Instance.generate(3, seed=11)

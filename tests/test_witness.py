@@ -87,7 +87,7 @@ def certify(f, hs, eps, xi):
     of one dimension, through their duals from `orthogonal_complement`;
     checks the echelon bases and the canonical coset reps it hands back
     and returns the rest: the gammas, numerators, certified and trivial
-    masks, the irregular counts, and the three checks in `_failure` order
+    masks, the irregular counts, and the three checks in `_failures` order
     (certified cosets irregular, then `_certify_duals`'s two)."""
     eps, spectrum = Fraction(eps), _count_spectrum(f)
     duals = dual_rows([h.orthogonal_complement() for h in hs])
